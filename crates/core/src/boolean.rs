@@ -88,7 +88,7 @@ pub fn mine_or_associations(
     l: usize,
 ) -> Vec<OrAssociation> {
     assert!(sigs.k() >= r * l, "banding needs k >= r*l");
-    use sfa_hash::bucket::{BucketTable, FastHashSet};
+    use sfa_hash::bucket::{FastHashMap, FastHashSet};
     use sfa_hash::mix::{fmix64, splitmix64};
 
     // Precompute OR signatures for the pool.
@@ -99,7 +99,7 @@ pub fn mine_or_associations(
         let rows: Vec<usize> = (band * r..(band + 1) * r).collect();
         let key_seed = splitmix64(0x0f0f ^ band as u64);
         // Hash original columns.
-        let mut table = BucketTable::with_capacity(sigs.m());
+        let mut table: FastHashMap<u64, Vec<u32>> = FastHashMap::default();
         'col: for t in 0..sigs.m() as u32 {
             let mut key = key_seed;
             for &row in &rows {
@@ -109,7 +109,7 @@ pub fn mine_or_associations(
                 }
                 key = fmix64(key ^ v);
             }
-            table.insert(key, t);
+            table.entry(key).or_default().push(t);
         }
         // Probe with each pool pair's OR signature.
         for (pair_idx, or_sig) in or_sigs.iter().enumerate() {
@@ -127,7 +127,7 @@ pub fn mine_or_associations(
                 continue;
             }
             let (pi, pj) = pool[pair_idx];
-            for &target in table.bucket(key) {
+            for &target in table.get(&key).map_or(&[][..], Vec::as_slice) {
                 if target == pi || target == pj {
                     continue;
                 }

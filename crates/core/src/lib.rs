@@ -16,7 +16,7 @@
 //! * [`verify`] — the phase-3 counting pass over a [`RowStream`].
 //! * [`checkpoint`] — crash-safe checkpoint files for both streaming
 //!   passes, behind [`Pipeline::run_resumable`](pipeline::Pipeline::run_resumable).
-//! * [`spill`] — checksummed shard spill files for out-of-core mining
+//! * [`spill`] — checksummed chunk spill files for out-of-core mining
 //!   under a [`MemoryBudget`], behind
 //!   [`Pipeline::run_sharded`](pipeline::Pipeline::run_sharded).
 //! * [`durable`] — crash-consistent atomic writes (fsync file, then

@@ -195,30 +195,29 @@ impl FromJson for RecoveryMetrics {
     }
 }
 
-/// Out-of-core accounting for a budgeted sharded run
+/// Out-of-core accounting for a budgeted run
 /// ([`Pipeline::run_sharded`](crate::Pipeline::run_sharded)): how the
-/// pair space was partitioned, what was spilled, and the peak of the
-/// budget-tracked state. Emitted only by sharded runs — in-memory runs
-/// omit the `sharding` object entirely.
+/// candidate walk was cut into chunks, what was spilled, and the peak of
+/// the budget-tracked state. Emitted only by budgeted runs — in-memory
+/// runs omit the `sharding` object entirely.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardingMetrics {
     /// The byte budget the run was given.
     pub memory_budget: u64,
-    /// Final pair-shard count (the partition width that fit the budget).
+    /// Chunks the focus-column walk was cut into.
     pub shards: u64,
-    /// Times phase 2 overflowed the budget and restarted with the shard
-    /// count doubled.
+    /// Generation restarts; always 0 since generation became a single
+    /// walk (kept so older readers find the field).
     pub shard_restarts: u64,
-    /// Phase-2 shard passes executed, including passes discarded by a
-    /// restart and excluding shards resumed from spill.
+    /// Phase-2 generation passes over the resident summary: always 1.
     pub generation_passes: u64,
-    /// Phase-3 verify groups — each one full streaming pass over the rows.
+    /// Phase-3 verify groups (one per chunk) — each one full streaming
+    /// pass over the rows, unless its result was loaded from a spill.
     pub verify_groups: u64,
-    /// Total bytes written to shard/group spill files.
+    /// Total bytes written to chunk result spill files.
     pub spill_bytes: u64,
-    /// Peak bytes of budget-tracked state (pair-counter tables and
-    /// resident per-group candidate state); never exceeds `memory_budget`
-    /// for a run that completed without error.
+    /// Peak bytes of budget-tracked state: the largest chunk's verify
+    /// state; never exceeds `memory_budget`.
     pub peak_tracked_bytes: u64,
 }
 
@@ -477,6 +476,11 @@ pub struct MiningMetrics {
     /// Resident bytes of the phase-1 summary (signature matrix, bottom-k
     /// sketches, or the materialized matrix for H-LSH).
     pub signature_bytes: u64,
+    /// Resident bytes of the phase-2 bucket index a budgeted run keeps
+    /// while it walks its chunks — linear in bucket entries, like the
+    /// signatures; `None` for in-memory runs (the key is omitted from the
+    /// JSON entirely, so their documents are unchanged).
+    pub index_bytes: Option<u64>,
     /// Phase 2: named counters in generation order.
     pub candidate_stages: Vec<StageCount>,
     /// Phase 2's output size (candidate pairs handed to verification).
@@ -511,6 +515,7 @@ impl Default for MiningMetrics {
             signature_pass: PassMetrics::default(),
             verify_pass: PassMetrics::default(),
             signature_bytes: 0,
+            index_bytes: None,
             candidate_stages: Vec::new(),
             candidates_generated: 0,
             bucket_histogram: Vec::new(),
@@ -555,7 +560,14 @@ impl ToJson for MiningMetrics {
             .field("threads", self.threads)
             .field("signature_pass", self.signature_pass)
             .field("verify_pass", self.verify_pass)
-            .field("signature_bytes", self.signature_bytes)
+            .field("signature_bytes", self.signature_bytes);
+        // Only budgeted runs emit the key, right beside the summary bytes
+        // (a compatible field addition, so no version bump).
+        let json = match self.index_bytes {
+            Some(bytes) => json.field("index_bytes", bytes),
+            None => json,
+        };
+        let json = json
             .field("candidate_stages", &self.candidate_stages[..])
             .field("candidates_generated", self.candidates_generated)
             .field("bucket_histogram", &self.bucket_histogram[..])
@@ -600,6 +612,9 @@ impl FromJson for MiningMetrics {
             signature_pass: PassMetrics::from_json(json.req("signature_pass")?)?,
             verify_pass: PassMetrics::from_json(json.req("verify_pass")?)?,
             signature_bytes: u64::from_json(json.req("signature_bytes")?)?,
+            // Only budgeted runs emit the key; absence means an in-memory
+            // run (and covers every older document).
+            index_bytes: json.get("index_bytes").map(u64::from_json).transpose()?,
             candidate_stages: Vec::<StageCount>::from_json(json.req("candidate_stages")?)?,
             candidates_generated: u64::from_json(json.req("candidates_generated")?)?,
             bucket_histogram: Vec::<u64>::from_json(json.req("bucket_histogram")?)?,
@@ -715,6 +730,7 @@ mod tests {
                 nonzeros_scanned: 450,
             },
             signature_bytes: 64 * 7 * 8,
+            index_bytes: None,
             candidate_stages: vec![
                 StageCount {
                     stage: "counter-increments".to_owned(),
@@ -1028,13 +1044,15 @@ mod tests {
         metrics.sharding = Some(ShardingMetrics {
             memory_budget: 1 << 20,
             shards: 4,
-            shard_restarts: 1,
-            generation_passes: 6,
-            verify_groups: 2,
+            shard_restarts: 0,
+            generation_passes: 1,
+            verify_groups: 4,
             spill_bytes: 12_345,
             peak_tracked_bytes: 900_000,
         });
+        metrics.index_bytes = Some(4_096);
         let json = metrics.to_json().to_string_compact();
+        assert!(json.contains("\"signature_bytes\":3584,\"index_bytes\":4096"));
         let back: MiningMetrics = sfa_json::from_str(&json).unwrap();
         assert_eq!(back, metrics);
     }

@@ -1,20 +1,20 @@
-//! Shard spill files for out-of-core mining (`.sfsp`).
+//! Chunk spill files for out-of-core mining (`.sfsp`).
 //!
-//! [`Pipeline::run_sharded`](crate::Pipeline::run_sharded) partitions the
-//! pair space into column shards, generates each shard's candidates under
-//! the memory budget, and spills them here so (a) only one shard group's
-//! candidate state is ever resident during verification and (b) a killed
-//! run can resume without regenerating finished shards. Two record kinds
-//! share one container format:
+//! [`Pipeline::run_sharded`](crate::Pipeline::run_sharded) walks the
+//! candidate generator once, cuts its candidates into chunks whose verify
+//! state fits the memory budget, and spills each verified chunk here, so a
+//! killed run resumes without rescanning the table for finished chunks.
+//! One record kind is written:
 //!
-//! * **shard candidates** (`shard_<s>_of_<g>.sfsp`) — the candidate pairs
-//!   one [`PairShard`](sfa_hash::bucket::PairShard) admitted. Candidate
-//!   sets are a pure function of the phase-1 summary and the shard, never
-//!   of the byte budget, so a spilled shard is reusable across runs with
-//!   different budgets.
-//! * **group verify results** (`verify_group_<idx>.sfsp`) — one shard
-//!   group's verified pairs, column counts and probe count, keyed by the
-//!   fingerprint of the exact candidate list that was verified.
+//! * **group verify results** (`verify_group_<idx>.sfsp`) — one chunk's
+//!   verified pairs, column counts and probe count, keyed by the
+//!   fingerprint of the exact candidate list that was verified. A rerun
+//!   regenerates the candidates from the resident summary (counting is
+//!   cheap next to a table scan) and loads each chunk whose fingerprint
+//!   matches.
+//!
+//! Version 1 files (which also held per-shard candidate lists) fail the
+//! version check and are quarantined by the startup sweep.
 //!
 //! Like checkpoints (`docs/ROBUSTNESS.md`), spill files are **advisory**:
 //! any load failure — missing file, bad magic/version/CRC, or a run-key,
@@ -28,24 +28,17 @@ use std::path::{Path, PathBuf};
 
 use sfa_matrix::crc32::crc32;
 use sfa_matrix::{MatrixError, Result};
-use sfa_minhash::CandidatePair;
 
 use crate::checkpoint::RunKey;
 use crate::report::VerifiedPair;
 
 /// Magic for spill files.
 const MAGIC: [u8; 4] = *b"SFSP";
-/// Format version.
-const VERSION: u32 = 1;
-/// Record kind: one shard's candidate pairs.
-const KIND_SHARD_CANDIDATES: u32 = 1;
-/// Record kind: one verify group's results.
+/// Format version (2: chunked verify results only).
+const VERSION: u32 = 2;
+/// Record kind: one verify group's results (kind 1, per-shard candidate
+/// lists, was retired with version 1).
 const KIND_GROUP_RESULT: u32 = 2;
-
-/// Path of shard `s` of a `g`-way partition inside `dir`.
-pub(crate) fn shard_path(dir: &Path, shard: u32, n_shards: u32) -> PathBuf {
-    dir.join(format!("shard_{shard}_of_{n_shards}.sfsp"))
-}
 
 /// Path of verify group `idx` inside `dir`.
 pub(crate) fn group_path(dir: &Path, idx: usize) -> PathBuf {
@@ -169,67 +162,6 @@ fn payload(bytes: &[u8]) -> Reader<'_> {
     }
 }
 
-/// Persists one shard's candidate list; returns the file size in bytes.
-pub(crate) fn save_shard_candidates(
-    dir: &Path,
-    key: RunKey,
-    shard: u32,
-    n_shards: u32,
-    candidates: &[CandidatePair],
-) -> Result<u64> {
-    let mut w = Writer::new(KIND_SHARD_CANDIDATES, key);
-    w.u32(shard);
-    w.u32(n_shards);
-    w.u32(u32::try_from(candidates.len()).expect("candidate count fits u32"));
-    for c in candidates {
-        w.u32(c.i);
-        w.u32(c.j);
-        w.u64(c.estimate.to_bits());
-    }
-    w.commit(&shard_path(dir, shard, n_shards))
-}
-
-/// Loads one shard's candidate list, if a valid spill for exactly this
-/// `(run key, shard, n_shards)` exists.
-pub(crate) fn load_shard_candidates(
-    dir: &Path,
-    key: RunKey,
-    shard: u32,
-    n_shards: u32,
-) -> Option<Vec<CandidatePair>> {
-    let bytes = open(
-        &shard_path(dir, shard, n_shards),
-        KIND_SHARD_CANDIDATES,
-        key,
-    )?;
-    let parse = |r: &mut Reader<'_>| -> Result<Vec<CandidatePair>> {
-        let bad = |detail: &str, at: u64| MatrixError::Parse {
-            at,
-            detail: detail.into(),
-        };
-        if r.u32()? != shard || r.u32()? != n_shards {
-            return Err(bad("spill shard mismatch", 24));
-        }
-        let n = r.u32()? as usize;
-        if r.remaining() < n.saturating_mul(16) {
-            return Err(bad("spill record count exceeds payload", r.pos as u64));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let i = r.u32()?;
-            let j = r.u32()?;
-            let estimate = f64::from_bits(r.u64()?);
-            if i >= j || j >= key.n_cols {
-                return Err(bad("spill pair ids out of range", r.pos as u64));
-            }
-            out.push(CandidatePair { i, j, estimate });
-        }
-        r.done()?;
-        Ok(out)
-    };
-    parse(&mut payload(&bytes)).ok()
-}
-
 /// Persists one verify group's results — its verified pairs, the full
 /// column-count vector, and the probe count — keyed by `cand_fingerprint`
 /// (the [`crate::checkpoint::candidates_fingerprint`] of the exact
@@ -318,10 +250,10 @@ pub(crate) fn load_group_result(
     parse(&mut payload(&bytes)).ok()
 }
 
-/// Whether `path` holds an intact spill record (either kind) belonging to
-/// `key` — the startup-recovery test deciding keep vs quarantine.
+/// Whether `path` holds an intact spill record belonging to `key` — the
+/// startup-recovery test deciding keep vs quarantine.
 pub(crate) fn valid_for(path: &Path, key: RunKey) -> bool {
-    open(path, KIND_SHARD_CANDIDATES, key).is_some() || open(path, KIND_GROUP_RESULT, key).is_some()
+    open(path, KIND_GROUP_RESULT, key).is_some()
 }
 
 /// Strictly validates the container format of a spill file: magic,
@@ -355,52 +287,10 @@ pub fn validate_file(path: &Path) -> Result<()> {
     if u32_at(4) != VERSION {
         return Err(bad(4, "unknown spill version"));
     }
-    if !matches!(u32_at(8), KIND_SHARD_CANDIDATES | KIND_GROUP_RESULT) {
+    if u32_at(8) != KIND_GROUP_RESULT {
         return Err(bad(8, "unknown spill record kind"));
     }
     Ok(())
-}
-
-/// The largest partition width `g` for which `dir` holds at least one
-/// shard spill valid under `key` — the width an interrupted run had
-/// reached, which a resuming run adopts so finished shards are reusable.
-pub(crate) fn max_valid_shard_count(dir: &Path, key: RunKey) -> Option<u32> {
-    let mut best: Option<u32> = None;
-    for entry in std::fs::read_dir(dir).ok()? {
-        let Ok(entry) = entry else { continue };
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(rest) = name.strip_prefix("shard_") else {
-            continue;
-        };
-        let Some(rest) = rest.strip_suffix(".sfsp") else {
-            continue;
-        };
-        let Some((shard, n_shards)) = rest.split_once("_of_") else {
-            continue;
-        };
-        let (Ok(shard), Ok(n_shards)) = (shard.parse::<u32>(), n_shards.parse::<u32>()) else {
-            continue;
-        };
-        if !n_shards.is_power_of_two() || shard >= n_shards {
-            continue;
-        }
-        if best.is_some_and(|b| n_shards <= b) {
-            continue;
-        }
-        // Filename candidates are only adopted if the file itself is valid
-        // for this run key.
-        if open(
-            &shard_path(dir, shard, n_shards),
-            KIND_SHARD_CANDIDATES,
-            key,
-        )
-        .is_some()
-        {
-            best = Some(n_shards);
-        }
-    }
-    best
 }
 
 /// Removes every spill file (`*.sfsp`, plus stray `*.sfsp.tmp`) in `dir`,
@@ -446,53 +336,6 @@ mod tests {
         )
     }
 
-    fn cands() -> Vec<CandidatePair> {
-        vec![
-            CandidatePair::new(0, 3, 0.75),
-            CandidatePair::new(2, 9, 0.5),
-            CandidatePair::new(7, 49, 1.0),
-        ]
-    }
-
-    #[test]
-    fn shard_candidates_round_trip() {
-        let d = dir("shard-rt");
-        let written = cands();
-        save_shard_candidates(&d, key(), 1, 4, &written).expect("save");
-        let loaded = load_shard_candidates(&d, key(), 1, 4).expect("load");
-        assert_eq!(loaded, written);
-        // Wrong shard coordinates: advisory miss, not an error.
-        assert!(load_shard_candidates(&d, key(), 0, 4).is_none());
-        assert!(load_shard_candidates(&d, key(), 1, 8).is_none());
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn wrong_run_key_is_ignored() {
-        let d = dir("wrong-key");
-        save_shard_candidates(&d, key(), 0, 2, &cands()).expect("save");
-        let other = RunKey::new(
-            &PipelineConfig::new(Scheme::Mh { k: 9, delta: 0.2 }, 0.5, 7),
-            100,
-            50,
-        );
-        assert!(load_shard_candidates(&d, other, 0, 2).is_none());
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn corruption_is_rejected() {
-        let d = dir("corrupt");
-        save_shard_candidates(&d, key(), 0, 2, &cands()).expect("save");
-        let path = shard_path(&d, 0, 2);
-        let mut bytes = std::fs::read(&path).expect("read");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).expect("write");
-        assert!(load_shard_candidates(&d, key(), 0, 2).is_none());
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
     #[test]
     fn group_result_round_trip() {
         let d = dir("group-rt");
@@ -516,10 +359,29 @@ mod tests {
     }
 
     #[test]
+    fn wrong_run_key_and_corruption_are_ignored() {
+        let d = dir("wrong-key");
+        save_group_result(&d, key(), 0, 7, &[], &[0; 50], 3).expect("save");
+        let other = RunKey::new(
+            &PipelineConfig::new(Scheme::Mh { k: 9, delta: 0.2 }, 0.5, 7),
+            100,
+            50,
+        );
+        assert!(load_group_result(&d, other, 0, 7).is_none());
+        let path = group_path(&d, 0);
+        let mut bytes = std::fs::read(&path).expect("read");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        std::fs::write(&path, &bytes).expect("write");
+        assert!(load_group_result(&d, key(), 0, 7).is_none());
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
     fn validate_file_checks_container_not_run_key() {
         let d = dir("validate-file");
-        save_shard_candidates(&d, key(), 0, 2, &cands()).expect("save");
-        let path = shard_path(&d, 0, 2);
+        save_group_result(&d, key(), 0, 7, &[], &[0; 50], 3).expect("save");
+        let path = group_path(&d, 0);
         validate_file(&path).expect("intact file validates");
         assert!(valid_for(&path, key()));
         let other = RunKey {
@@ -538,28 +400,36 @@ mod tests {
     }
 
     #[test]
-    fn max_valid_shard_count_prefers_widest_valid_partition() {
-        let d = dir("max-g");
-        assert_eq!(max_valid_shard_count(&d, key()), None);
-        save_shard_candidates(&d, key(), 0, 2, &cands()).expect("save");
-        save_shard_candidates(&d, key(), 3, 4, &cands()).expect("save");
-        assert_eq!(max_valid_shard_count(&d, key()), Some(4));
-        // A wider but corrupt file is not adopted.
-        std::fs::write(shard_path(&d, 0, 8), b"SFSPgarbage").expect("write");
-        assert_eq!(max_valid_shard_count(&d, key()), Some(4));
+    fn version_1_files_are_rejected() {
+        let d = dir("version-1");
+        save_group_result(&d, key(), 0, 7, &[], &[0; 50], 3).expect("save");
+        let path = group_path(&d, 0);
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[4..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        assert!(
+            validate_file(&path).is_err(),
+            "a v1 container is not current"
+        );
+        assert!(
+            !valid_for(&path, key()),
+            "so the startup sweep quarantines it"
+        );
+        assert!(load_group_result(&d, key(), 0, 7).is_none());
         let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]
     fn clear_removes_only_spill_files() {
         let d = dir("clear");
-        save_shard_candidates(&d, key(), 0, 1, &cands()).expect("save");
         save_group_result(&d, key(), 0, 1, &[], &[0; 50], 0).expect("save");
         let keep = d.join("keep.txt");
         std::fs::write(&keep, b"x").expect("write");
         clear(&d).expect("clear");
         assert!(keep.exists());
-        assert!(load_shard_candidates(&d, key(), 0, 1).is_none());
         assert!(load_group_result(&d, key(), 0, 1).is_none());
         let _ = std::fs::remove_dir_all(&d);
     }

@@ -18,7 +18,7 @@
 //! columns, far past what the in-memory candidate phase was sized for —
 //! mined through [`Pipeline::run_sharded`] under a fixed
 //! [`MemoryBudget`], so the committed baseline also pins the sharding
-//! counters (shard count, spill bytes, generation passes). Without the
+//! counters (chunk count, spill bytes, generation passes). Without the
 //! flag only the two small datasets run.
 //!
 //! [`MiningMetrics`]: sfa_core::MiningMetrics
@@ -42,17 +42,16 @@ use sfa_serve::{Server, ServerConfig};
 /// Similarity threshold shared by every baseline run.
 const S_STAR: f64 = 0.7;
 
-/// Memory budget for the `--scale large` sharded runs: small enough that
-/// the dense schemes must split the pair space into several shards, large
-/// enough that the pass count stays in the single digits.
+/// Memory budget for the `--scale large` budgeted runs (16 MiB, the
+/// figure the roadmap's targets are stated against).
 const LARGE_BUDGET_BYTES: usize = 16 << 20;
 
 /// The `--scale large` dataset: 10⁵ columns (10× the paper's §5 width) at
 /// a row count inside the paper's 10⁴–10⁶ sweep range. Densities are
 /// scaled down so column cardinalities stay near the small preset's while
-/// the pair space grows ~10 000×: the phase-2 counter state for MH-family
-/// schemes runs to hundreds of megabits, which is exactly what the memory
-/// budget shards.
+/// the pair space grows ~10 000×: a pair-count table for the MH-family
+/// schemes would run to hundreds of megabits, which is what the budgeted
+/// pipeline's column-at-a-time counting avoids.
 fn large_synthetic() -> SyntheticConfig {
     SyntheticConfig {
         n_rows: 300_000,
@@ -388,7 +387,7 @@ fn phase1_json(name: &str, rows: &RowMajorMatrix, table: &mut Vec<Vec<String>>) 
 /// One sharded (out-of-core) run's JSON entry. Identical in shape to
 /// [`run_json`] except that the machine-dependent `timing` object gains a
 /// `sharding` subtree — which the CI `bench-diff` strips along with the
-/// rest of `timing` — while the deterministic shard counters (shard count,
+/// rest of `timing` — while the deterministic counters (chunk count,
 /// spill bytes, generation passes, peak tracked bytes) travel inside
 /// `metrics.sharding` and are diffed.
 fn sharded_run_json(result: &MiningResult) -> Json {
@@ -437,7 +436,7 @@ fn sharded_run_json(result: &MiningResult) -> Json {
 /// pair looks alike), so deepening the ladder only floods the buckets with
 /// background collisions. This is the paper's own observation that direct
 /// row-sampling LSH fails on sparse data, reproduced at scale; M-LSH is
-/// the sparse-friendly variant and recovers the pairs in one shard.
+/// the sparse-friendly variant and recovers the pairs.
 fn sharded_dataset_json(name: &str, rows: &RowMajorMatrix, table: &mut Vec<Vec<String>>) -> Json {
     let spill = std::env::temp_dir().join(format!("sfa-bench-spill-{}", std::process::id()));
     let mut runs = Vec::new();
@@ -454,7 +453,7 @@ fn sharded_dataset_json(name: &str, rows: &RowMajorMatrix, table: &mut Vec<Vec<S
             format!("{:.3}", result.timings.total().as_secs_f64()),
             result.candidates_generated().to_string(),
             result.similar_pairs().len().to_string(),
-            format!("{} shards", sharding.shards),
+            format!("{} chunks", sharding.shards),
         ]);
         runs.push(sharded_run_json(&result));
     }

@@ -11,10 +11,9 @@
 //!   enough for a laptop sanity run.
 //! * `--scale paper` — the paper's §5 configuration itself: 10⁴ columns,
 //!   10⁴ rows (the low end of its 10⁴–10⁶ row sweep), densities 1–5%,
-//!   20 planted pairs per band. At this width the MH-family phase-2
-//!   counter state runs to hundreds of megabytes, so the sweep mines
-//!   out-of-core through [`Pipeline::run_sharded`] under a 64 MiB budget
-//!   and reports the shard count per scheme.
+//!   20 planted pairs per band. The sweep mines out-of-core through
+//!   [`Pipeline::run_sharded`] under a 64 MiB budget and reports the
+//!   verify-chunk count per scheme.
 //!
 //! [`Pipeline::run_sharded`]: sfa_core::Pipeline
 

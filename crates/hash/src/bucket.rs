@@ -11,8 +11,10 @@
 //!   counters that were incremented at least once" — implemented as
 //!   [`SparseCounters`].
 //!
-//! [`PairCounter`] packs `(i, j)` column pairs into one `u64` key over a
-//! fast hash map, which is the convenient form for LSH bucket scans.
+//! [`PairCounter`] packs `(i, j)` column pairs into one `u64` key over an
+//! open-addressing table, for callers that want every pair's count at
+//! once. The candidate generators count column by column instead, over
+//! the bucket index of [`crate::index`].
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -95,11 +97,11 @@ pub fn unpack_pair(key: u64) -> (u32, u32) {
 
 /// Open-addressing `u64 → u32` counter table for [`pack_pair`] keys.
 ///
-/// The hot loop of every phase-2 generator is "bump the counter for this
-/// pair"; a general `HashMap<u64, u32>` pays for SipHash-free but still
-/// branchy entry logic and per-entry overhead. This table is the minimal
-/// alternative: power-of-two capacity, Fibonacci multiply-shift indexing,
-/// linear probing, parallel `keys`/`vals` arrays, grow at ¾ load.
+/// The backing store of [`PairCounter`]: a general `HashMap<u64, u32>`
+/// pays for SipHash-free but still branchy entry logic and per-entry
+/// overhead. This table is the minimal alternative: power-of-two
+/// capacity, Fibonacci multiply-shift indexing, linear probing, parallel
+/// `keys`/`vals` arrays, grow at ¾ load.
 ///
 /// The key `u64::MAX` is reserved as the empty-slot sentinel — it can
 /// never be produced by `pack_pair`, which requires `i < j`.
@@ -122,17 +124,6 @@ impl CounterTable {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a table pre-sized for roughly `n` distinct keys.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        let slots = (n.saturating_mul(4) / 3 + 1).next_power_of_two().max(16);
-        Self {
-            keys: vec![EMPTY_SLOT; slots],
-            vals: vec![0; slots],
-            items: 0,
-        }
     }
 
     /// Number of distinct keys stored.
@@ -180,12 +171,6 @@ impl CounterTable {
         }
     }
 
-    /// Increments `key`'s counter.
-    #[inline]
-    pub fn increment(&mut self, key: u64) {
-        self.add(key, 1);
-    }
-
     /// Current counter value for `key` (0 if absent).
     #[inline]
     #[must_use]
@@ -220,25 +205,6 @@ impl CounterTable {
         }
     }
 
-    /// Heap bytes held by the key/value arrays (12 bytes per slot).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.keys.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
-    }
-
-    /// Whether the next [`Self::add`] would trigger a grow (the ¾-load
-    /// check `add` performs before probing).
-    #[must_use]
-    pub fn would_grow(&self) -> bool {
-        self.items * 4 >= self.keys.len() * 3
-    }
-
-    /// Heap bytes the table would hold after the next grow.
-    #[must_use]
-    pub fn bytes_after_grow(&self) -> usize {
-        (self.keys.len() * 2).max(16) * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
-    }
-
     /// Iterates `(key, count)` in arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.keys
@@ -257,326 +223,10 @@ impl CounterTable {
     }
 }
 
-/// A [`PairCounter`] split into independent shards by key bits, so
-/// per-thread local counters can be merged **in parallel per shard**
-/// instead of through a single-threaded fold.
-///
-/// The shard of a key is a pure function of the key (an fmix64-style
-/// finalizer's low bits), so the same pair lands in the same shard in
-/// every thread-local counter and in the merged result.
-#[derive(Debug)]
-pub struct ShardedPairCounter {
-    shards: Vec<CounterTable>,
-}
-
-/// fmix64 finalizer (MurmurHash3): used for shard selection so shard
-/// bits are independent of [`CounterTable`]'s Fibonacci index bits.
-#[inline]
-#[must_use]
-fn shard_mix(key: u64) -> u64 {
-    let mut h = key;
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h
-}
-
-impl ShardedPairCounter {
-    /// Creates a counter with `n_shards` (rounded up to a power of two).
-    #[must_use]
-    pub fn new(n_shards: usize) -> Self {
-        let n = n_shards.next_power_of_two().max(1);
-        Self {
-            shards: (0..n).map(|_| CounterTable::new()).collect(),
-        }
-    }
-
-    /// Reassembles a counter from per-shard tables (the parallel-merge
-    /// path). `shards.len()` must be a power of two and every key must
-    /// already be in its [`Self::shard_of`] shard.
-    #[must_use]
-    pub fn from_shards(shards: Vec<CounterTable>) -> Self {
-        assert!(
-            shards.len().is_power_of_two(),
-            "shard count not a power of two"
-        );
-        Self { shards }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard index `key` belongs to.
-    #[inline]
-    #[must_use]
-    pub fn shard_of(&self, key: u64) -> usize {
-        (shard_mix(key) & (self.shards.len() as u64 - 1)) as usize
-    }
-
-    /// The table backing shard `s`.
-    #[must_use]
-    pub fn shard(&self, s: usize) -> &CounterTable {
-        &self.shards[s]
-    }
-
-    /// Decomposes the counter into its per-shard tables (inverse of
-    /// [`Self::from_shards`]).
-    #[must_use]
-    pub fn into_shards(self) -> Vec<CounterTable> {
-        self.shards
-    }
-
-    /// Adds `count` to the packed pair `key`.
-    #[inline]
-    pub fn add_key(&mut self, key: u64, count: u32) {
-        let s = self.shard_of(key);
-        self.shards[s].add(key, count);
-    }
-
-    /// Increments the counter for the unordered pair `{a, b}`.
-    #[inline]
-    pub fn increment(&mut self, a: u32, b: u32) {
-        debug_assert_ne!(a, b, "self-pair");
-        let key = if a < b {
-            pack_pair(a, b)
-        } else {
-            pack_pair(b, a)
-        };
-        self.add_key(key, 1);
-    }
-
-    /// Current count for the unordered pair `{a, b}`.
-    #[must_use]
-    pub fn get(&self, a: u32, b: u32) -> u32 {
-        let key = if a < b {
-            pack_pair(a, b)
-        } else {
-            pack_pair(b, a)
-        };
-        self.shards[self.shard_of(key)].get(key)
-    }
-
-    /// Number of pairs with a nonzero count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(CounterTable::len).sum()
-    }
-
-    /// Whether no pair has been counted.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(CounterTable::is_empty)
-    }
-
-    /// Iterates `(i, j, count)` with `i < j`, in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        self.shards.iter().flat_map(|t| {
-            t.iter().map(|(k, c)| {
-                let (i, j) = unpack_pair(k);
-                (i, j, c)
-            })
-        })
-    }
-
-    /// Pairs whose count is at least `threshold`, as sorted `(i, j, count)`.
-    #[must_use]
-    pub fn pairs_at_least(&self, threshold: u32) -> Vec<(u32, u32, u32)> {
-        let mut v: Vec<(u32, u32, u32)> = self.iter().filter(|&(_, _, c)| c >= threshold).collect();
-        v.sort_unstable();
-        v
-    }
-}
-
-/// A shard count giving each of `threads` workers several shards to
-/// merge (~4× oversubscription for dynamic balance), clamped to [8, 64].
-#[must_use]
-pub fn default_shards(threads: usize) -> usize {
-    (threads * 4).next_power_of_two().clamp(8, 64)
-}
-
-/// Merges per-worker [`ShardedPairCounter`] locals into one counter,
-/// **shard-parallel**: each shard's tables (one per local) are summed by
-/// a single worker, and shards are dealt out dynamically over `pool`.
-/// All locals must have the same shard count.
-#[must_use]
-pub fn merge_sharded(
-    mut locals: Vec<ShardedPairCounter>,
-    pool: &sfa_par::ThreadPool,
-) -> ShardedPairCounter {
-    if locals.len() <= 1 {
-        return locals.pop().unwrap_or_else(|| ShardedPairCounter::new(1));
-    }
-    let n_shards = locals[0].shards();
-    assert!(
-        locals.iter().all(|l| l.shards() == n_shards),
-        "locals disagree on shard count"
-    );
-    let locals = &locals;
-    let mut merged: Vec<(usize, CounterTable)> = pool
-        .par_fold(
-            n_shards,
-            1,
-            |_| Vec::new(),
-            |acc, range| {
-                for s in range {
-                    let cap: usize = locals.iter().map(|l| l.shard(s).len()).sum();
-                    let mut table = CounterTable::with_capacity(cap);
-                    for local in locals {
-                        for (k, c) in local.shard(s).iter() {
-                            table.add(k, c);
-                        }
-                    }
-                    acc.push((s, table));
-                }
-            },
-        )
-        .into_iter()
-        .flatten()
-        .collect();
-    merged.sort_unstable_by_key(|&(s, _)| s);
-    ShardedPairCounter::from_shards(merged.into_iter().map(|(_, t)| t).collect())
-}
-
-/// Batched bucket scan over a **sorted** `(bucket_key, column)` slice:
-/// every maximal run of equal keys is one bucket, and each run of length
-/// `s` contributes `C(s, 2)` pair increments to `counter` plus (when
-/// `s >= min_hist_run`) one entry to the occupancy histogram `hist[s]`.
-///
-/// Sorting the occupants once per table replaces per-element hash-map
-/// probing in the bucket-build step, and makes the scan a cache-friendly
-/// linear walk. Returns the number of counter increments performed —
-/// exactly what the incremental Hash-Count structure would have done.
-pub fn count_sorted_runs(
-    entries: &[(u64, u32)],
-    counter: &mut ShardedPairCounter,
-    hist: &mut Vec<u64>,
-    min_hist_run: usize,
-) -> u64 {
-    debug_assert!(
-        entries.windows(2).all(|w| w[0] <= w[1]),
-        "entries not sorted"
-    );
-    let mut increments = 0u64;
-    let mut start = 0;
-    while start < entries.len() {
-        let key = entries[start].0;
-        let mut end = start + 1;
-        while end < entries.len() && entries[end].0 == key {
-            end += 1;
-        }
-        let run = &entries[start..end];
-        if run.len() >= min_hist_run {
-            if hist.len() <= run.len() {
-                hist.resize(run.len() + 1, 0);
-            }
-            hist[run.len()] += 1;
-        }
-        for (a, &(_, cj)) in run.iter().enumerate().skip(1) {
-            for &(_, ci) in &run[..a] {
-                counter.increment(ci, cj);
-                increments += 1;
-            }
-        }
-        start = end;
-    }
-    increments
-}
-
-/// Elementwise histogram accumulation (grows `into` as needed) — the merge
-/// step for per-worker occupancy histograms produced by
-/// [`count_sorted_runs`].
-pub fn add_hist(into: &mut Vec<u64>, from: &[u64]) {
-    if into.len() < from.len() {
-        into.resize(from.len(), 0);
-    }
-    for (dst, &src) in into.iter_mut().zip(from) {
-        *dst += src;
-    }
-}
-
-/// A bucket table mapping hash values to the columns containing them.
-///
-/// This is the §3.1 Hash-Count structure: columns are inserted in index
-/// order, and before a column is added its bucket already holds exactly the
-/// earlier columns sharing the value.
-#[derive(Debug, Default)]
-pub struct BucketTable {
-    buckets: FastHashMap<u64, Vec<u32>>,
-}
-
-impl BucketTable {
-    /// Creates an empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty table with capacity for `n` distinct values.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            buckets: FastHashMap::with_capacity_and_hasher(n, FxBuildHasher::default()),
-        }
-    }
-
-    /// Columns previously inserted under `value` (empty slice if none).
-    #[inline]
-    #[must_use]
-    pub fn bucket(&self, value: u64) -> &[u32] {
-        self.buckets.get(&value).map_or(&[], Vec::as_slice)
-    }
-
-    /// Inserts `col` under `value`.
-    #[inline]
-    pub fn insert(&mut self, value: u64, col: u32) {
-        self.buckets.entry(value).or_default().push(col);
-    }
-
-    /// Number of distinct values present.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// Accumulates this table's bucket-occupancy histogram into `hist`:
-    /// `hist[s]` counts buckets holding exactly `s` columns (`hist` grows as
-    /// needed; index 0 stays untouched since empty buckets are never
-    /// stored). Callers pass the same vector across tables to aggregate a
-    /// whole scheme's occupancy profile.
-    pub fn accumulate_occupancy(&self, hist: &mut Vec<u64>) {
-        for cols in self.buckets.values() {
-            let size = cols.len();
-            if hist.len() <= size {
-                hist.resize(size + 1, 0);
-            }
-            hist[size] += 1;
-        }
-    }
-
-    /// Iterates over `(value, columns)` buckets in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &[u32])> {
-        self.buckets.iter().map(|(&v, cols)| (v, cols.as_slice()))
-    }
-
-    /// Clears all buckets, retaining allocation of the outer map.
-    pub fn clear(&mut self) {
-        self.buckets.clear();
-    }
-}
-
 /// Counts occurrences per ordered column pair.
 ///
-/// Used by Hash-Count and by the LSH schemes to accumulate, for each pair,
-/// how many signature rows / bands / runs it collided in.
+/// Filled by the `*_counts` analysis helpers (from a full walk of the
+/// bucket index) and by the apriori baseline's pair pass.
 #[derive(Debug, Default)]
 pub struct PairCounter {
     counts: CounterTable,
@@ -666,202 +316,6 @@ impl PairCounter {
     }
 }
 
-/// Salt applied before the shard-admission mix, so [`PairShard`]'s
-/// admission bits are independent of both [`ShardedPairCounter::shard_of`]
-/// (the unsalted fmix64 low bits) and [`CounterTable`]'s Fibonacci index
-/// bits.
-const PAIR_SHARD_SALT: u64 = 0xbf58_476d_1ce4_e5b9;
-
-/// One slice of a power-of-two partition of the packed-pair key space.
-///
-/// Out-of-core mining runs phase 2 once per shard under a memory budget:
-/// a shard admits a pair iff the salted fmix64 mix of its [`pack_pair`]
-/// key lands in this slice. Admission is a pure function of the pair
-/// alone, so the shards partition the pair space — the union of per-shard
-/// candidate sets over all shards equals the unsharded set exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PairShard {
-    shard: u32,
-    n_shards: u32,
-}
-
-impl PairShard {
-    /// Slice `shard` of a partition into `n_shards` (a power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_shards` is not a power of two or `shard >= n_shards`.
-    #[must_use]
-    pub fn new(shard: u32, n_shards: u32) -> Self {
-        assert!(n_shards.is_power_of_two(), "shard count not a power of two");
-        assert!(shard < n_shards, "shard {shard} out of range 0..{n_shards}");
-        Self { shard, n_shards }
-    }
-
-    /// The trivial partition: one shard admitting every pair.
-    #[must_use]
-    pub fn all() -> Self {
-        Self::new(0, 1)
-    }
-
-    /// This slice's index.
-    #[must_use]
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// Number of slices in the partition.
-    #[must_use]
-    pub fn n_shards(&self) -> u32 {
-        self.n_shards
-    }
-
-    /// Whether this slice admits the packed pair `key`.
-    #[inline]
-    #[must_use]
-    pub fn admits_key(&self, key: u64) -> bool {
-        shard_mix(key ^ PAIR_SHARD_SALT) & u64::from(self.n_shards - 1) == u64::from(self.shard)
-    }
-
-    /// Whether this slice admits the unordered pair `{a, b}`.
-    #[inline]
-    #[must_use]
-    pub fn admits(&self, a: u32, b: u32) -> bool {
-        debug_assert_ne!(a, b, "self-pair");
-        let key = if a < b {
-            pack_pair(a, b)
-        } else {
-            pack_pair(b, a)
-        };
-        self.admits_key(key)
-    }
-}
-
-/// What a budgeted shard pass reports back to the pipeline driver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardPassOutcome {
-    /// The counter refused a grow that would have exceeded the budget;
-    /// the pass's output is incomplete and must be discarded (the driver
-    /// doubles the shard count and reruns).
-    pub overflowed: bool,
-    /// Final heap bytes of the pass's counter table (its peak — the
-    /// table only grows).
-    pub counter_bytes: usize,
-}
-
-/// A [`PairCounter`] restricted to one [`PairShard`] and a hard byte cap.
-///
-/// Increments for pairs outside the shard are dropped; an increment that
-/// would grow the table past `cap_bytes` instead sets the `overflowed`
-/// flag and freezes the counter (all further increments are dropped), so
-/// the table's heap footprint provably never exceeds the cap. A frozen
-/// counter's contents are meaningless — callers must check
-/// [`Self::overflowed`] and discard the pass.
-#[derive(Debug)]
-pub struct BudgetedPairCounter {
-    counts: CounterTable,
-    shard: PairShard,
-    cap_bytes: usize,
-    overflowed: bool,
-}
-
-impl BudgetedPairCounter {
-    /// An empty counter admitting only `shard`'s pairs, capped at
-    /// `cap_bytes` of table heap.
-    #[must_use]
-    pub fn new(shard: PairShard, cap_bytes: usize) -> Self {
-        Self {
-            counts: CounterTable::new(),
-            shard,
-            cap_bytes,
-            overflowed: false,
-        }
-    }
-
-    /// An uncapped counter admitting every pair — behaves exactly like
-    /// [`PairCounter`], which is what the unsharded generators delegate
-    /// through.
-    #[must_use]
-    pub fn unbounded() -> Self {
-        Self::new(PairShard::all(), usize::MAX)
-    }
-
-    /// Increments the unordered pair `{a, b}` if this shard admits it and
-    /// the budget allows it.
-    #[inline]
-    pub fn increment(&mut self, a: u32, b: u32) {
-        debug_assert_ne!(a, b, "self-pair");
-        let key = if a < b {
-            pack_pair(a, b)
-        } else {
-            pack_pair(b, a)
-        };
-        if !self.shard.admits_key(key) || self.overflowed {
-            return;
-        }
-        // `add` checks the ¾-load condition before probing, so predicting
-        // the grow here guarantees the table never allocates past the cap.
-        if self.counts.would_grow() && self.counts.bytes_after_grow() > self.cap_bytes {
-            self.overflowed = true;
-            return;
-        }
-        self.counts.add(key, 1);
-    }
-
-    /// Whether the budget was exceeded (the pass must be discarded).
-    #[must_use]
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-
-    /// Current heap bytes of the backing table.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.counts.heap_bytes()
-    }
-
-    /// The pass outcome to report to the driver.
-    #[must_use]
-    pub fn outcome(&self) -> ShardPassOutcome {
-        ShardPassOutcome {
-            overflowed: self.overflowed,
-            counter_bytes: self.counts.heap_bytes(),
-        }
-    }
-
-    /// Number of pairs with a nonzero count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether no pair has been counted.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Current count for the unordered pair `{a, b}`.
-    #[must_use]
-    pub fn get(&self, a: u32, b: u32) -> u32 {
-        let key = if a < b {
-            pack_pair(a, b)
-        } else {
-            pack_pair(b, a)
-        };
-        self.counts.get(key)
-    }
-
-    /// Iterates `(i, j, count)` with `i < j`, in arbitrary (but
-    /// insertion-deterministic) order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
-        self.counts.iter().map(|(k, c)| {
-            let (i, j) = unpack_pair(k);
-            (i, j, c)
-        })
-    }
-}
-
 /// Reusable dense counters over `m` slots with `O(touched)` reset.
 ///
 /// The paper's Row-Sorting algorithm keeps one counter per column while
@@ -936,27 +390,22 @@ impl SparseCounters {
         self.touched.clear();
         out
     }
+
+    /// Calls `f(slot, count)` for every touched slot in ascending slot
+    /// order, resetting the counters as it goes.
+    pub fn drain_sorted(&mut self, mut f: impl FnMut(u32, u32)) {
+        self.touched.sort_unstable();
+        for &slot in &self.touched {
+            let c = std::mem::take(&mut self.counts[slot as usize]);
+            f(slot, c);
+        }
+        self.touched.clear();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn occupancy_histogram_counts_bucket_sizes() {
-        let mut table = BucketTable::new();
-        table.insert(1, 0);
-        table.insert(1, 1);
-        table.insert(1, 2);
-        table.insert(2, 3);
-        table.insert(3, 4);
-        let mut hist = Vec::new();
-        table.accumulate_occupancy(&mut hist);
-        assert_eq!(hist, vec![0, 2, 0, 1]);
-        // Accumulating again doubles the counts instead of resetting.
-        table.accumulate_occupancy(&mut hist);
-        assert_eq!(hist, vec![0, 4, 0, 2]);
-    }
 
     #[test]
     fn pack_unpack_roundtrip() {
@@ -977,27 +426,6 @@ mod tests {
         assert_eq!(distinct.len(), 10_000);
         // and actually differ in high bits so map bucketing works:
         assert_ne!(hash(1) >> 56, hash(2) >> 56);
-    }
-
-    #[test]
-    fn bucket_table_groups_columns() {
-        let mut t = BucketTable::new();
-        t.insert(42, 0);
-        t.insert(42, 3);
-        t.insert(7, 1);
-        assert_eq!(t.bucket(42), &[0, 3]);
-        assert_eq!(t.bucket(7), &[1]);
-        assert_eq!(t.bucket(999), &[] as &[u32]);
-        assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn bucket_table_clear_retains_nothing() {
-        let mut t = BucketTable::with_capacity(16);
-        t.insert(1, 1);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.bucket(1), &[] as &[u32]);
     }
 
     #[test]
@@ -1061,6 +489,19 @@ mod tests {
     }
 
     #[test]
+    fn sparse_counters_drain_sorted_visits_ascending_slots() {
+        let mut sc = SparseCounters::new(10);
+        for slot in [7, 2, 7, 9, 2, 7] {
+            sc.increment(slot);
+        }
+        let mut seen = Vec::new();
+        sc.drain_sorted(|slot, c| seen.push((slot, c)));
+        assert_eq!(seen, vec![(2, 2), (7, 3), (9, 1)]);
+        assert!(sc.touched().is_empty());
+        assert!((0..10).all(|s| sc.get(s) == 0));
+    }
+
+    #[test]
     fn counter_table_counts_and_grows() {
         let mut t = CounterTable::new();
         assert!(t.is_empty());
@@ -1078,103 +519,6 @@ mod tests {
             assert_eq!(t.get(pack_pair(i, i + 1)), 6);
         }
         assert_eq!(t.get(pack_pair(5_000, 5_001)), 0);
-    }
-
-    #[test]
-    fn counter_table_with_capacity_avoids_regrowth() {
-        let mut t = CounterTable::with_capacity(100);
-        for i in 0..100u32 {
-            t.increment(pack_pair(i, i + 1));
-        }
-        assert_eq!(t.len(), 100);
-        let entries: Vec<(u64, u32)> = t.into_entries().collect();
-        assert_eq!(entries.len(), 100);
-        assert!(entries.iter().all(|&(_, c)| c == 1));
-    }
-
-    #[test]
-    fn sharded_counter_matches_pair_counter() {
-        let mut sharded = ShardedPairCounter::new(8);
-        let mut plain = PairCounter::new();
-        // Deterministic pseudo-random pair stream with repeats.
-        let mut x = 12345u64;
-        for _ in 0..20_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let a = (x >> 40) as u32 % 300;
-            let b = (x >> 20) as u32 % 300;
-            if a == b {
-                continue;
-            }
-            sharded.increment(a, b);
-            plain.increment(a, b);
-        }
-        assert_eq!(sharded.len(), plain.len());
-        assert_eq!(sharded.pairs_at_least(3), plain.pairs_at_least(3));
-        // Every key sits in the shard `shard_of` claims.
-        for s in 0..sharded.shards() {
-            for (k, _) in sharded.shard(s).iter() {
-                assert_eq!(sharded.shard_of(k), s);
-            }
-        }
-    }
-
-    #[test]
-    fn from_shards_roundtrips_shard_tables() {
-        let mut a = ShardedPairCounter::new(4);
-        a.increment(1, 2);
-        a.increment(1, 2);
-        a.increment(7, 9);
-        let shards: Vec<CounterTable> = (0..a.shards()).map(|s| a.shard(s).clone()).collect();
-        let b = ShardedPairCounter::from_shards(shards);
-        assert_eq!(b.get(1, 2), 2);
-        assert_eq!(b.get(7, 9), 1);
-        assert_eq!(b.pairs_at_least(1), a.pairs_at_least(1));
-    }
-
-    #[test]
-    fn merge_sharded_sums_locals_per_shard() {
-        for threads in [1, 2, 4, 7] {
-            let pool = sfa_par::ThreadPool::new(threads);
-            let shards = default_shards(threads);
-            let mut expected = PairCounter::new();
-            let locals: Vec<ShardedPairCounter> = (0..3)
-                .map(|w| {
-                    let mut local = ShardedPairCounter::new(shards);
-                    for i in 0..50u32 {
-                        let j = i + 1 + w;
-                        local.increment(i, j);
-                        expected.increment(i, j);
-                    }
-                    local
-                })
-                .collect();
-            let merged = merge_sharded(locals, &pool);
-            assert_eq!(merged.pairs_at_least(1), expected.pairs_at_least(1));
-        }
-    }
-
-    #[test]
-    fn count_sorted_runs_matches_incremental_scan() {
-        // Buckets: key 1 -> {0,2,5}, key 3 -> {1}, key 4 -> {3,4}.
-        let entries = [(1, 0), (1, 2), (1, 5), (3, 1), (4, 3), (4, 4)];
-        let mut counter = ShardedPairCounter::new(4);
-        let mut hist = Vec::new();
-        let incr = count_sorted_runs(&entries, &mut counter, &mut hist, 1);
-        assert_eq!(incr, 4); // C(3,2) + C(1,2) + C(2,2)
-        assert_eq!(hist, vec![0, 1, 1, 1]);
-        assert_eq!(
-            counter.pairs_at_least(1),
-            vec![(0, 2, 1), (0, 5, 1), (2, 5, 1), (3, 4, 1)]
-        );
-        // min_hist_run = 2 drops singleton buckets from the histogram
-        // (the Row-Sorting convention) without changing the counts.
-        let mut counter2 = ShardedPairCounter::new(4);
-        let mut hist2 = Vec::new();
-        let incr2 = count_sorted_runs(&entries, &mut counter2, &mut hist2, 2);
-        assert_eq!(incr2, 4);
-        assert_eq!(hist2, vec![0, 0, 1, 1]);
     }
 
     #[test]
@@ -1201,107 +545,5 @@ mod tests {
         sc.increment(1);
         assert_eq!(sc.get(0), 0);
         assert_eq!(sc.get(1), 1);
-    }
-
-    #[test]
-    fn pair_shards_partition_the_pair_space() {
-        for n_shards in [1u32, 2, 4, 8] {
-            let shards: Vec<PairShard> =
-                (0..n_shards).map(|s| PairShard::new(s, n_shards)).collect();
-            for a in 0..30u32 {
-                for b in (a + 1)..30 {
-                    let admitting = shards.iter().filter(|s| s.admits(a, b)).count();
-                    assert_eq!(
-                        admitting, 1,
-                        "pair ({a},{b}) admitted by {admitting} shards"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pair_shard_all_admits_everything() {
-        let all = PairShard::all();
-        for a in 0..50u32 {
-            assert!(all.admits(a, a + 1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn pair_shard_rejects_non_power_of_two() {
-        let _ = PairShard::new(0, 3);
-    }
-
-    #[test]
-    fn budgeted_counter_matches_pair_counter_when_unbounded() {
-        let mut plain = PairCounter::new();
-        let mut budgeted = BudgetedPairCounter::unbounded();
-        for a in 0..40u32 {
-            for b in (a + 1)..40 {
-                if (a + b) % 3 == 0 {
-                    plain.increment(a, b);
-                    budgeted.increment(a, b);
-                }
-            }
-        }
-        assert!(!budgeted.overflowed());
-        let p: Vec<_> = plain.iter().collect();
-        let b: Vec<_> = budgeted.iter().collect();
-        // Same add sequence into the same table type: identical layout,
-        // hence identical iteration order, not just identical multisets.
-        assert_eq!(p, b);
-    }
-
-    #[test]
-    fn budgeted_counter_shards_union_to_unsharded_counts() {
-        let mut plain = PairCounter::new();
-        let mut shards: Vec<BudgetedPairCounter> = (0..4)
-            .map(|s| BudgetedPairCounter::new(PairShard::new(s, 4), usize::MAX))
-            .collect();
-        for a in 0..25u32 {
-            for b in (a + 1)..25 {
-                plain.increment(a, b);
-                plain.increment(a, b);
-                for shard in &mut shards {
-                    shard.increment(a, b);
-                    shard.increment(a, b);
-                }
-            }
-        }
-        let mut union: Vec<_> = shards.iter().flat_map(BudgetedPairCounter::iter).collect();
-        union.sort_unstable();
-        let mut expected: Vec<_> = plain.iter().collect();
-        expected.sort_unstable();
-        assert_eq!(union, expected);
-    }
-
-    #[test]
-    fn budgeted_counter_freezes_at_the_cap() {
-        // Cap below the minimum 16-slot table: the very first increment
-        // must refuse to allocate and freeze the counter.
-        let mut tiny = BudgetedPairCounter::new(PairShard::all(), 100);
-        tiny.increment(0, 1);
-        assert!(tiny.overflowed());
-        assert!(tiny.is_empty());
-        assert_eq!(tiny.heap_bytes(), 0);
-
-        // Cap admitting exactly the minimum table: grows to 16 slots
-        // (192 bytes) and freezes when the ¾-load grow would pass 384.
-        let mut capped = BudgetedPairCounter::new(PairShard::all(), 192);
-        let mut applied = 0u32;
-        for j in 1..100u32 {
-            capped.increment(0, j);
-            if !capped.overflowed() {
-                applied = j;
-            }
-        }
-        assert!(capped.overflowed());
-        assert!(capped.heap_bytes() <= 192);
-        // A 16-slot table grows when an add starts with 12 items already
-        // present, so exactly 12 distinct keys fit under the cap.
-        assert_eq!(applied, 12);
-        assert_eq!(capped.len(), 12);
     }
 }

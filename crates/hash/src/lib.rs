@@ -16,26 +16,28 @@
 //! * [`topk`] — a bounded bottom-k tracker (max-heap + membership set) used
 //!   by the K-MH scheme to retain the `k` smallest row hashes per column
 //!   in `O(log k)` per accepted update (paper, §3.2).
-//! * [`bucket`] — hash-count machinery: bucket tables keyed by hash
-//!   values and reusable sparse pair counters, implementing the paper's
-//!   "remember and reinitialize only counters that were incremented"
-//!   trick (§3.1).
+//! * [`bucket`] — counters: reusable sparse counters implementing the
+//!   paper's "remember and reinitialize only counters that were
+//!   incremented" trick (§3.1), and a packed-pair counter.
+//! * [`index`] — the phase-2 counting kernel every candidate generator
+//!   runs on: a bucket CSR with its column → partner inverse, walked one
+//!   focus column at a time.
 //! * [`rng`] — deterministic seed derivation so that every experiment in
 //!   the reproduction is replayable from a single `u64` seed.
 
 pub mod bucket;
 pub mod family;
+pub mod index;
 pub mod mix;
 pub mod rng;
 pub mod tabulation;
 pub mod topk;
 
 pub use bucket::{
-    add_hist, count_sorted_runs, default_shards, merge_sharded, BucketTable, BudgetedPairCounter,
-    CounterTable, FastHashMap, FastHashSet, FxBuildHasher, PairCounter, PairShard,
-    ShardPassOutcome, ShardedPairCounter, SparseCounters,
+    CounterTable, FastHashMap, FastHashSet, FxBuildHasher, PairCounter, SparseCounters,
 };
 pub use family::{HashFamily, MultiplyShiftFamily, RowHasher};
+pub use index::{BucketIndex, PairWalker};
 pub use mix::{fmix32, fmix64, hash64_with_seed, splitmix64};
 pub use rng::SeedSequence;
 pub use tabulation::TabulationHasher;

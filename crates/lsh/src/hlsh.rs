@@ -9,14 +9,11 @@
 //! buckets columns by their `r`-bit patterns. A pair is a candidate if it
 //! shares a bucket in any run at any level.
 
-use sfa_hash::bucket::{
-    add_hist, count_sorted_runs, default_shards, merge_sharded, BucketTable, BudgetedPairCounter,
-    FastHashMap, PairCounter, PairShard, ShardPassOutcome, ShardedPairCounter,
-};
-use sfa_hash::SeedSequence;
+use sfa_hash::bucket::{pack_pair, FastHashSet, PairCounter};
+use sfa_hash::{BucketIndex, PairWalker, SeedSequence};
 use sfa_matrix::ops::or_fold_random;
 use sfa_matrix::RowMajorMatrix;
-use sfa_minhash::{CandidateGenStats, CandidatePair};
+use sfa_minhash::{CandidateGen, CandidateGenStats, CandidatePair, PairRule};
 use sfa_par::ThreadPool;
 
 /// H-LSH parameters.
@@ -114,21 +111,24 @@ fn sample_distinct_rows(n: u32, r: usize, seq: &mut SeedSequence) -> Vec<u32> {
     pool
 }
 
-/// Per-pair collision counts across all levels and runs.
-#[must_use]
-pub fn hlsh_collision_counts(base: &RowMajorMatrix, params: &HLshParams) -> PairCounter {
-    hlsh_collision_counts_with_histogram(base, params, &mut Vec::new())
+/// One ladder level's prepared work: the columns inside the density gate
+/// and the seeded row samples of its runs (none when no column is gated).
+struct LevelPlan {
+    level: usize,
+    n_rows: u32,
+    gated: Vec<bool>,
+    gated_columns: usize,
+    runs: Vec<Vec<u32>>,
 }
 
-/// [`hlsh_collision_counts`], additionally accumulating the occupancy
-/// histogram of every run's pattern bucket table into `hist`
-/// (`hist[s]` = buckets holding exactly `s` columns).
-#[must_use]
-pub fn hlsh_collision_counts_with_histogram(
-    base: &RowMajorMatrix,
-    params: &HLshParams,
-    hist: &mut Vec<u64>,
-) -> PairCounter {
+/// Builds the ladder and every level's plan. The sampling stream is drawn
+/// sequentially here, so the row samples — and hence the output — never
+/// depend on how the runs are scheduled afterwards.
+///
+/// # Panics
+///
+/// Panics if `params.r` is outside `1..=64` or `params.t < 3`.
+fn plan<'a>(base: &'a RowMajorMatrix, params: &HLshParams) -> (DensityLadder<'a>, Vec<LevelPlan>) {
     assert!(
         params.r >= 1 && params.r <= 64,
         "pattern width must be 1..=64"
@@ -136,79 +136,167 @@ pub fn hlsh_collision_counts_with_histogram(
     assert!(params.t >= 3, "density gate needs t >= 3");
     let ladder = DensityLadder::build(base, params.max_levels, params.seed);
     let mut seq = SeedSequence::new(params.seed ^ 0x5f5f_5f5f);
-    let mut counter = PairCounter::new();
     let lo_gate = 1.0 / f64::from(params.t);
     let hi_gate = f64::from(params.t - 1) / f64::from(params.t);
-
+    let mut levels = Vec::new();
     for level in 0..ladder.n_levels() {
         let matrix = ladder.level(level);
         let n = matrix.n_rows();
         if (n as usize) < params.r {
             break;
         }
-        let counts = matrix.column_counts();
         // A column participates only inside the density gate.
-        let gated: Vec<bool> = counts
+        let gated: Vec<bool> = matrix
+            .column_counts()
             .iter()
             .map(|&c| {
                 let d = f64::from(c) / f64::from(n);
                 d > lo_gate && d < hi_gate
             })
             .collect();
-        if !gated.iter().any(|&g| g) {
-            continue;
-        }
-        for _run in 0..params.l {
-            let rows = sample_distinct_rows(n, params.r, &mut seq);
-            // Sparse pattern assembly: only columns present in a sampled
-            // row get bits.
-            let mut patterns: FastHashMap<u32, u64> = FastHashMap::default();
-            for (bit, &row) in rows.iter().enumerate() {
-                for &col in matrix.row(row) {
-                    if gated[col as usize] {
-                        *patterns.entry(col).or_insert(0) |= 1u64 << bit;
-                    }
+        let gated_columns = gated.iter().filter(|&&g| g).count();
+        // A fully gated-out level draws no samples.
+        let runs = if gated_columns > 0 {
+            (0..params.l)
+                .map(|_| sample_distinct_rows(n, params.r, &mut seq))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        levels.push(LevelPlan {
+            level,
+            n_rows: n,
+            gated,
+            gated_columns,
+            runs,
+        });
+    }
+    (ladder, levels)
+}
+
+/// Pushes one run's `(pattern, column)` entries: a gated column present in
+/// sampled row `b` gets bit `b` (only columns present in a sampled row get
+/// bits); with `include_zero_keys`, the remaining gated columns share the
+/// all-zero pattern. `patterns` is an all-zero scratch of `m` words and is
+/// left all-zero.
+fn run_entries(
+    matrix: &RowMajorMatrix,
+    plan: &LevelPlan,
+    rows: &[u32],
+    include_zero_keys: bool,
+    patterns: &mut [u64],
+    out: &mut Vec<(u64, u32)>,
+) {
+    for (bit, &row) in rows.iter().enumerate() {
+        for &col in matrix.row(row) {
+            if plan.gated[col as usize] {
+                let pattern = &mut patterns[col as usize];
+                if *pattern == 0 {
+                    out.push((0, col));
                 }
-            }
-            let mut table = BucketTable::with_capacity(patterns.len());
-            for (&col, &bits) in &patterns {
-                table.insert(bits, col);
-            }
-            if params.include_zero_keys {
-                for (col, &g) in gated.iter().enumerate() {
-                    if g && !patterns.contains_key(&(col as u32)) {
-                        table.insert(0, col as u32);
-                    }
-                }
-            }
-            table.accumulate_occupancy(hist);
-            for (_, bucket) in table.iter() {
-                // Buckets are unordered; sort for deterministic pairing.
-                let mut cols = bucket.to_vec();
-                cols.sort_unstable();
-                for (a, &ci) in cols.iter().enumerate() {
-                    for &cj in &cols[a + 1..] {
-                        counter.increment(ci, cj);
-                    }
-                }
+                *pattern |= 1u64 << bit;
             }
         }
     }
-    counter
+    if include_zero_keys {
+        for (col, &g) in plan.gated.iter().enumerate() {
+            if g && patterns[col] == 0 {
+                out.push((0, col as u32));
+            }
+        }
+    }
+    for entry in out.iter_mut() {
+        entry.0 = std::mem::take(&mut patterns[entry.1 as usize]);
+    }
+}
+
+/// The bucket index over `runs` — `(level plan, run)` tasks, one table each.
+fn run_index(
+    ladder: &DensityLadder<'_>,
+    levels: &[LevelPlan],
+    runs: &[(usize, usize)],
+    include_zero_keys: bool,
+    pool: &ThreadPool,
+) -> BucketIndex {
+    let m = ladder.level(0).n_cols() as usize;
+    BucketIndex::build(m, runs.len(), true, pool, || {
+        let mut patterns = vec![0u64; m];
+        move |t: usize, out: &mut Vec<(u64, u32)>| {
+            let (p, r) = runs[t];
+            let plan = &levels[p];
+            run_entries(
+                ladder.level(plan.level),
+                plan,
+                &plan.runs[r],
+                include_zero_keys,
+                &mut patterns,
+                out,
+            );
+        }
+    })
+}
+
+/// Every `(level plan, run)` task of the given level plans.
+fn all_runs(levels: &[LevelPlan]) -> Vec<(usize, usize)> {
+    levels
+        .iter()
+        .enumerate()
+        .flat_map(|(p, plan)| (0..plan.runs.len()).map(move |r| (p, r)))
+        .collect()
+}
+
+/// Per-pair collision counts across all levels and runs.
+///
+/// # Panics
+///
+/// Panics on the parameter violations [`hlsh_generator`] rejects.
+#[must_use]
+pub fn hlsh_collision_counts(base: &RowMajorMatrix, params: &HLshParams) -> PairCounter {
+    let (ladder, levels) = plan(base, params);
+    run_index(
+        &ladder,
+        &levels,
+        &all_runs(&levels),
+        params.include_zero_keys,
+        &ThreadPool::new(1),
+    )
+    .pair_counts()
 }
 
 /// H-LSH candidate generation: pairs colliding at least once, with
 /// `estimate = collisions / (levels·runs)` as a crude score.
 #[must_use]
 pub fn hlsh_candidates(base: &RowMajorMatrix, params: &HLshParams) -> Vec<CandidatePair> {
-    let counts = hlsh_collision_counts(base, params);
-    let total_runs = (params.max_levels * params.l) as f64;
-    let mut out: Vec<CandidatePair> = counts
-        .iter()
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / total_runs))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    out
+    hlsh_candidates_with_stats(base, params).0
+}
+
+/// H-LSH's phase 2 ready to walk: the ladder and the seeded row samples
+/// are built sequentially, then every (level, run) pattern table is
+/// grouped over `pool`; the collision rule admits every colliding pair.
+///
+/// # Panics
+///
+/// Panics if `params.r` is outside `1..=64` or `params.t < 3`.
+#[must_use]
+pub fn hlsh_generator(
+    base: &RowMajorMatrix,
+    params: &HLshParams,
+    pool: &ThreadPool,
+) -> CandidateGen<'static> {
+    let (ladder, levels) = plan(base, params);
+    let index = run_index(
+        &ladder,
+        &levels,
+        &all_runs(&levels),
+        params.include_zero_keys,
+        pool,
+    );
+    CandidateGen::new(
+        index,
+        PairRule::Collision {
+            runs: (params.max_levels * params.l) as f64,
+        },
+    )
 }
 
 /// [`hlsh_candidates`] plus instrumentation: the `colliding-pairs` /
@@ -219,250 +307,23 @@ pub fn hlsh_candidates_with_stats(
     base: &RowMajorMatrix,
     params: &HLshParams,
 ) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (out, stats, _) = hlsh_candidates_sharded(base, params, PairShard::all(), usize::MAX);
-    (out, stats)
+    hlsh_candidates_with_stats_pool(base, params, &ThreadPool::new(1))
 }
 
-/// One budgeted shard pass of [`hlsh_candidates_with_stats`]: only pairs
-/// in `shard` are counted and the collision counter's heap is capped at
-/// `cap_bytes`. The ladder, the density gates, and the sampled row
-/// patterns are all independent of the pair filter, so per-shard
-/// collision counts equal the unsharded counts and the union over a full
-/// partition is exactly the unsharded candidate set; with
-/// [`PairShard::all`] and an unbounded cap the output is byte-identical
-/// to the unsharded generator (which delegates here). On overflow the
-/// pass aborts with an empty candidate list and `overflowed` set.
+/// Pool-based [`hlsh_candidates_with_stats`]: identical candidates, stage
+/// counters, and occupancy histogram, with the (level, run) tables grouped
+/// and the focus columns counted over the pool.
 ///
 /// # Panics
 ///
-/// Panics on the same parameter violations as
-/// [`hlsh_collision_counts_with_histogram`].
-#[must_use]
-pub fn hlsh_candidates_sharded(
-    base: &RowMajorMatrix,
-    params: &HLshParams,
-    shard: PairShard,
-    cap_bytes: usize,
-) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
-    assert!(
-        params.r >= 1 && params.r <= 64,
-        "pattern width must be 1..=64"
-    );
-    assert!(params.t >= 3, "density gate needs t >= 3");
-    let mut stats = CandidateGenStats::default();
-    let ladder = DensityLadder::build(base, params.max_levels, params.seed);
-    let mut seq = SeedSequence::new(params.seed ^ 0x5f5f_5f5f);
-    let mut counter = BudgetedPairCounter::new(shard, cap_bytes);
-    let lo_gate = 1.0 / f64::from(params.t);
-    let hi_gate = f64::from(params.t - 1) / f64::from(params.t);
-
-    'levels: for level in 0..ladder.n_levels() {
-        let matrix = ladder.level(level);
-        let n = matrix.n_rows();
-        if (n as usize) < params.r {
-            break;
-        }
-        let counts = matrix.column_counts();
-        // A column participates only inside the density gate.
-        let gated: Vec<bool> = counts
-            .iter()
-            .map(|&c| {
-                let d = f64::from(c) / f64::from(n);
-                d > lo_gate && d < hi_gate
-            })
-            .collect();
-        if !gated.iter().any(|&g| g) {
-            continue;
-        }
-        for _run in 0..params.l {
-            if counter.overflowed() {
-                break 'levels;
-            }
-            let rows = sample_distinct_rows(n, params.r, &mut seq);
-            // Sparse pattern assembly: only columns present in a sampled
-            // row get bits.
-            let mut patterns: FastHashMap<u32, u64> = FastHashMap::default();
-            for (bit, &row) in rows.iter().enumerate() {
-                for &col in matrix.row(row) {
-                    if gated[col as usize] {
-                        *patterns.entry(col).or_insert(0) |= 1u64 << bit;
-                    }
-                }
-            }
-            let mut table = BucketTable::with_capacity(patterns.len());
-            for (&col, &bits) in &patterns {
-                table.insert(bits, col);
-            }
-            if params.include_zero_keys {
-                for (col, &g) in gated.iter().enumerate() {
-                    if g && !patterns.contains_key(&(col as u32)) {
-                        table.insert(0, col as u32);
-                    }
-                }
-            }
-            table.accumulate_occupancy(&mut stats.bucket_histogram);
-            for (_, bucket) in table.iter() {
-                // Buckets are unordered; sort for deterministic pairing.
-                let mut cols = bucket.to_vec();
-                cols.sort_unstable();
-                for (a, &ci) in cols.iter().enumerate() {
-                    for &cj in &cols[a + 1..] {
-                        counter.increment(ci, cj);
-                    }
-                }
-            }
-        }
-    }
-    let outcome = counter.outcome();
-    if outcome.overflowed {
-        return (Vec::new(), stats, outcome);
-    }
-    stats.record("colliding-pairs", counter.len() as u64);
-    let total_runs = (params.max_levels * params.l) as f64;
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / total_runs))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("emitted", out.len() as u64);
-    (out, stats, outcome)
-}
-
-/// A ladder level's prepared work: which columns pass the density gate and
-/// the `l` seeded row samples for its runs.
-struct HlshLevelPlan {
-    level: usize,
-    gated: Vec<bool>,
-    runs: Vec<Vec<u32>>,
-}
-
-/// Per-worker state for the parallel (level, run) bucket scans.
-struct HlshLocal {
-    counter: ShardedPairCounter,
-    hist: Vec<u64>,
-    buf: Vec<(u64, u32)>,
-    patterns: FastHashMap<u32, u64>,
-}
-
-/// Pool-based [`hlsh_candidates_with_stats`]: the ladder construction and
-/// the seeded sampling stream stay sequential (so the row samples — and
-/// hence the output — are byte-identical to the sequential scan), then the
-/// independent (level, run) bucket scans are dealt out dynamically over
-/// the pool.
-///
-/// # Panics
-///
-/// Panics on the same parameter violations as
-/// [`hlsh_collision_counts_with_histogram`].
+/// Panics on the parameter violations [`hlsh_generator`] rejects.
 #[must_use]
 pub fn hlsh_candidates_with_stats_pool(
     base: &RowMajorMatrix,
     params: &HLshParams,
     pool: &ThreadPool,
 ) -> (Vec<CandidatePair>, CandidateGenStats) {
-    if pool.threads() == 1 {
-        return hlsh_candidates_with_stats(base, params);
-    }
-    assert!(
-        params.r >= 1 && params.r <= 64,
-        "pattern width must be 1..=64"
-    );
-    assert!(params.t >= 3, "density gate needs t >= 3");
-    let ladder = DensityLadder::build(base, params.max_levels, params.seed);
-    let mut seq = SeedSequence::new(params.seed ^ 0x5f5f_5f5f);
-    let lo_gate = 1.0 / f64::from(params.t);
-    let hi_gate = f64::from(params.t - 1) / f64::from(params.t);
-    let mut plans: Vec<HlshLevelPlan> = Vec::new();
-    for level in 0..ladder.n_levels() {
-        let matrix = ladder.level(level);
-        let n = matrix.n_rows();
-        if (n as usize) < params.r {
-            break;
-        }
-        let counts = matrix.column_counts();
-        let gated: Vec<bool> = counts
-            .iter()
-            .map(|&c| {
-                let d = f64::from(c) / f64::from(n);
-                d > lo_gate && d < hi_gate
-            })
-            .collect();
-        if !gated.iter().any(|&g| g) {
-            // No seeds are consumed here, matching the sequential scan.
-            continue;
-        }
-        let runs: Vec<Vec<u32>> = (0..params.l)
-            .map(|_| sample_distinct_rows(n, params.r, &mut seq))
-            .collect();
-        plans.push(HlshLevelPlan { level, gated, runs });
-    }
-    let tasks: Vec<(usize, usize)> = plans
-        .iter()
-        .enumerate()
-        .flat_map(|(p, plan)| (0..plan.runs.len()).map(move |r| (p, r)))
-        .collect();
-    let ladder = &ladder;
-    let plans = &plans;
-    let tasks = &tasks;
-    let shards = default_shards(pool.threads());
-    let locals = pool.par_fold(
-        tasks.len(),
-        1,
-        |_| HlshLocal {
-            counter: ShardedPairCounter::new(shards),
-            hist: Vec::new(),
-            buf: Vec::new(),
-            patterns: FastHashMap::default(),
-        },
-        |local, range| {
-            for idx in range {
-                let (p, run) = tasks[idx];
-                let plan = &plans[p];
-                let matrix = ladder.level(plan.level);
-                local.patterns.clear();
-                for (bit, &row) in plan.runs[run].iter().enumerate() {
-                    for &col in matrix.row(row) {
-                        if plan.gated[col as usize] {
-                            *local.patterns.entry(col).or_insert(0) |= 1u64 << bit;
-                        }
-                    }
-                }
-                local.buf.clear();
-                for (&col, &bits) in &local.patterns {
-                    local.buf.push((bits, col));
-                }
-                if params.include_zero_keys {
-                    for (col, &g) in plan.gated.iter().enumerate() {
-                        if g && !local.patterns.contains_key(&(col as u32)) {
-                            local.buf.push((0, col as u32));
-                        }
-                    }
-                }
-                local.buf.sort_unstable();
-                let _ = count_sorted_runs(&local.buf, &mut local.counter, &mut local.hist, 1);
-            }
-        },
-    );
-    let mut hist = Vec::new();
-    let mut counters = Vec::with_capacity(locals.len());
-    for local in locals {
-        add_hist(&mut hist, &local.hist);
-        counters.push(local.counter);
-    }
-    let counter = merge_sharded(counters, pool);
-    let mut stats = CandidateGenStats {
-        bucket_histogram: hist,
-        ..CandidateGenStats::default()
-    };
-    stats.record("colliding-pairs", counter.len() as u64);
-    let total_runs = (params.max_levels * params.l) as f64;
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / total_runs))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("emitted", out.len() as u64);
-    (out, stats)
+    hlsh_generator(base, params, pool).generate(pool)
 }
 
 /// Per-level diagnostics of an H-LSH run.
@@ -484,72 +345,29 @@ pub struct HlshLevelStats {
 /// both sufficiently dense" analysis of §4.2.
 #[must_use]
 pub fn hlsh_trace(base: &RowMajorMatrix, params: &HLshParams) -> Vec<HlshLevelStats> {
-    assert!(
-        params.r >= 1 && params.r <= 64,
-        "pattern width must be 1..=64"
-    );
-    assert!(params.t >= 3, "density gate needs t >= 3");
-    let ladder = DensityLadder::build(base, params.max_levels, params.seed);
-    let mut seq = SeedSequence::new(params.seed ^ 0x5f5f_5f5f);
-    let lo_gate = 1.0 / f64::from(params.t);
-    let hi_gate = f64::from(params.t - 1) / f64::from(params.t);
-    let mut seen: sfa_hash::bucket::FastHashSet<u64> = sfa_hash::bucket::FastHashSet::default();
-    let mut out = Vec::new();
-    for level in 0..ladder.n_levels() {
-        let matrix = ladder.level(level);
-        let n = matrix.n_rows();
-        if (n as usize) < params.r {
-            break;
-        }
-        let counts = matrix.column_counts();
-        let gated: Vec<bool> = counts
-            .iter()
-            .map(|&c| {
-                let d = f64::from(c) / f64::from(n);
-                d > lo_gate && d < hi_gate
-            })
-            .collect();
-        let gated_columns = gated.iter().filter(|&&g| g).count();
-        let mut new_pairs = 0usize;
-        if gated_columns > 0 {
-            for _run in 0..params.l {
-                let rows = sample_distinct_rows(n, params.r, &mut seq);
-                let mut patterns: FastHashMap<u32, u64> = FastHashMap::default();
-                for (bit, &row) in rows.iter().enumerate() {
-                    for &col in matrix.row(row) {
-                        if gated[col as usize] {
-                            *patterns.entry(col).or_insert(0) |= 1u64 << bit;
-                        }
-                    }
-                }
-                let mut table = BucketTable::with_capacity(patterns.len());
-                for (&col, &bits) in &patterns {
-                    table.insert(bits, col);
-                }
-                for (_, bucket) in table.iter() {
-                    let mut cols = bucket.to_vec();
-                    cols.sort_unstable();
-                    for (a, &ci) in cols.iter().enumerate() {
-                        for &cj in &cols[a + 1..] {
-                            if seen.insert(sfa_hash::bucket::pack_pair(ci, cj)) {
-                                new_pairs += 1;
-                            }
-                        }
-                    }
-                }
+    let (ladder, levels) = plan(base, params);
+    let single = ThreadPool::new(1);
+    let mut seen: FastHashSet<u64> = FastHashSet::default();
+    (0..levels.len())
+        .map(|p| {
+            let plan = &levels[p];
+            let runs: Vec<(usize, usize)> = (0..plan.runs.len()).map(|r| (p, r)).collect();
+            let index = run_index(&ladder, &levels, &runs, params.include_zero_keys, &single);
+            let mut walker = PairWalker::new(&index);
+            let mut new_pairs = 0;
+            for i in 0..base.n_cols() {
+                walker.column(i, |j, _| {
+                    new_pairs += usize::from(seen.insert(pack_pair(i, j)))
+                });
             }
-        } else if params.l > 0 {
-            // Keep the sampling stream aligned with hlsh_collision_counts,
-            // which skips runs for fully-gated-out levels.
-        }
-        out.push(HlshLevelStats {
-            level,
-            n_rows: n,
-            gated_columns,
-            new_pairs,
-        });
-    }
-    out
+            HlshLevelStats {
+                level: plan.level,
+                n_rows: plan.n_rows,
+                gated_columns: plan.gated_columns,
+                new_pairs,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -710,11 +528,18 @@ mod tests {
     #[test]
     fn trace_total_pairs_cover_candidates() {
         let m = matrix();
-        let params = HLshParams::new(8, 6, 5);
-        let trace = hlsh_trace(&m, &params);
-        let total: usize = trace.iter().map(|s| s.new_pairs).sum();
-        let candidates = hlsh_candidates(&m, &params);
-        assert_eq!(total, candidates.len(), "trace must account for every pair");
+        for params in [
+            HLshParams::new(8, 6, 5),
+            HLshParams {
+                include_zero_keys: true,
+                ..HLshParams::new(8, 4, 13)
+            },
+        ] {
+            let trace = hlsh_trace(&m, &params);
+            let total: usize = trace.iter().map(|s| s.new_pairs).sum();
+            let candidates = hlsh_candidates(&m, &params);
+            assert_eq!(total, candidates.len(), "trace must account for every pair");
+        }
     }
 
     #[test]

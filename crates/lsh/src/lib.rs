@@ -36,12 +36,12 @@ pub mod optimize;
 
 pub use filter::{p_filter, q_filter};
 pub use hlsh::{
-    hlsh_candidates, hlsh_candidates_sharded, hlsh_candidates_with_stats,
-    hlsh_candidates_with_stats_pool, DensityLadder, HLshParams,
+    hlsh_candidates, hlsh_candidates_with_stats, hlsh_candidates_with_stats_pool, hlsh_generator,
+    DensityLadder, HLshParams,
 };
 pub use mlsh::{
-    mlsh_candidates, mlsh_candidates_sharded, mlsh_candidates_with_stats,
-    mlsh_candidates_with_stats_pool, BandSelection, MLshParams,
+    mlsh_candidates, mlsh_candidates_with_stats, mlsh_candidates_with_stats_pool, mlsh_generator,
+    BandSelection, MLshParams,
 };
 pub use online::OnlineMLsh;
 pub use optimize::{optimize_params, SimilarityDistribution};

@@ -6,13 +6,12 @@
 //! similar columns will hash to the same bucket, we repeat the process
 //! l times."
 
-use sfa_hash::bucket::{
-    add_hist, count_sorted_runs, default_shards, merge_sharded, pack_pair, BucketTable,
-    BudgetedPairCounter, FastHashSet, PairCounter, PairShard, ShardPassOutcome, ShardedPairCounter,
-};
+use sfa_hash::bucket::{pack_pair, FastHashSet, PairCounter};
 use sfa_hash::mix::{fmix64, splitmix64};
-use sfa_hash::SeedSequence;
-use sfa_minhash::{CandidateGenStats, CandidatePair, SignatureMatrix, EMPTY_SIGNATURE};
+use sfa_hash::{BucketIndex, PairWalker, SeedSequence};
+use sfa_minhash::{
+    CandidateGen, CandidateGenStats, CandidatePair, PairRule, SignatureMatrix, EMPTY_SIGNATURE,
+};
 use sfa_par::ThreadPool;
 
 /// How each iteration picks its `r` signature rows.
@@ -68,11 +67,10 @@ impl MLshParams {
     }
 }
 
-/// Runs one M-LSH iteration: hashes every column by its `r`-value key over
-/// `rows`, then reports each bucket's columns. Columns whose key touches an
+/// Pushes one M-LSH iteration's `(key, column)` entries: every column
+/// hashed by its `r`-value key over `rows`. Columns whose key touches an
 /// [`EMPTY_SIGNATURE`] are skipped (an all-zero column must never collide).
-fn iteration_buckets(sigs: &SignatureMatrix, rows: &[usize], key_seed: u64) -> BucketTable {
-    let mut table = BucketTable::with_capacity(sigs.m());
+fn band_entries(sigs: &SignatureMatrix, rows: &[usize], key_seed: u64, out: &mut Vec<(u64, u32)>) {
     'col: for j in 0..sigs.m() as u32 {
         let mut key = splitmix64(key_seed);
         for &l in rows {
@@ -82,9 +80,8 @@ fn iteration_buckets(sigs: &SignatureMatrix, rows: &[usize], key_seed: u64) -> B
             }
             key = fmix64(key ^ v);
         }
-        table.insert(key, j);
+        out.push((key, j));
     }
-    table
 }
 
 /// Selects the signature rows for iteration `t`.
@@ -116,6 +113,29 @@ fn rows_for_iteration(
     }
 }
 
+/// The `(rows, key_seed)` plans of the first `n` iterations, replayed
+/// from the seed stream so every caller sees the same bands.
+fn band_plans(params: &MLshParams, k: usize, n: usize) -> Vec<(Vec<usize>, u64)> {
+    let mut seq = SeedSequence::new(params.seed);
+    (0..n)
+        .map(|t| {
+            let rows = rows_for_iteration(params, k, t, &mut seq);
+            (rows, seq.next_seed())
+        })
+        .collect()
+}
+
+/// The bucket index of the given band plans: one table per band.
+fn band_index(
+    sigs: &SignatureMatrix,
+    plans: &[(Vec<usize>, u64)],
+    pool: &ThreadPool,
+) -> BucketIndex {
+    BucketIndex::build(sigs.m(), plans.len(), true, pool, || {
+        |t: usize, out: &mut Vec<(u64, u32)>| band_entries(sigs, &plans[t].0, plans[t].1, out)
+    })
+}
+
 /// The full M-LSH candidate generation: the union of same-bucket pairs over
 /// all `l` iterations, deduplicated.
 ///
@@ -124,46 +144,36 @@ fn rows_for_iteration(
 /// that downstream verification replaces with the exact value.
 #[must_use]
 pub fn mlsh_candidates(sigs: &SignatureMatrix, params: &MLshParams) -> Vec<CandidatePair> {
-    let counts = mlsh_collision_counts(sigs, params);
-    let mut out: Vec<CandidatePair> = counts
-        .iter()
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / params.l as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    out
+    mlsh_candidates_with_stats(sigs, params).0
 }
 
 /// Per-pair collision counts across the `l` iterations.
 #[must_use]
 pub fn mlsh_collision_counts(sigs: &SignatureMatrix, params: &MLshParams) -> PairCounter {
-    mlsh_collision_counts_with_histogram(sigs, params, &mut Vec::new())
+    band_index(
+        sigs,
+        &band_plans(params, sigs.k(), params.l),
+        &ThreadPool::new(1),
+    )
+    .pair_counts()
 }
 
-/// [`mlsh_collision_counts`], additionally accumulating the occupancy
-/// histogram of every iteration's bucket table into `hist`
-/// (`hist[s]` = buckets holding exactly `s` columns).
+/// M-LSH's phase 2 ready to walk: one bucket table per band (the band
+/// plan is replayed sequentially from the seed stream, then the bands are
+/// grouped over `pool`) and the collision rule.
 #[must_use]
-pub fn mlsh_collision_counts_with_histogram(
+pub fn mlsh_generator(
     sigs: &SignatureMatrix,
     params: &MLshParams,
-    hist: &mut Vec<u64>,
-) -> PairCounter {
-    let mut counter = PairCounter::new();
-    let mut seq = SeedSequence::new(params.seed);
-    for t in 0..params.l {
-        let rows = rows_for_iteration(params, sigs.k(), t, &mut seq);
-        let key_seed = seq.next_seed();
-        let table = iteration_buckets(sigs, &rows, key_seed);
-        table.accumulate_occupancy(hist);
-        for (_, bucket) in table.iter() {
-            for (a, &ci) in bucket.iter().enumerate() {
-                for &cj in &bucket[a + 1..] {
-                    counter.increment(ci, cj);
-                }
-            }
-        }
-    }
-    counter
+    pool: &ThreadPool,
+) -> CandidateGen<'static> {
+    let plans = band_plans(params, sigs.k(), params.l);
+    CandidateGen::new(
+        band_index(sigs, &plans, pool),
+        PairRule::Collision {
+            runs: params.l as f64,
+        },
+    )
 }
 
 /// [`mlsh_candidates`] plus instrumentation: the `colliding-pairs` /
@@ -174,157 +184,19 @@ pub fn mlsh_candidates_with_stats(
     sigs: &SignatureMatrix,
     params: &MLshParams,
 ) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (out, stats, _) = mlsh_candidates_sharded(sigs, params, PairShard::all(), usize::MAX);
-    (out, stats)
-}
-
-/// One budgeted shard pass of [`mlsh_candidates_with_stats`]: only pairs
-/// in `shard` are counted and the collision counter's heap is capped at
-/// `cap_bytes`. A pair's collision count depends on no other pair, so
-/// per-shard counts equal the unsharded counts and the union over a full
-/// partition is exactly the unsharded candidate set; with
-/// [`PairShard::all`] and an unbounded cap the output is byte-identical
-/// to the unsharded generator (which delegates here). On overflow the
-/// pass aborts with an empty candidate list and `overflowed` set.
-#[must_use]
-pub fn mlsh_candidates_sharded(
-    sigs: &SignatureMatrix,
-    params: &MLshParams,
-    shard: PairShard,
-    cap_bytes: usize,
-) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
-    let mut stats = CandidateGenStats::default();
-    let mut counter = BudgetedPairCounter::new(shard, cap_bytes);
-    let mut seq = SeedSequence::new(params.seed);
-    for t in 0..params.l {
-        if counter.overflowed() {
-            break;
-        }
-        let rows = rows_for_iteration(params, sigs.k(), t, &mut seq);
-        let key_seed = seq.next_seed();
-        let table = iteration_buckets(sigs, &rows, key_seed);
-        table.accumulate_occupancy(&mut stats.bucket_histogram);
-        for (_, bucket) in table.iter() {
-            for (a, &ci) in bucket.iter().enumerate() {
-                for &cj in &bucket[a + 1..] {
-                    counter.increment(ci, cj);
-                }
-            }
-        }
-    }
-    let outcome = counter.outcome();
-    if outcome.overflowed {
-        return (Vec::new(), stats, outcome);
-    }
-    stats.record("colliding-pairs", counter.len() as u64);
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / params.l as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("emitted", out.len() as u64);
-    (out, stats, outcome)
-}
-
-/// Per-worker state for the parallel iteration scan.
-struct MLshLocal {
-    counter: ShardedPairCounter,
-    hist: Vec<u64>,
-    buf: Vec<(u64, u32)>,
-}
-
-/// Fills `buf` with one iteration's sorted `(bucket_key, column)` entries —
-/// the sort-based analogue of [`iteration_buckets`]: equal keys form the
-/// same buckets, and columns touching an [`EMPTY_SIGNATURE`] are skipped.
-fn iteration_entries(
-    sigs: &SignatureMatrix,
-    rows: &[usize],
-    key_seed: u64,
-    buf: &mut Vec<(u64, u32)>,
-) {
-    buf.clear();
-    'col: for j in 0..sigs.m() as u32 {
-        let mut key = splitmix64(key_seed);
-        for &l in rows {
-            let v = sigs.get(l, j);
-            if v == EMPTY_SIGNATURE {
-                continue 'col;
-            }
-            key = fmix64(key ^ v);
-        }
-        buf.push((key, j));
-    }
-    buf.sort_unstable();
-}
-
-/// Parallel collision counting: the per-iteration `(rows, key_seed)` plan
-/// is replayed sequentially from [`SeedSequence`] (so the seed stream —
-/// and hence the output — is byte-identical to the sequential scan), then
-/// iterations are dealt out dynamically over the pool.
-fn mlsh_sharded_counts_pool(
-    sigs: &SignatureMatrix,
-    params: &MLshParams,
-    pool: &ThreadPool,
-) -> (ShardedPairCounter, Vec<u64>) {
-    let mut seq = SeedSequence::new(params.seed);
-    let mut plans = Vec::with_capacity(params.l);
-    for t in 0..params.l {
-        let rows = rows_for_iteration(params, sigs.k(), t, &mut seq);
-        let key_seed = seq.next_seed();
-        plans.push((rows, key_seed));
-    }
-    let plans = &plans;
-    let shards = default_shards(pool.threads());
-    let locals = pool.par_fold(
-        plans.len(),
-        1,
-        |_| MLshLocal {
-            counter: ShardedPairCounter::new(shards),
-            hist: Vec::new(),
-            buf: Vec::new(),
-        },
-        |local, iterations| {
-            for t in iterations {
-                let (rows, key_seed) = &plans[t];
-                iteration_entries(sigs, rows, *key_seed, &mut local.buf);
-                let _ = count_sorted_runs(&local.buf, &mut local.counter, &mut local.hist, 1);
-            }
-        },
-    );
-    let mut hist = Vec::new();
-    let mut counters = Vec::with_capacity(locals.len());
-    for local in locals {
-        add_hist(&mut hist, &local.hist);
-        counters.push(local.counter);
-    }
-    (merge_sharded(counters, pool), hist)
+    mlsh_candidates_with_stats_pool(sigs, params, &ThreadPool::new(1))
 }
 
 /// Pool-based [`mlsh_candidates_with_stats`]: identical candidates, stage
-/// counters, and occupancy histogram, with the `l` iterations dealt out
-/// dynamically over the pool.
+/// counters, and occupancy histogram, with the bands grouped and the
+/// focus columns counted over the pool.
 #[must_use]
 pub fn mlsh_candidates_with_stats_pool(
     sigs: &SignatureMatrix,
     params: &MLshParams,
     pool: &ThreadPool,
 ) -> (Vec<CandidatePair>, CandidateGenStats) {
-    if pool.threads() == 1 || params.l < 2 {
-        return mlsh_candidates_with_stats(sigs, params);
-    }
-    let (counter, hist) = mlsh_sharded_counts_pool(sigs, params, pool);
-    let mut stats = CandidateGenStats {
-        bucket_histogram: hist,
-        ..CandidateGenStats::default()
-    };
-    stats.record("colliding-pairs", counter.len() as u64);
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / params.l as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("emitted", out.len() as u64);
-    (out, stats)
+    mlsh_generator(sigs, params, pool).generate(pool)
 }
 
 /// One iteration's newly discovered pairs, for the online mode: returns
@@ -337,27 +209,18 @@ pub fn mlsh_iteration_pairs(
     t: usize,
     seen: &mut FastHashSet<u64>,
 ) -> Vec<CandidatePair> {
-    let mut seq = SeedSequence::new(params.seed);
     // Replay the seed stream to iteration t so online and batch agree.
-    let mut rows = Vec::new();
-    let mut key_seed = 0;
-    for it in 0..=t {
-        rows = rows_for_iteration(params, sigs.k(), it, &mut seq);
-        key_seed = seq.next_seed();
-    }
-    let table = iteration_buckets(sigs, &rows, key_seed);
+    let plans = band_plans(params, sigs.k(), t + 1);
+    let index = band_index(sigs, &plans[t..], &ThreadPool::new(1));
+    let mut walker = PairWalker::new(&index);
     let mut out = Vec::new();
-    for (_, bucket) in table.iter() {
-        for (a, &ci) in bucket.iter().enumerate() {
-            for &cj in &bucket[a + 1..] {
-                let (lo, hi) = if ci < cj { (ci, cj) } else { (cj, ci) };
-                if seen.insert(pack_pair(lo, hi)) {
-                    out.push(CandidatePair::new(lo, hi, 1.0));
-                }
+    for i in 0..sigs.m() as u32 {
+        walker.column(i, |j, _| {
+            if seen.insert(pack_pair(i, j)) {
+                out.push(CandidatePair::new(i, j, 1.0));
             }
-        }
+        });
     }
-    out.sort_by_key(CandidatePair::ids);
     out
 }
 

@@ -1,12 +1,91 @@
 //! Property-based tests for the LSH schemes.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use sfa_lsh::filter::{min_l_for_recall, p_half_threshold};
 use sfa_lsh::hamming::{hamming_from_similarity, similarity_from_hamming};
-use sfa_lsh::{optimize_params, p_filter, q_filter, SimilarityDistribution};
+use sfa_lsh::{
+    mlsh_candidates_with_stats_pool, optimize_params, p_filter, q_filter, MLshParams,
+    SimilarityDistribution,
+};
+use sfa_minhash::{CandidatePair, SignatureMatrix, EMPTY_SIGNATURE};
+use sfa_par::ThreadPool;
+
+/// A random signature matrix with `r·l` rows over a three-value alphabet,
+/// so band keys repeat; a fourth draw becomes [`EMPTY_SIGNATURE`], and the
+/// last column is empty throughout.
+fn banded_matrix() -> impl Strategy<Value = (SignatureMatrix, usize, usize)> {
+    (1usize..4, 1usize..5, 2usize..10).prop_flat_map(|(r, l, m)| {
+        prop::collection::vec(0u64..4, r * l * m).prop_map(move |draws| {
+            let values = draws
+                .iter()
+                .enumerate()
+                .map(|(idx, &v)| {
+                    if idx % m == m - 1 || v == 3 {
+                        EMPTY_SIGNATURE
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            (SignatureMatrix::from_values(r * l, m, values), r, l)
+        })
+    })
+}
 
 proptest! {
+    #[test]
+    fn mlsh_kernel_matches_brute_force_band_keys(
+        (sigs, r, l) in banded_matrix(),
+        seed in any::<u64>(),
+    ) {
+        let m = sigs.m() as u32;
+        // A column's band key is its `r` values in that band; a key with an
+        // empty entry never buckets.
+        let band_key = |t: usize, j: u32| -> Option<Vec<u64>> {
+            (t * r..(t + 1) * r)
+                .map(|row| Some(sigs.get(row, j)).filter(|&v| v != EMPTY_SIGNATURE))
+                .collect()
+        };
+        let mut buckets = Vec::new();
+        for t in 0..l {
+            let mut sizes: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+            for j in 0..m {
+                if let Some(key) = band_key(t, j) {
+                    *sizes.entry(key).or_default() += 1;
+                }
+            }
+            for &size in sizes.values() {
+                if buckets.len() <= size {
+                    buckets.resize(size + 1, 0u64);
+                }
+                buckets[size] += 1;
+            }
+        }
+        let mut expected = Vec::new();
+        for i in 0..m {
+            for j in (i + 1)..m {
+                let collisions = (0..l)
+                    .filter(|&t| band_key(t, i).is_some() && band_key(t, i) == band_key(t, j))
+                    .count();
+                if collisions > 0 {
+                    expected.push(CandidatePair::new(i, j, collisions as f64 / l as f64));
+                }
+            }
+        }
+        let n = expected.len() as u64;
+        let params = MLshParams::banded(r, l, seed);
+        for threads in [1, 2, 4] {
+            let (cands, stats) =
+                mlsh_candidates_with_stats_pool(&sigs, &params, &ThreadPool::new(threads));
+            prop_assert_eq!(&cands, &expected);
+            prop_assert_eq!(&stats.stages, &vec![("colliding-pairs", n), ("emitted", n)]);
+            prop_assert_eq!(&stats.bucket_histogram, &buckets);
+        }
+    }
+
     #[test]
     fn p_filter_sharpens_with_l(s in 0.001f64..0.999, r in 1usize..10, l in 1usize..20) {
         // More repetitions can only increase collision probability.

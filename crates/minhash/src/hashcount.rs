@@ -6,161 +6,78 @@
 //! increment the counter for `(c_i, c_j)`." The total work is the number of
 //! counter increments — `O(k S̄ m²)` expected — with **no** term quadratic
 //! in `m` when the average similarity `S̄` is small.
+//!
+//! Both flavours run on the shared counting kernel
+//! ([`sfa_hash::BucketIndex`]): the buckets are grouped once, then each
+//! focus column's later partners are counted in reusable counters, so no
+//! table of pair counts is ever built.
 
-use sfa_hash::bucket::{
-    add_hist, count_sorted_runs, default_shards, merge_sharded, unpack_pair, BucketTable,
-    BudgetedPairCounter, PairCounter, PairShard, ShardPassOutcome, ShardedPairCounter,
-};
+use sfa_hash::{BucketIndex, PairCounter};
 use sfa_matrix::RowStream;
 use sfa_par::ThreadPool;
 
-use crate::candidates::{CandidateGenStats, CandidatePair};
-use crate::estimate;
+use crate::candidates::{CandidateGen, CandidateGenStats, CandidatePair, PairRule};
 use crate::kmh::BottomKSignatures;
 use crate::signature::{SignatureMatrix, EMPTY_SIGNATURE};
 use crate::theory::agreement_threshold;
 
+/// The bucket index of the signature-matrix schemes (MH and Row-Sorting):
+/// one table per signature row, keyed by min-hash value — "we use a
+/// different hash table (and set of buckets) for each row of the matrix
+/// `M̂`". Empty columns ([`EMPTY_SIGNATURE`]) never enter a bucket.
+/// Hash-Count occupancy counts every bucket (`count_singletons`),
+/// Row-Sorting only runs of at least two columns.
+pub(crate) fn signature_row_index(
+    sigs: &SignatureMatrix,
+    count_singletons: bool,
+    pool: &ThreadPool,
+) -> BucketIndex {
+    BucketIndex::build(sigs.m(), sigs.k(), count_singletons, pool, || {
+        |l: usize, out: &mut Vec<(u64, u32)>| {
+            for (j, &v) in sigs.row(l).iter().enumerate() {
+                if v != EMPTY_SIGNATURE {
+                    out.push((v, j as u32));
+                }
+            }
+        }
+    })
+}
+
+/// The MH admission rule: at least `(1 − δ)·s*·k` agreeing rows.
+pub(crate) fn agreement_rule(sigs: &SignatureMatrix, s_star: f64, delta: f64) -> PairRule<'static> {
+    PairRule::Agreement {
+        threshold: agreement_threshold(sigs.k(), s_star, delta) as u32,
+        k: sigs.k(),
+    }
+}
+
 /// Counts, for every column pair, the number of `M̂` rows on which the two
-/// columns agree, via one bucket table per signature row.
-///
-/// This is the MH flavour of Hash-Count: "we use a different hash table
-/// (and set of buckets) for each row of the matrix `M̂`, and execute the
-/// same process as for K-Min-Hash."
+/// columns agree.
 #[must_use]
 pub fn mh_agreement_counts(sigs: &SignatureMatrix) -> PairCounter {
-    let mut counter = PairCounter::new();
-    let mut table = BucketTable::new();
-    for l in 0..sigs.k() {
-        table.clear();
-        for (j, &v) in sigs.row(l).iter().enumerate() {
-            if v == EMPTY_SIGNATURE {
-                continue;
-            }
-            for &earlier in table.bucket(v) {
-                counter.increment(earlier, j as u32);
-            }
-            table.insert(v, j as u32);
-        }
-    }
-    counter
-}
-
-/// Parallel variant of [`mh_agreement_counts`] over a one-shot pool;
-/// pipeline code reuses a pool across phases via
-/// [`mh_agreement_counts_pool`].
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`.
-#[must_use]
-pub fn mh_agreement_counts_parallel(sigs: &SignatureMatrix, n_threads: usize) -> PairCounter {
-    assert!(n_threads > 0, "need at least one thread");
-    mh_agreement_counts_pool(sigs, &ThreadPool::new(n_threads))
-}
-
-/// Pool-based [`mh_agreement_counts`]: signature rows are dealt out
-/// dynamically, each worker counting into a private sharded counter;
-/// per-pair counts add across workers, so the merge is exact.
-#[must_use]
-pub fn mh_agreement_counts_pool(sigs: &SignatureMatrix, pool: &ThreadPool) -> PairCounter {
-    if pool.threads() == 1 || sigs.k() < 2 {
-        return mh_agreement_counts(sigs);
-    }
-    let (counter, _, _) = row_bucket_counts_pool(sigs, pool, 1);
-    let mut merged = PairCounter::new();
-    for (i, j, c) in counter.iter() {
-        merged.add(i, j, c);
-    }
-    merged
-}
-
-/// Per-worker state for the sorted-row bucket scan.
-struct RowCountLocal {
-    counter: ShardedPairCounter,
-    hist: Vec<u64>,
-    increments: u64,
-    buf: Vec<(u64, u32)>,
-}
-
-/// The shared phase-2 counting kernel for signature-matrix schemes (MH
-/// and Row-Sorting): signature rows are dealt out dynamically; for each
-/// row the non-empty `(value, column)` entries are sorted once and every
-/// maximal equal-value run is scanned as one bucket (see
-/// [`count_sorted_runs`]). Per-worker sharded counters merge in parallel
-/// per shard.
-///
-/// Returns `(pair counts, bucket-occupancy histogram, increments)`;
-/// `min_hist_run` is 1 for Hash-Count occupancy (all buckets) and 2 for
-/// Row-Sorting (runs of at least two columns).
-pub(crate) fn row_bucket_counts_pool(
-    sigs: &SignatureMatrix,
-    pool: &ThreadPool,
-    min_hist_run: usize,
-) -> (ShardedPairCounter, Vec<u64>, u64) {
-    // Scan cost before counting: k rows × m entries each. Small
-    // signature matrices (the bench baseline's k=100, m=1000) fall below
-    // the pool's serial cutoff and run on the caller thread — with the
-    // single-worker shard count, so pool size cannot change the serial
-    // path's cache behavior.
-    let scan_ops = (sigs.k() as u64).saturating_mul(sigs.m() as u64);
-    let effective_threads = if pool.worth_parallel(scan_ops) {
-        pool.threads()
-    } else {
-        1
-    };
-    let shards = default_shards(effective_threads);
-    let locals = pool.par_fold_bounded(
-        sigs.k(),
-        1,
-        scan_ops,
-        |_| RowCountLocal {
-            counter: ShardedPairCounter::new(shards),
-            hist: Vec::new(),
-            increments: 0,
-            buf: Vec::new(),
-        },
-        |local, rows| {
-            for l in rows {
-                local.buf.clear();
-                for (j, &v) in sigs.row(l).iter().enumerate() {
-                    if v != EMPTY_SIGNATURE {
-                        local.buf.push((v, j as u32));
-                    }
-                }
-                local.buf.sort_unstable();
-                local.increments += count_sorted_runs(
-                    &local.buf,
-                    &mut local.counter,
-                    &mut local.hist,
-                    min_hist_run,
-                );
-            }
-        },
-    );
-    let mut hist = Vec::new();
-    let mut increments = 0u64;
-    let mut counters = Vec::with_capacity(locals.len());
-    for local in locals {
-        add_hist(&mut hist, &local.hist);
-        increments += local.increments;
-        counters.push(local.counter);
-    }
-    (merge_sharded(counters, pool), hist, increments)
+    signature_row_index(sigs, true, &ThreadPool::new(1)).pair_counts()
 }
 
 /// MH candidate generation: pairs agreeing on at least
 /// `(1 − δ)·s*·k` of their `k` min-hash values, with `Ŝ` as estimate.
 #[must_use]
 pub fn mh_candidates(sigs: &SignatureMatrix, s_star: f64, delta: f64) -> Vec<CandidatePair> {
-    let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let counts = mh_agreement_counts(sigs);
-    let mut out: Vec<CandidatePair> = counts
-        .iter()
-        .filter(|&(_, _, c)| c >= threshold)
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    out
+    mh_candidates_with_stats(sigs, s_star, delta).0
+}
+
+/// MH's phase 2 ready to walk: the per-row bucket index (grouped over
+/// `pool`) and the agreement rule.
+#[must_use]
+pub fn mh_generator(
+    sigs: &SignatureMatrix,
+    s_star: f64,
+    delta: f64,
+    pool: &ThreadPool,
+) -> CandidateGen<'static> {
+    CandidateGen::new(
+        signature_row_index(sigs, true, pool),
+        agreement_rule(sigs, s_star, delta),
+    )
 }
 
 /// [`mh_candidates`] plus instrumentation: per-stage counters
@@ -172,74 +89,12 @@ pub fn mh_candidates_with_stats(
     s_star: f64,
     delta: f64,
 ) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (out, stats, _) = mh_candidates_sharded(sigs, s_star, delta, PairShard::all(), usize::MAX);
-    (out, stats)
+    mh_candidates_with_stats_pool(sigs, s_star, delta, &ThreadPool::new(1))
 }
 
-/// One budgeted shard pass of [`mh_candidates_with_stats`]: only pairs in
-/// `shard` are counted, and the pair counter's heap is capped at
-/// `cap_bytes`. With [`PairShard::all`] and an unbounded cap this *is*
-/// the unsharded generator (candidates, stage counters, and histogram are
-/// byte-identical — `mh_candidates_with_stats` delegates here).
-///
-/// Shard admission is a pure per-pair predicate, so a pair's agreement
-/// count in its shard equals its unsharded count, and the union of
-/// per-shard candidate sets over a full partition equals the unsharded
-/// set exactly. The `counter-increments` stage counts *attempted*
-/// increments (the scan work done, independent of the shard filter).
-///
-/// On overflow the pass is aborted: the returned candidate list is empty
-/// and [`ShardPassOutcome::overflowed`] is set — the caller must discard
-/// the pass and rerun with more shards.
-#[must_use]
-pub fn mh_candidates_sharded(
-    sigs: &SignatureMatrix,
-    s_star: f64,
-    delta: f64,
-    shard: PairShard,
-    cap_bytes: usize,
-) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
-    let mut stats = CandidateGenStats::default();
-    let mut counter = BudgetedPairCounter::new(shard, cap_bytes);
-    let mut table = BucketTable::new();
-    let mut increments = 0u64;
-    for l in 0..sigs.k() {
-        if counter.overflowed() {
-            break;
-        }
-        table.clear();
-        for (j, &v) in sigs.row(l).iter().enumerate() {
-            if v == EMPTY_SIGNATURE {
-                continue;
-            }
-            for &earlier in table.bucket(v) {
-                counter.increment(earlier, j as u32);
-                increments += 1;
-            }
-            table.insert(v, j as u32);
-        }
-        table.accumulate_occupancy(&mut stats.bucket_histogram);
-    }
-    let outcome = counter.outcome();
-    if outcome.overflowed {
-        return (Vec::new(), stats, outcome);
-    }
-    stats.record("counter-increments", increments);
-    stats.record("pairs-agreeing", counter.len() as u64);
-    let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .filter(|&(_, _, c)| c >= threshold)
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("threshold-admitted", out.len() as u64);
-    (out, stats, outcome)
-}
-
-/// Pool-based [`mh_candidates_with_stats`]: identical candidates, stage
-/// counters, and occupancy histogram, computed with the parallel sorted
-/// bucket scan ([`row_bucket_counts_pool`]).
+/// Pool-based [`mh_candidates_with_stats`]: workers split the signature
+/// rows for grouping and the focus columns for counting; identical
+/// candidates, stage counters, and occupancy histogram.
 #[must_use]
 pub fn mh_candidates_with_stats_pool(
     sigs: &SignatureMatrix,
@@ -247,40 +102,28 @@ pub fn mh_candidates_with_stats_pool(
     delta: f64,
     pool: &ThreadPool,
 ) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (counter, hist, increments) = row_bucket_counts_pool(sigs, pool, 1);
-    let mut stats = CandidateGenStats {
-        bucket_histogram: hist,
-        ..CandidateGenStats::default()
-    };
-    stats.record("counter-increments", increments);
-    stats.record("pairs-agreeing", counter.len() as u64);
-    let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .filter(|&(_, _, c)| c >= threshold)
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("threshold-admitted", out.len() as u64);
-    (out, stats)
+    mh_generator(sigs, s_star, delta, pool).generate(pool)
+}
+
+/// The K-MH bucket index: "a single bucket table over all values" — one
+/// table of every `(sketch value, column)` entry.
+fn kmh_index(sigs: &BottomKSignatures, pool: &ThreadPool) -> BucketIndex {
+    BucketIndex::build(sigs.m(), 1, true, pool, || {
+        |_: usize, out: &mut Vec<(u64, u32)>| {
+            let cols = 0..sigs.m() as u32;
+            out.reserve_exact(cols.clone().map(|j| sigs.signature(j).len()).sum());
+            for j in cols {
+                out.extend(sigs.signature(j).iter().map(|&v| (v, j)));
+            }
+        }
+    })
 }
 
 /// Counts `|SIG_i ∩ SIG_j|` for every column pair sharing at least one
-/// sketch value — the K-MH flavour of Hash-Count, using a single bucket
-/// table over all values.
+/// sketch value — the K-MH flavour of Hash-Count.
 #[must_use]
 pub fn kmh_overlap_counts(sigs: &BottomKSignatures) -> PairCounter {
-    let mut counter = PairCounter::new();
-    let mut table = BucketTable::new();
-    for j in 0..sigs.m() as u32 {
-        for &v in sigs.signature(j) {
-            for &earlier in table.bucket(v) {
-                counter.increment(earlier, j);
-            }
-            table.insert(v, j);
-        }
-    }
-    counter
+    kmh_index(sigs, &ThreadPool::new(1)).pair_counts()
 }
 
 /// K-MH candidate generation (§3.2's two-stage plan):
@@ -292,26 +135,26 @@ pub fn kmh_overlap_counts(sigs: &BottomKSignatures) -> PairCounter {
 ///    `≥ (1 − δ)·s*`.
 #[must_use]
 pub fn kmh_candidates(sigs: &BottomKSignatures, s_star: f64, delta: f64) -> Vec<CandidatePair> {
-    let overlaps = kmh_overlap_counts(sigs);
-    let mut out = Vec::new();
-    for (i, j, overlap) in overlaps.iter() {
-        let threshold = estimate::kmh_overlap_threshold(
+    kmh_candidates_with_stats(sigs, s_star, delta).0
+}
+
+/// K-MH's phase 2 ready to walk: the sketch-value bucket index and the
+/// overlap-then-rescore rule.
+#[must_use]
+pub fn kmh_generator<'a>(
+    sigs: &'a BottomKSignatures,
+    s_star: f64,
+    delta: f64,
+    pool: &ThreadPool,
+) -> CandidateGen<'a> {
+    CandidateGen::new(
+        kmh_index(sigs, pool),
+        PairRule::Overlap {
+            sigs,
             s_star,
             delta,
-            sigs.k(),
-            sigs.column_count(i) as usize,
-            sigs.column_count(j) as usize,
-        );
-        if (overlap as usize) < threshold {
-            continue;
-        }
-        let unbiased = sigs.unbiased_similarity(i, j);
-        if unbiased >= (1.0 - delta) * s_star {
-            out.push(CandidatePair::new(i, j, unbiased));
-        }
-    }
-    out.sort_by_key(CandidatePair::ids);
-    out
+        },
+    )
 }
 
 /// [`kmh_candidates`] plus instrumentation: per-stage counters
@@ -324,161 +167,12 @@ pub fn kmh_candidates_with_stats(
     s_star: f64,
     delta: f64,
 ) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (out, stats, _) = kmh_candidates_sharded(sigs, s_star, delta, PairShard::all(), usize::MAX);
-    (out, stats)
-}
-
-/// One budgeted shard pass of [`kmh_candidates_with_stats`] — the K-MH
-/// analogue of [`mh_candidates_sharded`], with the same contract: pure
-/// per-pair shard admission (the overlap count, per-pair threshold, and
-/// unbiased re-scoring of an admitted pair are all independent of every
-/// other pair), attempted-increment accounting, and an aborted empty
-/// pass on budget overflow.
-#[must_use]
-pub fn kmh_candidates_sharded(
-    sigs: &BottomKSignatures,
-    s_star: f64,
-    delta: f64,
-    shard: PairShard,
-    cap_bytes: usize,
-) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
-    let mut stats = CandidateGenStats::default();
-    let mut counter = BudgetedPairCounter::new(shard, cap_bytes);
-    let mut table = BucketTable::new();
-    let mut increments = 0u64;
-    for j in 0..sigs.m() as u32 {
-        if counter.overflowed() {
-            break;
-        }
-        for &v in sigs.signature(j) {
-            for &earlier in table.bucket(v) {
-                counter.increment(earlier, j);
-                increments += 1;
-            }
-            table.insert(v, j);
-        }
-    }
-    table.accumulate_occupancy(&mut stats.bucket_histogram);
-    let outcome = counter.outcome();
-    if outcome.overflowed {
-        return (Vec::new(), stats, outcome);
-    }
-    stats.record("counter-increments", increments);
-    stats.record("pairs-overlapping", counter.len() as u64);
-    let mut overlap_admitted = 0u64;
-    let mut out = Vec::new();
-    for (i, j, overlap) in counter.iter() {
-        let threshold = estimate::kmh_overlap_threshold(
-            s_star,
-            delta,
-            sigs.k(),
-            sigs.column_count(i) as usize,
-            sigs.column_count(j) as usize,
-        );
-        if (overlap as usize) < threshold {
-            continue;
-        }
-        overlap_admitted += 1;
-        let unbiased = sigs.unbiased_similarity(i, j);
-        if unbiased >= (1.0 - delta) * s_star {
-            out.push(CandidatePair::new(i, j, unbiased));
-        }
-    }
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("overlap-admitted", overlap_admitted);
-    stats.record("rescore-admitted", out.len() as u64);
-    (out, stats, outcome)
-}
-
-/// The K-MH flavour of the batched bucket scan: all `(sketch value,
-/// column)` entries are gathered (in parallel), sorted once, split at
-/// value boundaries, and the resulting buckets are dealt out dynamically
-/// to workers counting into sharded counters.
-///
-/// Returns `(pair counts, occupancy histogram, increments)` — exactly
-/// what the incremental single-table scan of [`kmh_overlap_counts`]
-/// produces.
-pub(crate) fn kmh_sorted_counts_pool(
-    sigs: &BottomKSignatures,
-    pool: &ThreadPool,
-) -> (ShardedPairCounter, Vec<u64>, u64) {
-    let m = sigs.m();
-    // Gather + count cost tracks the total number of sketch values,
-    // which is at most k per column; below the serial cutoff both folds
-    // stay on the caller thread, with the single-worker shard count.
-    let scan_ops = (sigs.k() as u64).saturating_mul(m as u64);
-    let effective_threads = if pool.worth_parallel(scan_ops) {
-        pool.threads()
-    } else {
-        1
-    };
-    let mut entries: Vec<(u64, u32)> = pool
-        .par_fold_bounded(
-            m,
-            pool.chunk_for(m),
-            scan_ops,
-            |_| Vec::new(),
-            |acc, cols| {
-                for j in cols {
-                    for &v in sigs.signature(j as u32) {
-                        acc.push((v, j as u32));
-                    }
-                }
-            },
-        )
-        .concat();
-    entries.sort_unstable();
-    // Bucket boundaries: maximal runs of equal sketch value.
-    let mut starts = vec![0usize];
-    for idx in 1..entries.len() {
-        if entries[idx].0 != entries[idx - 1].0 {
-            starts.push(idx);
-        }
-    }
-    starts.push(entries.len());
-    let n_buckets = starts.len() - 1;
-    let shards = default_shards(effective_threads);
-    let entries = &entries;
-    let starts = &starts;
-    let locals = pool.par_fold_bounded(
-        n_buckets,
-        pool.chunk_for(n_buckets),
-        scan_ops,
-        |_| (ShardedPairCounter::new(shards), Vec::new(), 0u64),
-        |(counter, hist, increments), buckets| {
-            let slice = &entries[starts[buckets.start]..starts[buckets.end]];
-            *increments += count_sorted_runs(slice, counter, hist, 1);
-        },
-    );
-    let mut hist = Vec::new();
-    let mut increments = 0u64;
-    let mut counters = Vec::with_capacity(locals.len());
-    for (counter, local_hist, local_incr) in locals {
-        add_hist(&mut hist, &local_hist);
-        increments += local_incr;
-        counters.push(counter);
-    }
-    (merge_sharded(counters, pool), hist, increments)
-}
-
-/// Pool-based [`kmh_overlap_counts`]; identical counts.
-#[must_use]
-pub fn kmh_overlap_counts_pool(sigs: &BottomKSignatures, pool: &ThreadPool) -> PairCounter {
-    if pool.threads() == 1 {
-        return kmh_overlap_counts(sigs);
-    }
-    let (counter, _, _) = kmh_sorted_counts_pool(sigs, pool);
-    let mut merged = PairCounter::new();
-    for (i, j, c) in counter.iter() {
-        merged.add(i, j, c);
-    }
-    merged
+    kmh_candidates_with_stats_pool(sigs, s_star, delta, &ThreadPool::new(1))
 }
 
 /// Pool-based [`kmh_candidates_with_stats`]: identical candidates and
-/// instrumentation. The overlap scan uses the batched sorted bucket
-/// scan, and the per-pair threshold + unbiased re-scoring stage runs
-/// shard-parallel.
+/// instrumentation; the overlap count and the per-pair threshold and
+/// re-scoring run over focus-column ranges split across the pool.
 #[must_use]
 pub fn kmh_candidates_with_stats_pool(
     sigs: &BottomKSignatures,
@@ -486,55 +180,7 @@ pub fn kmh_candidates_with_stats_pool(
     delta: f64,
     pool: &ThreadPool,
 ) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (counter, hist, increments) = kmh_sorted_counts_pool(sigs, pool);
-    let mut stats = CandidateGenStats {
-        bucket_histogram: hist,
-        ..CandidateGenStats::default()
-    };
-    stats.record("counter-increments", increments);
-    stats.record("pairs-overlapping", counter.len() as u64);
-    let counter_ref = &counter;
-    // Re-scoring is O(k) per overlapping pair; tiny candidate sets stay
-    // on the caller thread.
-    let rescore_ops = (counter.len() as u64).saturating_mul(sigs.k() as u64);
-    let shard_results = pool.par_fold_bounded(
-        counter.shards(),
-        1,
-        rescore_ops,
-        |_| (0u64, Vec::new()),
-        |(admitted, out), shards| {
-            for s in shards {
-                for (key, overlap) in counter_ref.shard(s).iter() {
-                    let (i, j) = unpack_pair(key);
-                    let threshold = estimate::kmh_overlap_threshold(
-                        s_star,
-                        delta,
-                        sigs.k(),
-                        sigs.column_count(i) as usize,
-                        sigs.column_count(j) as usize,
-                    );
-                    if (overlap as usize) < threshold {
-                        continue;
-                    }
-                    *admitted += 1;
-                    let unbiased = sigs.unbiased_similarity(i, j);
-                    if unbiased >= (1.0 - delta) * s_star {
-                        out.push(CandidatePair::new(i, j, unbiased));
-                    }
-                }
-            }
-        },
-    );
-    let mut overlap_admitted = 0u64;
-    let mut out = Vec::new();
-    for (admitted, cands) in shard_results {
-        overlap_admitted += admitted;
-        out.extend(cands);
-    }
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("overlap-admitted", overlap_admitted);
-    stats.record("rescore-admitted", out.len() as u64);
-    (out, stats)
+    kmh_generator(sigs, s_star, delta, pool).generate(pool)
 }
 
 /// Convenience: MH pipeline phase 1 + 2 straight from a row stream.
@@ -609,21 +255,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_agreement_counts_match_sequential() {
+    fn pool_generators_match_sequential_at_every_thread_count() {
         let m = matrix();
         let sigs = crate::mh::compute_signatures(&mut MemoryRowStream::new(&m), 64, 3).unwrap();
-        let seq = mh_agreement_counts(&sigs);
+        let ksigs = crate::kmh::compute_bottom_k(&mut MemoryRowStream::new(&m), 8, 3).unwrap();
+        let seq = mh_candidates_with_stats(&sigs, 0.5, 0.2);
+        let kseq = kmh_candidates_with_stats(&ksigs, 0.5, 0.2);
         for threads in [1, 2, 4, 7] {
-            let par = mh_agreement_counts_parallel(&sigs, threads);
-            for i in 0..5u32 {
-                for j in (i + 1)..5 {
-                    assert_eq!(
-                        par.get(i, j),
-                        seq.get(i, j),
-                        "threads {threads}, pair ({i}, {j})"
-                    );
-                }
-            }
+            let pool = ThreadPool::new(threads);
+            assert_eq!(
+                mh_candidates_with_stats_pool(&sigs, 0.5, 0.2, &pool),
+                seq,
+                "threads {threads}"
+            );
+            assert_eq!(
+                kmh_candidates_with_stats_pool(&ksigs, 0.5, 0.2, &pool),
+                kseq,
+                "threads {threads}"
+            );
         }
     }
 

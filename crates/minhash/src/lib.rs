@@ -16,6 +16,10 @@
 //! * [`hashcount`] — the Hash-Count candidate generator (§3.1): bucket
 //!   columns by min-hash value and count bucket co-occupancy;
 //!   `O(k S̄ m²)` expected.
+//! * [`candidates`] — the candidate containers and the phase-2 driver
+//!   every generator (these and `sfa-lsh`'s) runs through: a scheme's
+//!   bucket index plus its [`PairRule`], walked one focus column at a
+//!   time.
 //! * [`estimate`] — the estimators: `Ŝ` (Definition 1), the Theorem 2
 //!   unbiased K-MH estimator, and the Lemma 1 biased estimator with its
 //!   bounds.
@@ -44,7 +48,7 @@ pub mod signature;
 pub mod theory;
 
 pub use builder::{KmhBuilder, MhBuilder};
-pub use candidates::{CandidateGenStats, CandidatePair};
+pub use candidates::{CandidateGen, CandidateGenStats, CandidatePair, CandidateStream, PairRule};
 pub use kmh::{
     compute_bottom_k, compute_bottom_k_parallel, compute_bottom_k_pool, BottomKSignatures,
 };

@@ -7,18 +7,24 @@
 //! position of its Min-Hash value in each sorted row." Agreement counting
 //! then walks runs; expected cost `O(km log m + k S̄ m²)`.
 //!
-//! The focus-column variant ([`SortedRows::agreements_with`]) reproduces
-//! the paper's per-column counter loop with the reusable
-//! [`sfa_hash::SparseCounters`]; it is also the basis of
-//! the §6 confidence extension, which needs the second counter set for
-//! "`h(c_j)` at least as much as `h(c_i)`".
+//! The generator runs on the shared counting kernel
+//! ([`sfa_hash::BucketIndex`]): each signature row's runs of at least two
+//! columns become buckets, and the paper's per-column counter loop walks
+//! them with reusable counters. It shares the grouping step with
+//! Hash-Count and differs only in its occupancy histogram, which counts
+//! runs (buckets of at least two columns).
+//!
+//! [`SortedRows`] keeps the sorted-row view itself: the focus-column
+//! variant ([`SortedRows::agreements_with`]) and the §6 confidence
+//! extension, which needs the second counter set for "`h(c_j)` at least
+//! as much as `h(c_i)`".
 
-use sfa_hash::bucket::{BudgetedPairCounter, PairCounter, PairShard, ShardPassOutcome};
-use sfa_hash::SparseCounters;
+use sfa_hash::{PairCounter, SparseCounters};
+use sfa_par::ThreadPool;
 
-use crate::candidates::{CandidateGenStats, CandidatePair};
+use crate::candidates::{CandidateGen, CandidateGenStats, CandidatePair};
+use crate::hashcount::{agreement_rule, signature_row_index};
 use crate::signature::{SignatureMatrix, EMPTY_SIGNATURE};
-use crate::theory::agreement_threshold;
 
 /// The sorted-row view of a signature matrix: per signature row, the
 /// `(value, column)` tuples in ascending value order, plus the per-column
@@ -152,76 +158,37 @@ impl SortedRows {
         }
         (agree, ge)
     }
-
-    /// Iterates the runs of sorted row `l` (spans of ≥ 2 equal values).
-    pub fn runs(&self, l: usize) -> impl Iterator<Item = &[(u64, u32)]> {
-        RunIter {
-            row: &self.rows[l],
-            pos: 0,
-        }
-    }
 }
 
-struct RunIter<'a> {
-    row: &'a [(u64, u32)],
-    pos: usize,
-}
-
-impl<'a> Iterator for RunIter<'a> {
-    type Item = &'a [(u64, u32)];
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while self.pos < self.row.len() {
-            let v = self.row[self.pos].0;
-            let start = self.pos;
-            let mut end = start + 1;
-            while end < self.row.len() && self.row[end].0 == v {
-                end += 1;
-            }
-            self.pos = end;
-            if end - start >= 2 {
-                return Some(&self.row[start..end]);
-            }
-        }
-        None
-    }
-}
-
-/// All-pairs agreement counting by run enumeration (sort-based analogue of
+/// All-pairs agreement counting over the sorted rows' runs (the
+/// Row-Sorting analogue of
 /// [`mh_agreement_counts`](crate::hashcount::mh_agreement_counts) —
-/// identical output, different mechanics).
+/// identical counts).
 #[must_use]
 pub fn rowsort_agreement_counts(sigs: &SignatureMatrix) -> PairCounter {
-    let sorted = SortedRows::build(sigs);
-    let mut counter = PairCounter::new();
-    for l in 0..sorted.k() {
-        for run in sorted.runs(l) {
-            if run[0].0 == EMPTY_SIGNATURE {
-                continue;
-            }
-            for (a, &(_, ci)) in run.iter().enumerate() {
-                for &(_, cj) in &run[a + 1..] {
-                    counter.increment(ci, cj);
-                }
-            }
-        }
-    }
-    counter
+    signature_row_index(sigs, false, &ThreadPool::new(1)).pair_counts()
 }
 
 /// Row-Sorting candidate generation with the same admission rule as the
 /// Hash-Count MH path.
 #[must_use]
 pub fn rowsort_candidates(sigs: &SignatureMatrix, s_star: f64, delta: f64) -> Vec<CandidatePair> {
-    let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let counts = rowsort_agreement_counts(sigs);
-    let mut out: Vec<CandidatePair> = counts
-        .iter()
-        .filter(|&(_, _, c)| c >= threshold)
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    out
+    rowsort_candidates_with_stats(sigs, s_star, delta).0
+}
+
+/// Row-Sorting's phase 2 ready to walk: the runs of every signature row
+/// (grouped over `pool`) and the agreement rule.
+#[must_use]
+pub fn rowsort_generator(
+    sigs: &SignatureMatrix,
+    s_star: f64,
+    delta: f64,
+    pool: &ThreadPool,
+) -> CandidateGen<'static> {
+    CandidateGen::new(
+        signature_row_index(sigs, false, pool),
+        agreement_rule(sigs, s_star, delta),
+    )
 }
 
 /// [`rowsort_candidates`] plus instrumentation. The histogram counts
@@ -234,95 +201,19 @@ pub fn rowsort_candidates_with_stats(
     s_star: f64,
     delta: f64,
 ) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (out, stats, _) =
-        rowsort_candidates_sharded(sigs, s_star, delta, PairShard::all(), usize::MAX);
-    (out, stats)
-}
-
-/// One budgeted shard pass of [`rowsort_candidates_with_stats`] — same
-/// contract as `sfa_minhash::hashcount::mh_candidates_sharded`: pure
-/// per-pair shard admission, a hard counter-heap cap, and an aborted
-/// empty pass (with `overflowed` set) when the budget is exceeded. With
-/// [`PairShard::all`] and an unbounded cap the output is byte-identical
-/// to the unsharded generator, which delegates here.
-#[must_use]
-pub fn rowsort_candidates_sharded(
-    sigs: &SignatureMatrix,
-    s_star: f64,
-    delta: f64,
-    shard: PairShard,
-    cap_bytes: usize,
-) -> (Vec<CandidatePair>, CandidateGenStats, ShardPassOutcome) {
-    let mut stats = CandidateGenStats::default();
-    let sorted = SortedRows::build(sigs);
-    let mut counter = BudgetedPairCounter::new(shard, cap_bytes);
-    let mut increments = 0u64;
-    for l in 0..sorted.k() {
-        if counter.overflowed() {
-            break;
-        }
-        for run in sorted.runs(l) {
-            if run[0].0 == EMPTY_SIGNATURE {
-                continue;
-            }
-            let size = run.len();
-            if stats.bucket_histogram.len() <= size {
-                stats.bucket_histogram.resize(size + 1, 0);
-            }
-            stats.bucket_histogram[size] += 1;
-            for (a, &(_, ci)) in run.iter().enumerate() {
-                for &(_, cj) in &run[a + 1..] {
-                    counter.increment(ci, cj);
-                    increments += 1;
-                }
-            }
-        }
-    }
-    let outcome = counter.outcome();
-    if outcome.overflowed {
-        return (Vec::new(), stats, outcome);
-    }
-    stats.record("counter-increments", increments);
-    stats.record("pairs-agreeing", counter.len() as u64);
-    let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .filter(|&(_, _, c)| c >= threshold)
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("threshold-admitted", out.len() as u64);
-    (out, stats, outcome)
+    rowsort_candidates_with_stats_pool(sigs, s_star, delta, &ThreadPool::new(1))
 }
 
 /// Pool-based [`rowsort_candidates_with_stats`]: identical candidates,
-/// stage counters, and run-length histogram. Signature rows are sorted
-/// and run-scanned in parallel by the shared kernel
-/// (`row_bucket_counts_pool`), with `min_hist_run = 2` so the histogram
-/// counts only real runs, matching the sequential `runs()` iterator.
+/// stage counters, and run-length histogram.
 #[must_use]
 pub fn rowsort_candidates_with_stats_pool(
     sigs: &SignatureMatrix,
     s_star: f64,
     delta: f64,
-    pool: &sfa_par::ThreadPool,
+    pool: &ThreadPool,
 ) -> (Vec<CandidatePair>, CandidateGenStats) {
-    let (counter, hist, increments) = crate::hashcount::row_bucket_counts_pool(sigs, pool, 2);
-    let mut stats = CandidateGenStats {
-        bucket_histogram: hist,
-        ..CandidateGenStats::default()
-    };
-    stats.record("counter-increments", increments);
-    stats.record("pairs-agreeing", counter.len() as u64);
-    let threshold = agreement_threshold(sigs.k(), s_star, delta) as u32;
-    let mut out: Vec<CandidatePair> = counter
-        .iter()
-        .filter(|&(_, _, c)| c >= threshold)
-        .map(|(i, j, c)| CandidatePair::new(i, j, f64::from(c) / sigs.k() as f64))
-        .collect();
-    out.sort_by_key(CandidatePair::ids);
-    stats.record("threshold-admitted", out.len() as u64);
-    (out, stats)
+    rowsort_generator(sigs, s_star, delta, pool).generate(pool)
 }
 
 #[cfg(test)]
@@ -465,17 +356,6 @@ mod tests {
         let (_, ge) = sorted.agreement_and_ge_counts(&sigs, 0);
         let frac = f64::from(ge[1]) / k as f64;
         assert!((frac - 1.0 / 3.0).abs() < 0.04, "fraction {frac}");
-    }
-
-    #[test]
-    fn runs_skip_singletons() {
-        let sigs = SignatureMatrix::from_values(1, 4, vec![7, 7, 9, 3]);
-        let sorted = SortedRows::build(&sigs);
-        let runs: Vec<Vec<u32>> = sorted
-            .runs(0)
-            .map(|r| r.iter().map(|&(_, c)| c).collect())
-            .collect();
-        assert_eq!(runs, vec![vec![0, 1]]);
     }
 
     #[test]

@@ -1,14 +1,23 @@
 //! Property-based tests for signatures, estimators and candidate
 //! generation.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
-use sfa_minhash::estimate::{kmh_biased, kmh_unbiased, lemma1_bounds};
-use sfa_minhash::hashcount::{kmh_overlap_counts, mh_agreement_counts};
-use sfa_minhash::rowsort::rowsort_agreement_counts;
+use sfa_minhash::estimate::{kmh_biased, kmh_overlap_threshold, kmh_unbiased, lemma1_bounds};
+use sfa_minhash::hashcount::{
+    kmh_candidates_with_stats_pool, kmh_overlap_counts, mh_agreement_counts,
+    mh_candidates_with_stats_pool,
+};
+use sfa_minhash::rowsort::{rowsort_agreement_counts, rowsort_candidates_with_stats_pool};
 use sfa_minhash::theory::agreement_threshold;
-use sfa_minhash::{compute_bottom_k, compute_signatures, KmhBuilder, MhBuilder};
+use sfa_minhash::{
+    compute_bottom_k, compute_signatures, BottomKSignatures, CandidatePair, KmhBuilder, MhBuilder,
+    SignatureMatrix, EMPTY_SIGNATURE,
+};
+use sfa_par::ThreadPool;
 
 fn row_set(bound: u32, max_len: usize) -> impl Strategy<Value = Vec<u32>> {
     prop::collection::btree_set(0..bound, 0..=max_len)
@@ -22,7 +31,167 @@ fn small_matrix() -> impl Strategy<Value = RowMajorMatrix> {
     })
 }
 
+/// A random `k × m` signature matrix over a four-value alphabet, so
+/// values repeat within rows; a fifth draw becomes [`EMPTY_SIGNATURE`],
+/// and the last column is empty throughout.
+fn signature_matrix() -> impl Strategy<Value = SignatureMatrix> {
+    (1usize..7, 2usize..10).prop_flat_map(|(k, m)| {
+        prop::collection::vec(0u64..5, k * m).prop_map(move |draws| {
+            let values = draws
+                .iter()
+                .enumerate()
+                .map(|(idx, &v)| {
+                    if idx % m == m - 1 || v == 4 {
+                        EMPTY_SIGNATURE
+                    } else {
+                        v
+                    }
+                })
+                .collect();
+            SignatureMatrix::from_values(k, m, values)
+        })
+    })
+}
+
+/// Random bottom-`k` sketches over an eight-value alphabet (so columns
+/// share values), with exact counts consistent with each sketch's length;
+/// the last column is empty.
+fn sketches() -> impl Strategy<Value = BottomKSignatures> {
+    (1usize..6, 2usize..10).prop_flat_map(|(k, m)| {
+        (
+            prop::collection::vec(prop::collection::btree_set(0u64..8, 0..=k), m),
+            prop::collection::vec(0u32..3, m),
+        )
+            .prop_map(move |(sets, extra)| {
+                let mut sigs: Vec<Vec<u64>> =
+                    sets.into_iter().map(|s| s.into_iter().collect()).collect();
+                sigs[m - 1].clear();
+                let counts = sigs
+                    .iter()
+                    .zip(&extra)
+                    .map(|(s, &e)| s.len() as u32 + if s.len() == k { e } else { 0 })
+                    .collect();
+                BottomKSignatures::from_parts(k, sigs, counts)
+            })
+    })
+}
+
+/// Adds one bucket of `size` columns to an occupancy histogram.
+fn bump(hist: &mut Vec<u64>, size: usize) {
+    if hist.len() <= size {
+        hist.resize(size + 1, 0);
+    }
+    hist[size] += 1;
+}
+
 proptest! {
+    #[test]
+    fn mh_and_rowsort_kernels_match_brute_force(
+        sigs in signature_matrix(),
+        s_star in 0.05f64..1.0,
+    ) {
+        let (k, m, delta) = (sigs.k(), sigs.m() as u32, 0.2);
+        let threshold = agreement_threshold(k, s_star, delta) as u32;
+        let (mut expected, mut increments, mut agreeing) = (Vec::new(), 0u64, 0u64);
+        for i in 0..m {
+            for j in (i + 1)..m {
+                let count = sigs.agreement_count(i, j) as u32;
+                increments += u64::from(count);
+                agreeing += u64::from(count > 0);
+                if count >= threshold {
+                    expected.push(CandidatePair::new(i, j, f64::from(count) / k as f64));
+                }
+            }
+        }
+        let (mut buckets, mut runs) = (Vec::new(), Vec::new());
+        for l in 0..k {
+            let mut sizes: BTreeMap<u64, usize> = BTreeMap::new();
+            for j in 0..m {
+                let v = sigs.get(l, j);
+                if v != EMPTY_SIGNATURE {
+                    *sizes.entry(v).or_default() += 1;
+                }
+            }
+            for &size in sizes.values() {
+                bump(&mut buckets, size);
+                if size >= 2 {
+                    bump(&mut runs, size);
+                }
+            }
+        }
+        let stages = vec![
+            ("counter-increments", increments),
+            ("pairs-agreeing", agreeing),
+            ("threshold-admitted", expected.len() as u64),
+        ];
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let (cands, stats) = mh_candidates_with_stats_pool(&sigs, s_star, delta, &pool);
+            prop_assert_eq!(&cands, &expected);
+            prop_assert_eq!(&stats.stages, &stages);
+            prop_assert_eq!(&stats.bucket_histogram, &buckets);
+            let (cands, stats) = rowsort_candidates_with_stats_pool(&sigs, s_star, delta, &pool);
+            prop_assert_eq!(&cands, &expected);
+            prop_assert_eq!(&stats.stages, &stages);
+            prop_assert_eq!(&stats.bucket_histogram, &runs);
+        }
+    }
+
+    #[test]
+    fn kmh_kernel_matches_brute_force(sigs in sketches(), s_star in 0.05f64..1.0) {
+        let (k, m, delta) = (sigs.k(), sigs.m() as u32, 0.2);
+        let (mut expected, mut increments, mut overlapping, mut screened) =
+            (Vec::new(), 0u64, 0u64, 0u64);
+        for i in 0..m {
+            for j in (i + 1)..m {
+                let overlap = sigs.intersection_size(i, j);
+                increments += overlap as u64;
+                if overlap == 0 {
+                    continue;
+                }
+                overlapping += 1;
+                let threshold = kmh_overlap_threshold(
+                    s_star,
+                    delta,
+                    k,
+                    sigs.column_count(i) as usize,
+                    sigs.column_count(j) as usize,
+                );
+                if overlap < threshold {
+                    continue;
+                }
+                screened += 1;
+                let unbiased = sigs.unbiased_similarity(i, j);
+                if unbiased >= (1.0 - delta) * s_star {
+                    expected.push(CandidatePair::new(i, j, unbiased));
+                }
+            }
+        }
+        let mut sizes: BTreeMap<u64, usize> = BTreeMap::new();
+        for j in 0..m {
+            for &v in sigs.signature(j) {
+                *sizes.entry(v).or_default() += 1;
+            }
+        }
+        let mut buckets = Vec::new();
+        for &size in sizes.values() {
+            bump(&mut buckets, size);
+        }
+        let stages = vec![
+            ("counter-increments", increments),
+            ("pairs-overlapping", overlapping),
+            ("overlap-admitted", screened),
+            ("rescore-admitted", expected.len() as u64),
+        ];
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            let (cands, stats) = kmh_candidates_with_stats_pool(&sigs, s_star, delta, &pool);
+            prop_assert_eq!(&cands, &expected);
+            prop_assert_eq!(&stats.stages, &stages);
+            prop_assert_eq!(&stats.bucket_histogram, &buckets);
+        }
+    }
+
     #[test]
     fn s_hat_is_a_bounded_symmetric_score(m in small_matrix(), seed in any::<u64>()) {
         let sigs = compute_signatures(&mut MemoryRowStream::new(&m), 12, seed).unwrap();

@@ -175,11 +175,20 @@ impl SnapshotStore {
 
     /// Atomically publishes a new epoch.
     ///
+    /// The write lock covers only the pointer store: the previous epoch,
+    /// usually last referenced here, is freed after the lock is released,
+    /// so readers never wait on its deallocation.
+    ///
     /// # Panics
     ///
     /// See [`load`](Self::load).
     pub fn swap(&self, next: Snapshot) {
-        *self.current.write().expect("snapshot lock poisoned") = Arc::new(next);
+        let next = Arc::new(next);
+        let previous = std::mem::replace(
+            &mut *self.current.write().expect("snapshot lock poisoned"),
+            next,
+        );
+        drop(previous);
     }
 }
 

@@ -31,9 +31,10 @@
 //! pipeline over a worker pool (`0` sizes it from the machine); it is
 //! incompatible with the streaming-only `--checkpoint-dir`/`--max-retries`
 //! options, and the output is byte-identical to the sequential run.
-//! `--memory-budget BYTES` runs the sharded out-of-core pipeline
+//! `--memory-budget BYTES` runs the budgeted out-of-core pipeline
 //! ([`Pipeline::run_sharded`]): pair-space state is capped at the budget,
-//! shard candidate sets spill to disk (into `--checkpoint-dir` when given,
+//! candidates are verified in chunks whose results spill to disk (into
+//! `--checkpoint-dir` when given,
 //! a per-process temp directory otherwise), and the output is again
 //! byte-identical. It composes with `--checkpoint-dir`/`--max-retries`
 //! but not with the in-memory `--threads`.
@@ -186,8 +187,8 @@ picks AVX2/NEON when the CPU has it; simd errors when it does not.
 Output is byte-identical across arms — the option only affects speed.
 Parallelism: --threads N runs the in-memory parallel pipeline (N workers;
 0 = size from the machine). Output is identical to the sequential run.
-Memory: --memory-budget BYTES caps pair-space state, sharding candidate
-generation and spilling shards to disk; output is identical to an
+Memory: --memory-budget BYTES caps pair-space state, verifying candidates
+in chunks and spilling each chunk's result to disk; output is identical to an
 unbudgeted run. Composes with --checkpoint-dir, not with --threads.
 Caching: --signature-cache DIR reuses phase-1 sketches (MH/K-MH) across
 mines keyed on scheme kind, k, seed, and table shape; use one directory

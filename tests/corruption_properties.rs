@@ -7,7 +7,7 @@
 //! The CRC-32 trailer covers everything after the magic, so every
 //! mutation is either a magic/parse error or a checksum mismatch. The
 //! checkpoint and spill fixtures come from the real pipeline writers: a
-//! sharded, checkpointed run canceled mid-verify leaves both behind.
+//! budgeted, checkpointed run canceled mid-verify leaves both behind.
 
 use proptest::prelude::*;
 
@@ -68,10 +68,10 @@ impl RowStream for CancelAfter<'_> {
 }
 
 /// Produces pristine checkpoint (`.sfcp`) and spill (`.sfsp`) bytes via
-/// the real pipeline writers: a sharded, checkpointed run over the sample
-/// matrix is canceled mid-verify, which flushes a phase-3 checkpoint
-/// (flush-then-error) after the candidate phase already spilled its
-/// shards.
+/// the real pipeline writers: a budgeted, checkpointed run over the sample
+/// matrix is canceled in its second chunk's verify scan, which flushes a
+/// phase-3 checkpoint (flush-then-error) after the first chunk's result
+/// was spilled.
 fn state_fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
     let m = sample_matrix();
     let dir = tmp(&format!("{prefix}{tag}_state"));
@@ -81,13 +81,15 @@ fn state_fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
         inner: MemoryRowStream::new(&m),
         token: token.clone(),
         delivered: 0,
-        // Signature pass delivers all 20 rows; row 30 is row 10 of the
-        // verification pass.
-        cancel_at: 30,
+        // The signature pass and the first chunk's verify scan deliver 20
+        // rows each; row 50 is row 10 of the second chunk's scan.
+        cancel_at: 50,
     };
     let spec = CheckpointSpec::new(&dir).with_every_rows(64);
-    let budget = MemoryBudget::new(4096, &dir);
-    let config = PipelineConfig::new(Scheme::Mh { k: 8, delta: 0.2 }, 0.5, 42);
+    // The minimum budget verifies three candidates per chunk; at s* = 0.1
+    // all five overlapping column pairs are candidates.
+    let budget = MemoryBudget::new(MemoryBudget::MIN_BYTES, &dir);
+    let config = PipelineConfig::new(Scheme::Mh { k: 32, delta: 0.2 }, 0.1, 42);
     let err = Pipeline::new(config)
         .run_sharded_with(&mut stream, &budget, Some(&spec), &token)
         .unwrap_err();
