@@ -46,6 +46,10 @@ pub struct FaultConfig {
     /// Row at which every read fails with a *fatal* (non-transient) IO
     /// error — simulates a crash/kill mid-pass for checkpoint/resume tests.
     pub fatal_at_row: Option<u32>,
+    /// Restricts [`fatal_at_row`](Self::fatal_at_row) to one pass, counted
+    /// in [`reset`](RowStream::reset) calls (0 = before the first reset);
+    /// `None` faults in every pass.
+    pub fatal_in_pass: Option<usize>,
     /// Row at which the stream reports `UnexpectedEof`, simulating a file
     /// truncated under the reader (fatal by the taxonomy).
     pub truncate_at_row: Option<u32>,
@@ -68,6 +72,8 @@ pub struct FaultyRowStream<S> {
     config: FaultConfig,
     /// Index of the next row a `read_row` call would deliver.
     pos: u32,
+    /// Resets so far: the index of the current pass.
+    pass: usize,
     /// Rows whose one-shot transient fault has already fired.
     fired: BTreeSet<u32>,
     transient_injected: u64,
@@ -81,6 +87,7 @@ impl<S: RowStream> FaultyRowStream<S> {
             inner,
             config,
             pos: 0,
+            pass: 0,
             fired: BTreeSet::new(),
             transient_injected: 0,
         }
@@ -122,7 +129,9 @@ impl<S: RowStream> RowStream for FaultyRowStream<S> {
 
     fn read_row(&mut self, buf: &mut Vec<u32>) -> Result<Option<u32>> {
         let row = self.pos;
-        if self.config.fatal_at_row == Some(row) {
+        if self.config.fatal_at_row == Some(row)
+            && self.config.fatal_in_pass.is_none_or(|p| p == self.pass)
+        {
             return Err(std::io::Error::other(format!("injected fatal fault at row {row}")).into());
         }
         if self.config.truncate_at_row == Some(row) {
@@ -156,6 +165,7 @@ impl<S: RowStream> RowStream for FaultyRowStream<S> {
     fn reset(&mut self) -> Result<()> {
         self.inner.reset()?;
         self.pos = 0;
+        self.pass += 1;
         Ok(())
     }
 
@@ -428,6 +438,28 @@ mod tests {
             // Fatal faults fire on every attempt.
             assert!(s.read_row(&mut buf).is_err());
         }
+    }
+
+    #[test]
+    fn fatal_in_pass_faults_only_that_pass() {
+        let m = sample();
+        let mut s = FaultyRowStream::new(
+            MemoryRowStream::new(&m),
+            FaultConfig {
+                fatal_at_row: Some(5),
+                fatal_in_pass: Some(1),
+                ..FaultConfig::default()
+            },
+        );
+        assert_eq!(drain(&mut s).len(), 50, "pass 0 is clean");
+        s.reset().unwrap();
+        let mut buf = Vec::new();
+        for _ in 0..5 {
+            assert!(s.read_row(&mut buf).unwrap().is_some());
+        }
+        assert!(!s.read_row(&mut buf).unwrap_err().is_transient());
+        s.reset().unwrap();
+        assert_eq!(drain(&mut s).len(), 50, "pass 2 is clean");
     }
 
     #[test]
