@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use sfa_hash::bucket::{pack_pair, unpack_pair, PairCounter, SparseCounters};
+use sfa_hash::mix::hash64_with_seed;
 use sfa_hash::topk::merge_bottom_k;
 use sfa_hash::{BottomK, HashFamily, SeedSequence, TabulationHasher};
 
@@ -27,6 +28,30 @@ proptest! {
             (0..8).map(|i| fam.hash(i, key)).collect();
         // 8 independent functions almost surely give 8 distinct outputs.
         prop_assert!(outs.len() >= 7);
+    }
+
+    #[test]
+    fn premixed_members_equal_hash64_with_seed(
+        seed in any::<u64>(),
+        k in 1usize..40,
+        row in (any::<u32>(), 0u8..4).prop_map(|(r, pick)| match pick {
+            0 => 0,
+            1 => u32::MAX,
+            _ => r,
+        }),
+    ) {
+        // Every evaluation path computes `hash64_with_seed(row, member
+        // seed)`, only with the seed's splitmix64 hoisted out of the loop.
+        let fam = HashFamily::new(k, seed);
+        let mut all = vec![0u64; k];
+        fam.hash_all(u64::from(row), &mut all);
+        for (i, member) in fam.members().enumerate() {
+            let want = hash64_with_seed(u64::from(row), member.seed());
+            prop_assert_eq!(fam.hash(i, u64::from(row)), want);
+            prop_assert_eq!(member.hash(u64::from(row)), want);
+            prop_assert_eq!(member.hash_row(row), want);
+            prop_assert_eq!(all[i], want);
+        }
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! polynomial is the reflected IEEE one (`0xEDB88320`) — the same checksum
 //! as zlib/gzip — so external tooling can verify files.
 
-/// Reflected IEEE CRC-32 lookup table, built at compile time.
-const TABLE: [u32; 256] = build_table();
+/// Slice-by-8 lookup tables for the reflected IEEE CRC-32, built at
+/// compile time. `TABLES[0]` is the classic bytewise table; `TABLES[t][b]`
+/// is the CRC of byte `b` followed by `t` zero bytes, so eight table
+/// lookups fold eight input bytes at once.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -23,10 +26,20 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
 /// Incremental CRC-32 hasher.
@@ -58,11 +71,25 @@ impl Crc32 {
         Self { state: 0xFFFF_FFFF }
     }
 
-    /// Folds `bytes` into the running checksum.
+    /// Folds `bytes` into the running checksum, 8 bytes per step
+    /// (slice-by-8) and the tail bytewise.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = TABLES[7][(lo & 0xFF) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][(hi & 0xFF) as usize]
+                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+                ^ TABLES[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
         }
         self.state = crc;
     }
@@ -134,6 +161,7 @@ impl<W: std::io::Write> std::io::Write for CrcWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn known_vectors() {
@@ -162,6 +190,35 @@ mod tests {
             data[i] ^= 1;
             assert_ne!(crc32(&data), base, "flip at byte {i} undetected");
             data[i] ^= 1;
+        }
+    }
+
+    /// The textbook bytewise loop, one table lookup per byte.
+    fn bytewise(state: u32, bytes: &[u8]) -> u32 {
+        let mut crc = state;
+        for &b in bytes {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        crc
+    }
+
+    proptest! {
+        #[test]
+        fn slice_by_8_matches_bytewise(
+            bytes in prop::collection::vec(any::<u8>(), 0..=100),
+            cuts in prop::collection::vec(0usize..=100, 0..4),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut h = Crc32::new();
+            let mut want = 0xFFFF_FFFF;
+            let mut start = 0;
+            for end in cuts.into_iter().chain([bytes.len()]) {
+                h.update(&bytes[start..end]);
+                want = bytewise(want, &bytes[start..end]);
+                start = end;
+            }
+            prop_assert_eq!(h.finalize(), want ^ 0xFFFF_FFFF);
         }
     }
 

@@ -146,17 +146,23 @@ pub fn write_binary_v1(matrix: &RowMajorMatrix, path: &Path) -> Result<()> {
 }
 
 /// The header fields and row payload shared by both format versions.
+///
+/// Each row is encoded into one buffer and handed over in one `write_all`,
+/// so a wrapping [`CrcWriter`] checksums whole rows, not 4-byte words.
 fn write_binary_body(w: &mut impl Write, matrix: &RowMajorMatrix) -> Result<()> {
     w.write_all(&matrix.n_rows().to_le_bytes())?;
     w.write_all(&matrix.n_cols().to_le_bytes())?;
+    let mut row_bytes = Vec::new();
     for (_, cols) in matrix.rows() {
         let len = u32::try_from(cols.len()).map_err(|_| MatrixError::DimensionMismatch {
             detail: "row longer than u32::MAX".into(),
         })?;
-        w.write_all(&len.to_le_bytes())?;
+        row_bytes.clear();
+        row_bytes.extend_from_slice(&len.to_le_bytes());
         for &c in cols {
-            w.write_all(&c.to_le_bytes())?;
+            row_bytes.extend_from_slice(&c.to_le_bytes());
         }
+        w.write_all(&row_bytes)?;
     }
     Ok(())
 }
