@@ -1,11 +1,13 @@
-//! Phase-3 verification ablation: sequential single-pass vs parallel vs
-//! bounded-memory chunked passes.
+//! Phase-3 verification: the streamed single-pass verifier on a sparse
+//! weblog table and on a dense (1–5%) table of the paper's §5 shape.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use sfa_bench::bench_weblog;
-use sfa_core::verify::{verify_candidates, verify_candidates_chunked, verify_candidates_parallel};
+use sfa_core::verify::verify_candidates;
 use sfa_core::{Pipeline, PipelineConfig, Scheme};
+use sfa_datagen::SyntheticConfig;
 use sfa_matrix::MemoryRowStream;
+use sfa_minhash::CandidatePair;
 
 fn verification(c: &mut Criterion) {
     let (_, rows) = bench_weblog();
@@ -24,28 +26,24 @@ fn verification(c: &mut Criterion) {
         .generate_candidates(&mut MemoryRowStream::new(&rows))
         .unwrap();
 
+    // Dense: 4096 rows × 1000 columns at 1–5% density, every pair among
+    // the first 250 columns as a candidate (31 125 pairs, 8 row blocks).
+    let dense = SyntheticConfig::small(4096, 99)
+        .generate()
+        .matrix
+        .transpose();
+    let dense_candidates: Vec<CandidatePair> = (0..250u32)
+        .flat_map(|i| ((i + 1)..250).map(move |j| CandidatePair::new(i, j, 0.0)))
+        .collect();
+
     let mut group = c.benchmark_group("verification");
     group.sample_size(20);
-    group.bench_function("sequential", |b| {
+    group.bench_function("weblog", |b| {
         b.iter(|| verify_candidates(&mut MemoryRowStream::new(&rows), &candidates).unwrap());
     });
-    for &threads in &[2usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| verify_candidates_parallel(&rows, &candidates, threads));
-            },
-        );
-    }
-    for &chunk in &[64usize, 512] {
-        group.bench_with_input(BenchmarkId::new("chunked", chunk), &chunk, |b, &chunk| {
-            b.iter(|| {
-                verify_candidates_chunked(&mut MemoryRowStream::new(&rows), &candidates, chunk)
-                    .unwrap()
-            });
-        });
-    }
+    group.bench_function("dense", |b| {
+        b.iter(|| verify_candidates(&mut MemoryRowStream::new(&dense), &dense_candidates).unwrap());
+    });
     group.finish();
 }
 

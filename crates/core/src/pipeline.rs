@@ -903,8 +903,10 @@ fn materialize<S: RowStream>(stream: &mut S) -> Result<RowMajorMatrix> {
 /// blowup the paper's schemes are designed to tame. Linear-in-`m`
 /// summaries (signatures, the H-LSH base matrix, the phase-2 bucket index
 /// with at most one entry per signature value, per-column counts and
-/// counters) are deliberately outside the budget: they are the fixed cost
-/// of running the scheme at all and cannot be split away.
+/// counters, and the verifier's column → slot map plus one 64-byte
+/// 512-row block line per candidate column) are deliberately outside the
+/// budget: they are the fixed cost of running the scheme at all and
+/// cannot be split away.
 #[derive(Debug, Clone)]
 pub struct MemoryBudget {
     /// Byte cap on pair-space state. Must be at least
@@ -934,7 +936,7 @@ impl MemoryBudget {
 
 /// Working-state estimate per candidate during a verification pass: the
 /// [`CandidatePair`] itself, its [`VerifiedPair`], an intersection counter
-/// and two partner-adjacency entries.
+/// and its forward-adjacency entry.
 const VERIFY_BYTES_PER_CANDIDATE: u64 = 64;
 
 /// The phase-1 summary a budgeted run keeps resident: phase 2 builds its
