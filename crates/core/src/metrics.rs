@@ -115,8 +115,9 @@ pub struct VerifyMetrics {
     /// Candidates below `s*` that verification pruned (the scheme's false
     /// positives; they cost pass work but never reach the output).
     pub false_positives_pruned: u64,
-    /// Partner probes performed by the counting loop — the per-pair
-    /// intersection work summed over candidates.
+    /// Σ over 1-entries of the candidates the entry's column belongs to —
+    /// the per-pair intersection work `|C_i| + |C_j|` summed over
+    /// candidates (0 on the in-memory path, which counts no probes).
     pub intersection_work: u64,
 }
 
