@@ -4,7 +4,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sfa_bench::bench_weblog;
 use sfa_matrix::MemoryRowStream;
-use sfa_minhash::{compute_bottom_k, compute_signatures, mh::compute_signatures_parallel};
+use sfa_minhash::{compute_bottom_k, compute_signatures, compute_signatures_pool};
+use sfa_par::ThreadPool;
 
 fn signatures(c: &mut Criterion) {
     let (_, rows) = bench_weblog();
@@ -19,11 +20,12 @@ fn signatures(c: &mut Criterion) {
         });
     }
     for &threads in &[1usize, 2, 4] {
+        let pool = ThreadPool::new(threads);
         group.bench_with_input(
             BenchmarkId::new("mh_parallel_k200", threads),
             &threads,
-            |b, &threads| {
-                b.iter(|| compute_signatures_parallel(&rows, 200, 7, threads));
+            |b, _| {
+                b.iter(|| compute_signatures_pool(&rows, 200, 7, &pool));
             },
         );
     }

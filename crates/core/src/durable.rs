@@ -423,17 +423,6 @@ pub struct RecoveredDir {
     pub tmp_files_removed: u64,
 }
 
-impl RecoveredDir {
-    /// Merges two recovery reports (a sharded run recovers both its spill
-    /// and its checkpoint directory).
-    pub(crate) fn merge(self, other: Self) -> Self {
-        Self {
-            files_quarantined: self.files_quarantined + other.files_quarantined,
-            tmp_files_removed: self.tmp_files_removed + other.tmp_files_removed,
-        }
-    }
-}
-
 /// Moves `path` into the `quarantine/` subdirectory of `dir`, suffixing
 /// the name if a previous quarantine already holds one.
 fn quarantine(dir: &Path, path: &Path) -> Result<()> {

@@ -343,7 +343,10 @@ pub struct InMemoryKernelReport {
 
 /// In-memory phase 3: verifies candidates directly against a resident
 /// [`SparseMatrix`] (the column-major transpose of the table) instead of
-/// re-scanning rows.
+/// re-scanning rows, dealing candidates out to `pool`'s workers (a
+/// 1-thread pool, or a list under the pool's serial cutoff, runs on the
+/// caller thread); each intersection is written by exactly one worker,
+/// so the output is identical at every pool size.
 ///
 /// Column counts are read off the CSC structure; per-candidate
 /// intersections dispatch through roaring-style hybrid containers
@@ -354,50 +357,12 @@ pub struct InMemoryKernelReport {
 /// AND-popcount through the SIMD-dispatched
 /// [`sfa_matrix::kernel`] layer). If the containers would exceed
 /// [`IN_MEMORY_CONTAINER_CAP_BYTES`], each pair falls back to the
-/// adaptive merge/gallop/bitmap kernel on the CSC slices.
+/// adaptive merge/gallop/bitmap kernel on the CSC slices. The
+/// [`InMemoryKernelReport`] says which happened.
 ///
 /// Output is identical to [`verify_candidates`] over a fault-free stream
 /// of the same table: both compute the exact `|C_i ∩ C_j|` and `|C_j|`
 /// integers and share the final [`VerifiedPair`] assembly.
-#[must_use]
-pub fn verify_candidates_in_memory(
-    columns: &SparseMatrix,
-    candidates: &[CandidatePair],
-) -> (Vec<VerifiedPair>, Vec<u32>) {
-    let (verified, column_counts, _) = verify_candidates_in_memory_with_report(columns, candidates);
-    (verified, column_counts)
-}
-
-/// [`verify_candidates_in_memory`] plus the kernel-layer report.
-#[must_use]
-pub fn verify_candidates_in_memory_with_report(
-    columns: &SparseMatrix,
-    candidates: &[CandidatePair],
-) -> (Vec<VerifiedPair>, Vec<u32>, InMemoryKernelReport) {
-    let column_counts = csc_column_counts(columns);
-    let (intersections, report) =
-        in_memory_intersections(columns, candidates, None, IN_MEMORY_CONTAINER_CAP_BYTES);
-    let verified = assemble_verified(candidates, &intersections, &column_counts);
-    (verified, column_counts, report)
-}
-
-/// Pool-based [`verify_candidates_in_memory`]: candidates are dealt out
-/// dynamically; each worker counts its share against the shared
-/// containers. Identical output (each intersection is written by exactly
-/// one worker). Small candidate lists stay on the caller thread (the
-/// pool's serial cutoff).
-#[must_use]
-pub fn verify_candidates_in_memory_pool(
-    columns: &SparseMatrix,
-    candidates: &[CandidatePair],
-    pool: &sfa_par::ThreadPool,
-) -> (Vec<VerifiedPair>, Vec<u32>) {
-    let (verified, column_counts, _) =
-        verify_candidates_in_memory_pool_with_report(columns, candidates, pool);
-    (verified, column_counts)
-}
-
-/// [`verify_candidates_in_memory_pool`] plus the kernel-layer report.
 #[must_use]
 pub fn verify_candidates_in_memory_pool_with_report(
     columns: &SparseMatrix,
@@ -405,12 +370,8 @@ pub fn verify_candidates_in_memory_pool_with_report(
     pool: &sfa_par::ThreadPool,
 ) -> (Vec<VerifiedPair>, Vec<u32>, InMemoryKernelReport) {
     let column_counts = csc_column_counts(columns);
-    let (intersections, report) = in_memory_intersections(
-        columns,
-        candidates,
-        Some(pool),
-        IN_MEMORY_CONTAINER_CAP_BYTES,
-    );
+    let (intersections, report) =
+        in_memory_intersections(columns, candidates, pool, IN_MEMORY_CONTAINER_CAP_BYTES);
     let verified = assemble_verified(candidates, &intersections, &column_counts);
     (verified, column_counts, report)
 }
@@ -424,13 +385,13 @@ fn csc_column_counts(columns: &SparseMatrix) -> Vec<u32> {
 
 /// Per-candidate exact intersections via subset hybrid containers (or
 /// the adaptive per-pair kernel when the containers would bust the
-/// memory cap), serial or pool-parallel over candidates. The cap is a
-/// parameter so tests can pin the accounting; production callers pass
+/// memory cap), pool-parallel over candidates. The cap is a parameter so
+/// tests can pin the accounting; production callers pass
 /// [`IN_MEMORY_CONTAINER_CAP_BYTES`].
 fn in_memory_intersections(
     columns: &SparseMatrix,
     candidates: &[CandidatePair],
-    pool: Option<&sfa_par::ThreadPool>,
+    pool: &sfa_par::ThreadPool,
     cap_bytes: usize,
 ) -> (Vec<u32>, InMemoryKernelReport) {
     // Touched columns, deduplicated; slot[t] holds the containers of
@@ -467,30 +428,24 @@ fn in_memory_intersections(
         };
         inter as u32
     };
-    let intersections = match pool {
-        Some(pool) => {
-            // One container (or adaptive) scan per candidate.
-            let words_per_col = sfa_matrix::bitmap::words_for(columns.n_rows());
-            let est_ops = (candidates.len() as u64).saturating_mul(words_per_col as u64);
-            let chunks = pool.par_fold_bounded(
-                candidates.len(),
-                pool.chunk_for(candidates.len()),
-                est_ops,
-                |_| Vec::new(),
-                |acc: &mut Vec<(usize, u32)>, range| {
-                    for idx in range {
-                        acc.push((idx, intersect(&candidates[idx])));
-                    }
-                },
-            );
-            let mut intersections = vec![0u32; candidates.len()];
-            for (idx, inter) in chunks.into_iter().flatten() {
-                intersections[idx] = inter;
+    // One container (or adaptive) scan per candidate.
+    let words_per_col = sfa_matrix::bitmap::words_for(columns.n_rows());
+    let est_ops = (candidates.len() as u64).saturating_mul(words_per_col as u64);
+    let chunks = pool.par_fold_bounded(
+        candidates.len(),
+        pool.chunk_for(candidates.len()),
+        est_ops,
+        |_| Vec::new(),
+        |acc: &mut Vec<(usize, u32)>, range| {
+            for idx in range {
+                acc.push((idx, intersect(&candidates[idx])));
             }
-            intersections
-        }
-        None => candidates.iter().map(intersect).collect(),
-    };
+        },
+    );
+    let mut intersections = vec![0u32; candidates.len()];
+    for (idx, inter) in chunks.into_iter().flatten() {
+        intersections[idx] = inter;
+    }
     (intersections, report)
 }
 
@@ -578,12 +533,10 @@ mod tests {
         let (stream_v, stream_c) =
             verify_candidates(&mut MemoryRowStream::new(&m), &candidates).unwrap();
         let csc = m.transpose();
-        let (mem_v, mem_c) = verify_candidates_in_memory(&csc, &candidates);
-        assert_eq!(mem_v, stream_v);
-        assert_eq!(mem_c, stream_c);
         for threads in [1, 2, 4] {
             let pool = sfa_par::ThreadPool::new(threads);
-            let (pv, pc) = verify_candidates_in_memory_pool(&csc, &candidates, &pool);
+            let (pv, pc, _) =
+                verify_candidates_in_memory_pool_with_report(&csc, &candidates, &pool);
             assert_eq!(pv, stream_v, "threads {threads}");
             assert_eq!(pc, stream_c, "threads {threads}");
         }
@@ -592,7 +545,8 @@ mod tests {
     #[test]
     fn in_memory_handles_empty_candidates() {
         let csc = matrix().transpose();
-        let (verified, counts) = verify_candidates_in_memory(&csc, &[]);
+        let (verified, counts, _) =
+            verify_candidates_in_memory_pool_with_report(&csc, &[], &sfa_par::ThreadPool::new(1));
         assert!(verified.is_empty());
         assert_eq!(counts, vec![3, 3, 2, 3]);
     }
@@ -617,7 +571,8 @@ mod tests {
         // A cap between the two: the old dense accounting would have
         // refused the fast path; the container accounting admits it.
         let cap = dense_bytes / 2;
-        let (inter, report) = in_memory_intersections(&csc, &candidates, None, cap);
+        let pool = sfa_par::ThreadPool::new(1);
+        let (inter, report) = in_memory_intersections(&csc, &candidates, &pool, cap);
         assert!(report.used_containers, "containers fit under {cap}");
         assert_eq!(report.container.container_bytes, container_bytes as u64);
         assert_eq!(report.container.raw_bitmap_bytes, dense_bytes as u64);
@@ -625,7 +580,7 @@ mod tests {
         // Below the actual container bytes the per-pair fallback engages
         // and still produces identical counts.
         let (inter_fb, report_fb) =
-            in_memory_intersections(&csc, &candidates, None, container_bytes - 1);
+            in_memory_intersections(&csc, &candidates, &pool, container_bytes - 1);
         assert!(!report_fb.used_containers);
         assert_eq!(report_fb.container, sfa_matrix::ContainerStats::default());
         assert_eq!(inter, inter_fb);

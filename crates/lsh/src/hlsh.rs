@@ -9,7 +9,7 @@
 //! buckets columns by their `r`-bit patterns. A pair is a candidate if it
 //! shares a bucket in any run at any level.
 
-use sfa_hash::bucket::{pack_pair, FastHashSet, PairCounter};
+use sfa_hash::bucket::{pack_pair, FastHashSet};
 use sfa_hash::{BucketIndex, PairWalker, SeedSequence};
 use sfa_matrix::ops::or_fold_random;
 use sfa_matrix::RowMajorMatrix;
@@ -243,24 +243,6 @@ fn all_runs(levels: &[LevelPlan]) -> Vec<(usize, usize)> {
         .enumerate()
         .flat_map(|(p, plan)| (0..plan.runs.len()).map(move |r| (p, r)))
         .collect()
-}
-
-/// Per-pair collision counts across all levels and runs.
-///
-/// # Panics
-///
-/// Panics on the parameter violations [`hlsh_generator`] rejects.
-#[must_use]
-pub fn hlsh_collision_counts(base: &RowMajorMatrix, params: &HLshParams) -> PairCounter {
-    let (ladder, levels) = plan(base, params);
-    run_index(
-        &ladder,
-        &levels,
-        &all_runs(&levels),
-        params.include_zero_keys,
-        &ThreadPool::new(1),
-    )
-    .pair_counts()
 }
 
 /// H-LSH candidate generation: pairs colliding at least once, with

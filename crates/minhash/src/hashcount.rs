@@ -13,7 +13,6 @@
 //! table of pair counts is ever built.
 
 use sfa_hash::{BucketIndex, PairCounter};
-use sfa_matrix::RowStream;
 use sfa_par::ThreadPool;
 
 use crate::candidates::{CandidateGen, CandidateGenStats, CandidatePair, PairRule};
@@ -183,38 +182,6 @@ pub fn kmh_candidates_with_stats_pool(
     kmh_generator(sigs, s_star, delta, pool).generate(pool)
 }
 
-/// Convenience: MH pipeline phase 1 + 2 straight from a row stream.
-///
-/// # Errors
-///
-/// Propagates stream errors.
-pub fn mh_candidates_from_stream<S: RowStream>(
-    stream: &mut S,
-    k: usize,
-    seed: u64,
-    s_star: f64,
-    delta: f64,
-) -> sfa_matrix::Result<Vec<CandidatePair>> {
-    let sigs = crate::mh::compute_signatures(stream, k, seed)?;
-    Ok(mh_candidates(&sigs, s_star, delta))
-}
-
-/// Convenience: K-MH pipeline phase 1 + 2 straight from a row stream.
-///
-/// # Errors
-///
-/// Propagates stream errors.
-pub fn kmh_candidates_from_stream<S: RowStream>(
-    stream: &mut S,
-    k: usize,
-    seed: u64,
-    s_star: f64,
-    delta: f64,
-) -> sfa_matrix::Result<Vec<CandidatePair>> {
-    let sigs = crate::kmh::compute_bottom_k(stream, k, seed)?;
-    Ok(kmh_candidates(&sigs, s_star, delta))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,20 +291,6 @@ mod tests {
             "missing the similar pair: {cands:?}"
         );
         assert!(cands.iter().all(|c| c.i != 4 && c.j != 4));
-    }
-
-    #[test]
-    fn stream_helpers_match_two_stage() {
-        let m = matrix();
-        let direct =
-            mh_candidates_from_stream(&mut MemoryRowStream::new(&m), 64, 9, 0.8, 0.2).unwrap();
-        let sigs = crate::mh::compute_signatures(&mut MemoryRowStream::new(&m), 64, 9).unwrap();
-        assert_eq!(direct, mh_candidates(&sigs, 0.8, 0.2));
-
-        let direct_k =
-            kmh_candidates_from_stream(&mut MemoryRowStream::new(&m), 16, 9, 0.8, 0.2).unwrap();
-        let ksigs = crate::kmh::compute_bottom_k(&mut MemoryRowStream::new(&m), 16, 9).unwrap();
-        assert_eq!(direct_k, kmh_candidates(&ksigs, 0.8, 0.2));
     }
 
     #[test]

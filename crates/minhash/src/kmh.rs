@@ -160,26 +160,6 @@ pub fn compute_bottom_k<S: RowStream>(
     Ok(builder.finish())
 }
 
-/// Parallel K-MH over an in-memory matrix.
-///
-/// Convenience wrapper that builds a one-shot [`sfa_par::ThreadPool`];
-/// pipeline code reuses a pool across phases via
-/// [`compute_bottom_k_pool`].
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`.
-#[must_use]
-pub fn compute_bottom_k_parallel(
-    matrix: &sfa_matrix::RowMajorMatrix,
-    k: usize,
-    seed: u64,
-    n_threads: usize,
-) -> BottomKSignatures {
-    assert!(n_threads > 0, "need at least one thread");
-    compute_bottom_k_pool(matrix, k, seed, &sfa_par::ThreadPool::new(n_threads))
-}
-
 /// Pool-based parallel K-MH: row ranges are dealt out dynamically, each
 /// worker folds a local [`KmhBuilder`](crate::builder::KmhBuilder), and
 /// the locals are merged (bottom-k union is a commutative idempotent
@@ -345,7 +325,7 @@ mod tests {
         let m = RowMajorMatrix::from_rows(7, rows).unwrap();
         let seq = compute_bottom_k(&mut MemoryRowStream::new(&m), 12, 33).unwrap();
         for threads in [1, 2, 4] {
-            let par = compute_bottom_k_parallel(&m, 12, 33, threads);
+            let par = compute_bottom_k_pool(&m, 12, 33, &sfa_par::ThreadPool::new(threads));
             assert_eq!(par, seq, "threads = {threads}");
         }
     }

@@ -49,8 +49,6 @@ pub mod theory;
 
 pub use builder::{KmhBuilder, MhBuilder};
 pub use candidates::{CandidateGen, CandidateGenStats, CandidatePair, CandidateStream, PairRule};
-pub use kmh::{
-    compute_bottom_k, compute_bottom_k_parallel, compute_bottom_k_pool, BottomKSignatures,
-};
-pub use mh::{compute_signatures, compute_signatures_parallel, compute_signatures_pool};
+pub use kmh::{compute_bottom_k, compute_bottom_k_pool, BottomKSignatures};
+pub use mh::{compute_signatures, compute_signatures_pool};
 pub use signature::{SignatureMatrix, EMPTY_SIGNATURE};

@@ -46,26 +46,6 @@ pub fn compute_signatures<S: RowStream>(
     Ok(builder.finish())
 }
 
-/// Parallel MH signature computation over an in-memory matrix.
-///
-/// Convenience wrapper that builds a one-shot [`sfa_par::ThreadPool`];
-/// pipeline code reuses a pool across phases via
-/// [`compute_signatures_pool`].
-///
-/// # Panics
-///
-/// Panics if `n_threads == 0`.
-#[must_use]
-pub fn compute_signatures_parallel(
-    matrix: &RowMajorMatrix,
-    k: usize,
-    seed: u64,
-    n_threads: usize,
-) -> SignatureMatrix {
-    assert!(n_threads > 0, "need at least one thread");
-    compute_signatures_pool(matrix, k, seed, &sfa_par::ThreadPool::new(n_threads))
-}
-
 /// Pool-based parallel MH signature computation.
 ///
 /// Row ranges are dealt out dynamically over the pool; each worker folds
@@ -218,7 +198,7 @@ mod tests {
         let m = paper_like_matrix();
         let seq = compute_signatures(&mut MemoryRowStream::new(&m), 16, 21).unwrap();
         for threads in [1, 2, 3, 8] {
-            let par = compute_signatures_parallel(&m, 16, 21, threads);
+            let par = compute_signatures_pool(&m, 16, 21, &sfa_par::ThreadPool::new(threads));
             assert_eq!(par, seq, "threads = {threads}");
         }
     }
@@ -236,7 +216,7 @@ mod tests {
             .collect();
         let m = RowMajorMatrix::from_rows(20, rows).unwrap();
         let seq = compute_signatures(&mut MemoryRowStream::new(&m), 32, 77).unwrap();
-        let par = compute_signatures_parallel(&m, 32, 77, 4);
+        let par = compute_signatures_pool(&m, 32, 77, &sfa_par::ThreadPool::new(4));
         assert_eq!(par, seq);
     }
 

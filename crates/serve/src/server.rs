@@ -753,13 +753,24 @@ mod tests {
     #[test]
     fn garbage_bytes_never_panic_the_server() {
         let (_, m) = with_server(test_config(), |c, addr| {
-            let mut garbage = TcpStream::connect(addr).expect("connect");
+            // Each garbage client reads the server's replies before it
+            // hangs up, so its lines are served (and counted) before the
+            // drain starts rather than shed with the queue.
+            let mut garbage = Client::connect(addr);
             garbage
+                .reader
+                .get_mut()
                 .write_all(b"\x00\xff\xfe garbage \x07\n\x00\n")
                 .expect("write");
+            assert!(garbage.recv().starts_with("ERR "));
+            assert!(garbage.recv().starts_with("ERR "));
             drop(garbage);
-            let mut more = TcpStream::connect(addr).expect("connect");
-            more.write_all(b"INGEST \x00\n").expect("write");
+            let mut more = Client::connect(addr);
+            more.reader
+                .get_mut()
+                .write_all(b"INGEST \x00\n")
+                .expect("write");
+            assert!(more.recv().starts_with("ERR "));
             drop(more);
             // Still alive and correct.
             assert_eq!(c.roundtrip("SIM 0 1"), "OK 1.000000 8 8");

@@ -3,9 +3,7 @@
 //! `VerifiedPair` lists (exact intersection, union, similarity, estimate)
 //! and identical column counts, for the candidate list of every scheme.
 
-use sfa::core::verify::{
-    verify_candidates, verify_candidates_in_memory, verify_candidates_in_memory_pool,
-};
+use sfa::core::verify::{verify_candidates, verify_candidates_in_memory_pool_with_report};
 use sfa::core::{Pipeline, PipelineConfig, Scheme};
 use sfa::datagen::SyntheticConfig;
 use sfa::matrix::MemoryRowStream;
@@ -64,13 +62,10 @@ fn in_memory_verifier_matches_streaming_for_every_scheme() {
 
         let (stream_verified, stream_counts) =
             verify_candidates(&mut MemoryRowStream::new(&rows), &candidates).unwrap();
-        let (mem_verified, mem_counts) = verify_candidates_in_memory(&columns, &candidates);
-        assert_eq!(mem_verified, stream_verified, "{}", scheme.name());
-        assert_eq!(mem_counts, stream_counts, "{}", scheme.name());
-
+        // A 1-thread pool runs the in-memory verifier serially.
         for pool in [&pool1, &pool3] {
-            let (pool_verified, pool_counts) =
-                verify_candidates_in_memory_pool(&columns, &candidates, pool);
+            let (pool_verified, pool_counts, _) =
+                verify_candidates_in_memory_pool_with_report(&columns, &candidates, pool);
             assert_eq!(pool_verified, stream_verified, "{}", scheme.name());
             assert_eq!(pool_counts, stream_counts, "{}", scheme.name());
         }
