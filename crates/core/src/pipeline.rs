@@ -119,6 +119,7 @@ impl Pipeline {
         let t = Instant::now();
         let (summary, _) = self.streamed_phase1(
             stream,
+            false,
             None,
             &mut RecoveryMetrics::default(),
             &CancelToken::default(),
@@ -416,6 +417,7 @@ impl Pipeline {
         let t = Instant::now();
         let (summary, phase1) = self.streamed_phase1(
             &mut scan,
+            budget.is_some(),
             checkpoint.map(|spec| (spec, key)),
             &mut recovery,
             cancel,
@@ -597,11 +599,15 @@ impl Pipeline {
     }
 
     /// Phase 1's one pass over a stream, behind the signature cache: H-LSH
-    /// materializes the table, the other schemes build their sketch —
-    /// through [`fold_checkpointed`] when `checkpoint` is given.
+    /// reads the table into memory, the other schemes build their sketch —
+    /// through [`fold_checkpointed`] when `checkpoint` is given. Budgeted
+    /// and checkpointed MinHash passes fold and never hold the table; an
+    /// unbudgeted one may hold it to walk it in permutation order (see
+    /// [`compute_signatures`]).
     fn streamed_phase1<S: RowStream>(
         &self,
         stream: &mut S,
+        budgeted: bool,
         checkpoint: Option<(&CheckpointSpec, RunKey)>,
         recovery: &mut RecoveryMetrics,
         cancel: &CancelToken,
@@ -609,9 +615,16 @@ impl Pipeline {
         let seed = self.sig_seed();
         self.cached(stream.n_rows(), stream.n_cols(), |sketch| {
             Ok(match (sketch, checkpoint) {
-                (Sketch::Table, _) => Phase1Summary::Table(Cow::Owned(materialize(stream)?)),
+                (Sketch::Table, _) => Phase1Summary::Table(Cow::Owned(
+                    RowMajorMatrix::from_stream(stream, usize::MAX)?,
+                )),
                 (_, Some((spec, key))) => {
                     fold_checkpointed(stream, sketch, seed, spec, key, recovery, cancel)?
+                }
+                (Sketch::MinHash(k), None) if budgeted => {
+                    let mut builder = MhBuilder::new(k, stream.n_cols() as usize, seed);
+                    stream.for_each_row(|row_id, cols| builder.push_row(row_id, cols))?;
+                    Phase1Summary::Sigs(builder.finish())
                 }
                 (Sketch::MinHash(k), None) => {
                     Phase1Summary::Sigs(compute_signatures(stream, k, seed)?)
@@ -858,17 +871,6 @@ fn fold_checkpointed<S: RowStream>(
     Ok(builder.finish())
 }
 
-/// Reads a whole stream into a row-major matrix (used by H-LSH).
-fn materialize<S: RowStream>(stream: &mut S) -> Result<RowMajorMatrix> {
-    let n_cols = stream.n_cols();
-    let mut rows = Vec::with_capacity(stream.n_rows() as usize);
-    let mut buf = Vec::new();
-    while stream.read_row(&mut buf)?.is_some() {
-        rows.push(buf.clone());
-    }
-    RowMajorMatrix::from_rows(n_cols, rows)
-}
-
 /// A byte cap on the pair-space working state of a budgeted run, plus
 /// where that run may spill.
 ///
@@ -881,6 +883,11 @@ fn materialize<S: RowStream>(stream: &mut S) -> Result<RowMajorMatrix> {
 /// 512-row block line per candidate column) are deliberately outside the
 /// budget: they are the fixed cost of running the scheme at all and
 /// cannot be split away.
+///
+/// A budgeted run also keeps phase 1 at the `O(km)` fold: it never holds
+/// the table, which an unbudgeted MinHash run may do to walk it in
+/// permutation order (see [`compute_signatures`]). H-LSH, whose phase-1
+/// summary is the table, holds it either way.
 #[derive(Debug, Clone)]
 pub struct MemoryBudget {
     /// Byte cap on pair-space state. Must be at least
@@ -1372,27 +1379,49 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
     }
 
-    /// Every run mode against `run`, for every scheme: the pairs, counts,
+    /// 160 rows × 11 columns: columns 0–9 each hold the rows `r` with
+    /// `r % 5 != 0` except one residue class mod 7, so every pair of them
+    /// is at S ≥ 0.6; column 10 is empty. Its columns hold about 110 ones
+    /// each, so an unbudgeted MinHash phase 1 walks it in permutation
+    /// order where `chunky_matrix` folds.
+    fn dense_matrix() -> RowMajorMatrix {
+        let rows = (0..160u32)
+            .map(|r| {
+                (0..10u32)
+                    .filter(|c| r % 5 != 0 && (r + c) % 7 != 0)
+                    .collect()
+            })
+            .collect();
+        RowMajorMatrix::from_rows(11, rows).unwrap()
+    }
+
+    /// Every run mode against `run`, for every scheme, on a table the
+    /// MinHash phase 1 folds and on one it walks: the pairs, counts,
     /// phase-2 counters and verdicts must match, and each mode keeps its
     /// own metrics.
     #[test]
     fn every_mode_matches_run_for_every_scheme() {
-        let m = chunky_matrix();
+        every_mode_matches_run(&chunky_matrix(), "chunky");
+        every_mode_matches_run(&dense_matrix(), "dense");
+    }
+
+    fn every_mode_matches_run(m: &RowMajorMatrix, table: &str) {
         // Shared pools: each serves every scheme's run.
         let pools = [1, 2, 4, 7].map(sfa_par::ThreadPool::new);
         for (s, scheme) in all_schemes().into_iter().enumerate() {
-            let name = scheme.name();
+            let scheme_name = scheme.name();
+            let name = format!("{table} {scheme_name}");
             let cfg = PipelineConfig::new(scheme, 0.6, 11);
             let pipeline = Pipeline::new(cfg);
-            let plain = pipeline.run(&mut MemoryRowStream::new(&m)).unwrap();
+            let plain = pipeline.run(&mut MemoryRowStream::new(m)).unwrap();
             let n = plain.metrics.candidates_generated;
             assert!(n >= 7, "{name}: test premise: {n} candidates fill 3 chunks");
-            assert_eq!(plain.metrics.scheme, name);
+            assert_eq!(plain.metrics.scheme, scheme_name);
             let same = |r: &MiningResult, mode: &str| {
                 let at = format!("{name} {mode}");
                 assert_eq!(r.verified, plain.verified, "{at}");
                 assert_eq!(r.column_counts, plain.column_counts, "{at}");
-                assert_eq!(r.metrics.scheme, name, "{at}");
+                assert_eq!(r.metrics.scheme, scheme_name, "{at}");
                 assert_eq!(
                     r.metrics.candidate_stages, plain.metrics.candidate_stages,
                     "{at}: stage counters"
@@ -1432,9 +1461,9 @@ mod tests {
             };
             unbudgeted(&plain, "plain");
 
-            let spec = checkpoint_spec(&format!("modes_{s}")).with_every_rows(16);
+            let spec = checkpoint_spec(&format!("modes_{table}_{s}")).with_every_rows(16);
             let resumable = pipeline
-                .run_resumable(&mut MemoryRowStream::new(&m), &spec)
+                .run_resumable(&mut MemoryRowStream::new(m), &spec)
                 .unwrap();
             unbudgeted(&resumable, "resumable");
             checkpointed(&resumable, "resumable", &spec);
@@ -1444,11 +1473,11 @@ mod tests {
             for (bytes, chunks) in [(1 << 20, 1), (MemoryBudget::MIN_BYTES, n.div_ceil(3))] {
                 for with_checkpoint in [false, true] {
                     let mode = format!("at {bytes} bytes, checkpoint {with_checkpoint}");
-                    let d = spill_dir(&format!("modes-{s}-{bytes}-{with_checkpoint}"));
+                    let d = spill_dir(&format!("modes-{table}-{s}-{bytes}-{with_checkpoint}"));
                     let spec = CheckpointSpec::new(d.join("ckpt")).with_every_rows(16);
                     let sharded = pipeline
                         .run_sharded(
-                            &mut MemoryRowStream::new(&m),
+                            &mut MemoryRowStream::new(m),
                             &MemoryBudget::new(bytes, &d),
                             with_checkpoint.then_some(&spec),
                         )
@@ -1479,7 +1508,7 @@ mod tests {
                 assert!(r.metrics.index_bytes.is_none(), "{name} {mode}");
             };
             for pool in &pools {
-                let pooled = pipeline.run_pool(&m, pool);
+                let pooled = pipeline.run_pool(m, pool);
                 let mode = format!("x{}", pool.threads());
                 resident(&pooled, &mode);
                 assert_eq!(
@@ -1488,7 +1517,7 @@ mod tests {
                     "{name} {mode}"
                 );
             }
-            let auto = pipeline.run_parallel(&m, 0);
+            let auto = pipeline.run_parallel(m, 0);
             resident(&auto, "auto threads");
             assert!(auto.metrics.threads >= 1, "{name}");
         }

@@ -3,12 +3,13 @@
 //! The paper's algorithms scan the table row by row ("while scanning the
 //! rows …", §3). `RowMajorMatrix` is the in-memory stand-in for that
 //! disk-resident table; signature computations consume it through the
-//! [`RowStream`](crate::stream::RowStream) trait so they cannot cheat with
+//! [`RowStream`] trait so they cannot cheat with
 //! random access.
 
 use sfa_json::{FromJson, Json, JsonError, ToJson};
 
 use crate::csc::SparseMatrix;
+use crate::stream::RowStream;
 
 /// A sparse 0/1 matrix stored row-major: for each row, the strictly
 /// ascending list of columns holding a 1.
@@ -37,21 +38,7 @@ impl RowMajorMatrix {
         let mut col_idx = Vec::with_capacity(nnz);
         row_ptr.push(0);
         for (i, row) in rows.iter().enumerate() {
-            if !row.windows(2).all(|w| w[0] < w[1]) {
-                return Err(crate::MatrixError::Parse {
-                    at: i as u64,
-                    detail: format!("row {i} is not strictly ascending"),
-                });
-            }
-            if let Some(&last) = row.last() {
-                if last >= n_cols {
-                    return Err(crate::MatrixError::IndexOutOfRange {
-                        kind: "column",
-                        index: last,
-                        bound: n_cols,
-                    });
-                }
-            }
+            check_row(i, row, n_cols)?;
             col_idx.extend_from_slice(row);
             row_ptr.push(col_idx.len());
         }
@@ -61,6 +48,53 @@ impl RowMajorMatrix {
             row_ptr,
             col_idx,
         })
+    }
+
+    /// Reads `stream` from its current position straight into the CSR
+    /// arrays, with [`from_rows`](Self::from_rows)'s checks. Row ids must
+    /// run `0, 1, 2, …`, so that a row's position in the result is the id
+    /// the stream gave it.
+    ///
+    /// Reading stops at the end of the pass, or right after the row that
+    /// takes the ones read past `ones_cap`. In that case the result holds
+    /// a prefix of the table, its [`nnz`](Self::nnz) exceeds `ones_cap`,
+    /// and the stream is positioned at the next row. `usize::MAX` reads
+    /// the whole table.
+    ///
+    /// # Errors
+    ///
+    /// Propagates stream errors. Returns an error for a row id out of
+    /// order, a column id `>= n_cols` or a row that is not strictly
+    /// ascending.
+    pub fn from_stream<S: RowStream>(stream: &mut S, ones_cap: usize) -> crate::Result<Self> {
+        let n_cols = stream.n_cols();
+        // The row count comes from the stream's header: cap the up-front
+        // reservation so a hostile header cannot trigger a huge one.
+        let mut row_ptr = Vec::with_capacity((stream.n_rows() as usize).min(1 << 20) + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::new();
+        let mut buf = Vec::new();
+        while col_idx.len() <= ones_cap {
+            let Some(id) = stream.read_row(&mut buf)? else {
+                break;
+            };
+            let i = row_ptr.len() - 1;
+            if id as usize != i {
+                return Err(crate::MatrixError::Parse {
+                    at: i as u64,
+                    detail: format!("row id {id} read where row {i} was expected"),
+                });
+            }
+            check_row(i, &buf, n_cols)?;
+            col_idx.extend_from_slice(&buf);
+            row_ptr.push(col_idx.len());
+        }
+        let n_rows = u32::try_from(row_ptr.len() - 1).map_err(|_| {
+            crate::MatrixError::DimensionMismatch {
+                detail: "more than u32::MAX rows".into(),
+            }
+        })?;
+        Ok(Self::from_parts(n_rows, n_cols, row_ptr, col_idx))
     }
 
     /// Builds from raw CSR parts (trusted, debug asserted).
@@ -159,6 +193,25 @@ impl RowMajorMatrix {
     }
 }
 
+/// Checks that row `i` is strictly ascending and its column ids are below
+/// `n_cols`.
+fn check_row(i: usize, row: &[u32], n_cols: u32) -> crate::Result<()> {
+    if !row.windows(2).all(|w| w[0] < w[1]) {
+        return Err(crate::MatrixError::Parse {
+            at: i as u64,
+            detail: format!("row {i} is not strictly ascending"),
+        });
+    }
+    match row.last() {
+        Some(&last) if last >= n_cols => Err(crate::MatrixError::IndexOutOfRange {
+            kind: "column",
+            index: last,
+            bound: n_cols,
+        }),
+        _ => Ok(()),
+    }
+}
+
 impl ToJson for RowMajorMatrix {
     fn to_json(&self) -> Json {
         Json::obj()
@@ -254,6 +307,41 @@ mod tests {
         assert_eq!(m.row(0), &[] as &[u32]);
         assert_eq!(m.row_count(0), 0);
         assert_eq!(m.transpose().column(0), &[1]);
+    }
+
+    #[test]
+    fn stream_reader_stops_after_passing_the_cap() {
+        let m = example1_rows();
+        let mut stream = crate::MemoryRowStream::new(&m);
+        // Rows 0 and 1 hold 4 ones, past a cap of 3.
+        let prefix = RowMajorMatrix::from_stream(&mut stream, 3).unwrap();
+        assert_eq!((prefix.n_rows(), prefix.nnz()), (2, 4));
+        assert_eq!(prefix.row(1), m.row(1));
+        let mut buf = Vec::new();
+        assert_eq!(stream.read_row(&mut buf).unwrap(), Some(2));
+        let whole = RowMajorMatrix::from_stream(&mut crate::MemoryRowStream::new(&m), 7).unwrap();
+        assert_eq!(whole, m);
+    }
+
+    #[test]
+    fn stream_reader_rejects_corrupt_rows_and_out_of_order_ids() {
+        let m = example1_rows();
+        let corrupt = crate::FaultConfig {
+            corrupt_at_row: Some(2),
+            ..crate::FaultConfig::default()
+        };
+        let mut faulty = crate::FaultyRowStream::new(crate::MemoryRowStream::new(&m), corrupt);
+        assert!(matches!(
+            RowMajorMatrix::from_stream(&mut faulty, usize::MAX),
+            Err(crate::MatrixError::IndexOutOfRange { index: 3, .. })
+        ));
+        // A stream that starts at row 1 hands out id 1 first.
+        let mut skipped = crate::MemoryRowStream::new(&m);
+        skipped.skip_rows(1).unwrap();
+        assert!(matches!(
+            RowMajorMatrix::from_stream(&mut skipped, usize::MAX),
+            Err(crate::MatrixError::Parse { at: 0, .. })
+        ));
     }
 
     #[test]

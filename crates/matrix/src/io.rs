@@ -175,14 +175,7 @@ fn write_binary_body(w: &mut impl Write, matrix: &RowMajorMatrix) -> Result<()> 
 /// Fails on IO or format errors.
 pub fn read_binary(path: &Path) -> Result<RowMajorMatrix> {
     let mut stream = crate::stream::FileRowStream::open(path)?;
-    let n_cols = crate::stream::RowStream::n_cols(&stream);
-    let n_rows = crate::stream::RowStream::n_rows(&stream);
-    let mut rows = Vec::with_capacity(n_rows as usize);
-    let mut buf = Vec::new();
-    while crate::stream::RowStream::read_row(&mut stream, &mut buf)?.is_some() {
-        rows.push(buf.clone());
-    }
-    RowMajorMatrix::from_rows(n_cols, rows)
+    RowMajorMatrix::from_stream(&mut stream, usize::MAX)
 }
 
 #[cfg(test)]

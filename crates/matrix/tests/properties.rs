@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use sfa_matrix::ops::{or_fold_rows, prune_support, random_row_pairing, select_columns};
 use sfa_matrix::stats::{average_similarity, exact_similar_pairs, similarity_histogram};
-use sfa_matrix::{ColumnSet, MatrixBuilder, RowMajorMatrix};
+use sfa_matrix::{ColumnSet, MatrixBuilder, MemoryRowStream, RowMajorMatrix};
 
 fn row_set(bound: u32, max_len: usize) -> impl Strategy<Value = Vec<u32>> {
     prop::collection::btree_set(0..bound, 0..=max_len)
@@ -34,6 +34,13 @@ proptest! {
         }
         prop_assert_eq!(forward.clone().build_csc(), shuffled.clone().build_csc());
         prop_assert_eq!(forward.build_csr(), shuffled.build_csr());
+    }
+
+    #[test]
+    fn stream_reader_matches_from_rows(rows in prop::collection::vec(row_set(9, 9), 0..14)) {
+        let m = RowMajorMatrix::from_rows(9, rows).unwrap();
+        let read = RowMajorMatrix::from_stream(&mut MemoryRowStream::new(&m), usize::MAX).unwrap();
+        prop_assert_eq!(read, m);
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub mod persist;
 pub mod rowsort;
 pub mod signature;
 pub mod theory;
+mod walk;
 
 pub use builder::{KmhBuilder, MhBuilder};
 pub use candidates::{CandidateGen, CandidateGenStats, CandidatePair, CandidateStream, PairRule};

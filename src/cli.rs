@@ -47,7 +47,7 @@ use std::path::{Path, PathBuf};
 
 use crate::core::{CancelToken, CheckpointSpec, MemoryBudget, Pipeline, PipelineConfig, Scheme};
 use crate::datagen::{NewsConfig, SyntheticConfig, WeblogConfig};
-use crate::matrix::{io, FileRowStream, RetryingRowStream, RowStream};
+use crate::matrix::{io, FileRowStream, RetryingRowStream, RowMajorMatrix, RowStream};
 
 /// A CLI failure, classified so the process can exit with a distinct code
 /// per failure family (usage mistakes vs. bad data/environment).
@@ -346,7 +346,7 @@ fn cmd_info(args: &Args) -> Result<String, CliError> {
 fn cmd_stats(args: &Args) -> Result<String, CliError> {
     let (_, mut stream) = open_input(args)?;
     let bins: usize = args.parse_num("bins", 20)?;
-    let matrix = materialize(&mut stream)?;
+    let matrix = RowMajorMatrix::from_stream(&mut stream, usize::MAX).map_err(io_err)?;
     let csc = matrix.transpose();
     let density = crate::matrix::stats::density_stats(&csc);
     let hist = crate::matrix::stats::similarity_histogram(&csc, bins);
@@ -400,7 +400,8 @@ fn cmd_sketch(args: &Args) -> Result<String, CliError> {
         "mh" => {
             let sigs = match &pool {
                 Some(pool) => {
-                    let matrix = materialize(&mut scan)?;
+                    let matrix =
+                        RowMajorMatrix::from_stream(&mut scan, usize::MAX).map_err(io_err)?;
                     crate::minhash::compute_signatures_pool(&matrix, k, seed, pool)
                 }
                 None => crate::minhash::compute_signatures(&mut scan, k, seed).map_err(io_err)?,
@@ -412,7 +413,8 @@ fn cmd_sketch(args: &Args) -> Result<String, CliError> {
         "kmh" => {
             let sigs = match &pool {
                 Some(pool) => {
-                    let matrix = materialize(&mut scan)?;
+                    let matrix =
+                        RowMajorMatrix::from_stream(&mut scan, usize::MAX).map_err(io_err)?;
                     crate::minhash::compute_bottom_k_pool(&matrix, k, seed, pool)
                 }
                 None => crate::minhash::compute_bottom_k(&mut scan, k, seed).map_err(io_err)?,
@@ -607,7 +609,7 @@ fn cmd_mine(args: &Args) -> Result<String, CliError> {
         cancel = cancel.with_deadline(budget);
     }
     let result = if let Some(n) = threads {
-        let matrix = materialize(&mut stream)?;
+        let matrix = RowMajorMatrix::from_stream(&mut stream, usize::MAX).map_err(io_err)?;
         let mut pipeline = Pipeline::new(config);
         if let Some(dir) = sig_cache {
             pipeline = pipeline.with_signature_cache(dir);
@@ -686,7 +688,7 @@ fn cmd_optimize(args: &Args) -> Result<String, CliError> {
     let max_fp: f64 = args.parse_num("max-fp", 10_000.0)?;
     let sample: f64 = args.parse_num("sample", 0.2)?;
     let seed: u64 = args.parse_num("seed", 42)?;
-    let matrix = materialize(&mut stream)?;
+    let matrix = RowMajorMatrix::from_stream(&mut stream, usize::MAX).map_err(io_err)?;
     let csc = matrix.transpose();
     let distr = crate::lsh::SimilarityDistribution::estimate_by_sampling(&csc, sample, 20, seed);
     match crate::lsh::optimize_params(&distr, s_star, max_fn, max_fp, 30, 1 << 14) {
@@ -837,7 +839,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
             .map_or(std::time::Duration::ZERO, std::time::Duration::from_millis),
     };
     let (_, mut stream) = open_input(args)?;
-    let matrix = materialize(&mut stream)?;
+    let matrix = RowMajorMatrix::from_stream(&mut stream, usize::MAX).map_err(io_err)?;
     // Trap shutdown signals before announcing readiness: anyone reading
     // the bound address may signal immediately, and that must already be
     // a graceful drain, not a default-disposition kill.
@@ -881,16 +883,6 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         serving.ingested_rows,
         serving.uptime_secs
     )))
-}
-
-fn materialize<S: RowStream>(stream: &mut S) -> Result<crate::matrix::RowMajorMatrix, CliError> {
-    let n_cols = stream.n_cols();
-    let mut rows = Vec::with_capacity(stream.n_rows() as usize);
-    let mut buf = Vec::new();
-    while stream.read_row(&mut buf).map_err(io_err)?.is_some() {
-        rows.push(buf.clone());
-    }
-    crate::matrix::RowMajorMatrix::from_rows(n_cols, rows).map_err(io_err)
 }
 
 #[cfg(test)]
