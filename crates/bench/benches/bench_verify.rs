@@ -22,9 +22,19 @@ fn verification(c: &mut Criterion) {
         0.3,
         7,
     );
-    let (candidates, _) = Pipeline::new(cfg)
-        .generate_candidates(&mut MemoryRowStream::new(&rows))
-        .unwrap();
+    // A run's verified list holds one entry per candidate, in the
+    // generator's `(i, j)` order, so it gives the candidates back.
+    let candidates: Vec<CandidatePair> = Pipeline::new(cfg)
+        .run(&mut MemoryRowStream::new(&rows))
+        .unwrap()
+        .verified
+        .iter()
+        .map(|p| CandidatePair {
+            i: p.i,
+            j: p.j,
+            estimate: p.estimate,
+        })
+        .collect();
 
     // Dense: 4096 rows × 1000 columns at 1–5% density, every pair among
     // the first 250 columns as a candidate (31 125 pairs, 8 row blocks).

@@ -13,7 +13,8 @@
 //!   verification pass. Because phase 3 is exact, the pipeline's output
 //!   contains **no false positives**; quality is entirely a matter of
 //!   false negatives, which is how the paper frames its §5 comparison.
-//! * [`verify`] — the phase-3 counting pass over a [`RowStream`].
+//! * [`verify`] — the phase-3 counting pass over a [`RowStream`] or a
+//!   resident table's rows.
 //! * [`checkpoint`] — crash-safe checkpoint files for both streaming
 //!   passes, behind [`Pipeline::run_resumable`](pipeline::Pipeline::run_resumable).
 //! * [`spill`] — checksummed chunk spill files for out-of-core mining
@@ -23,7 +24,7 @@
 //!   parent dir), seeded write-side fault injection, and the startup
 //!   recovery sweep that quarantines corrupt or stale state.
 //! * [`shutdown`] — signal/deadline cancellation: the [`CancelToken`]
-//!   the streaming pipelines poll so a `SIGTERM` flushes a resumable
+//!   the pipeline polls so a `SIGTERM` flushes a resumable
 //!   checkpoint instead of losing the pass.
 //! * [`sigcache`] — the config-fingerprinted signature cache: phase-1
 //!   sketches keyed on `(scheme kind, k, seed, table shape)` so repeated
@@ -66,8 +67,8 @@ pub use checkpoint::CheckpointSpec;
 pub use config::{PipelineConfig, Scheme};
 pub use durable::{DurableDir, RecoveredDir, WriteFault, WriteFaultConfig};
 pub use metrics::{
-    KernelMetrics, MetricsDocument, MiningMetrics, PassMetrics, Phase1Metrics, RecoveryMetrics,
-    ServingMetrics, ShardingMetrics, StageCount, VerifyMetrics, METRICS_SCHEMA_VERSION,
+    MetricsDocument, MiningMetrics, PassMetrics, Phase1Metrics, RecoveryMetrics, ServingMetrics,
+    ShardingMetrics, StageCount, VerifyMetrics, METRICS_SCHEMA_VERSION,
 };
 pub use pipeline::{MemoryBudget, Pipeline};
 pub use quality::{evaluate_quality, QualityReport, SCurveBin};

@@ -37,8 +37,12 @@ use crate::report::PhaseTimings;
 /// 7 = adds the optional `metrics.phase1` object (runs whose phase 1
 /// built a sketch: the SIMD arm the signature kernels dispatched through
 /// and whether the signature cache hit or stored; absent for H-LSH runs
-/// and in older documents).
-pub const METRICS_SCHEMA_VERSION: u32 = 7;
+/// and in older documents);
+/// 8 = drops `metrics.kernels`: no pipeline path runs the container
+/// verifier any more, and every run's phase 3 counts its probes into
+/// `verification.intersection_work` (v6/v7 documents that carry the
+/// object still parse; it is ignored).
+pub const METRICS_SCHEMA_VERSION: u32 = 8;
 
 /// Oldest document version [`MetricsDocument::from_json`] still accepts.
 pub const METRICS_SCHEMA_MIN_VERSION: u32 = 1;
@@ -321,79 +325,6 @@ impl FromJson for ServingMetrics {
     }
 }
 
-/// Kernel-layer accounting of the in-memory phase 3 (schema v6): which
-/// SIMD arm the process dispatched to and what the roaring-style hybrid
-/// containers cost versus dense bitmaps. Emitted only by runs that
-/// exercised the in-memory verifier — streaming and sharded runs omit
-/// the `kernels` object entirely.
-///
-/// `dispatch_arm` is machine-dependent (`"avx2"` on most x86-64 hosts,
-/// `"scalar"` under `--kernel scalar`); `bench-diff` strips it alongside
-/// the timing blocks. The container counters are deterministic
-/// functions of the dataset and are diffed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct KernelMetrics {
-    /// The popcount/merge arm every exact count dispatched through
-    /// (`"scalar"` | `"avx2"` | `"neon"`).
-    pub dispatch_arm: String,
-    /// Whether hybrid containers were materialized (false = the
-    /// candidate columns busted the in-memory cap and the per-pair
-    /// adaptive kernel ran; the container counters below are zero).
-    pub used_containers: bool,
-    /// 2^16-row chunks stored as sorted `u16` arrays.
-    pub array_containers: u64,
-    /// Chunks stored as 8 KiB bitmaps.
-    pub bitmap_containers: u64,
-    /// Chunks stored as run lists.
-    pub run_containers: u64,
-    /// Actual payload bytes of the materialized hybrid columns.
-    pub container_bytes: u64,
-    /// What dense `⌈n/64⌉`-word bitmaps over the same columns would
-    /// have cost.
-    pub raw_bitmap_bytes: u64,
-}
-
-impl ToJson for KernelMetrics {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("dispatch_arm", self.dispatch_arm.as_str())
-            .field("used_containers", self.used_containers)
-            .field("array_containers", self.array_containers)
-            .field("bitmap_containers", self.bitmap_containers)
-            .field("run_containers", self.run_containers)
-            .field("container_bytes", self.container_bytes)
-            .field("raw_bitmap_bytes", self.raw_bitmap_bytes)
-    }
-}
-
-impl FromJson for KernelMetrics {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            dispatch_arm: String::from_json(json.req("dispatch_arm")?)?,
-            used_containers: bool::from_json(json.req("used_containers")?)?,
-            array_containers: u64::from_json(json.req("array_containers")?)?,
-            bitmap_containers: u64::from_json(json.req("bitmap_containers")?)?,
-            run_containers: u64::from_json(json.req("run_containers")?)?,
-            container_bytes: u64::from_json(json.req("container_bytes")?)?,
-            raw_bitmap_bytes: u64::from_json(json.req("raw_bitmap_bytes")?)?,
-        })
-    }
-}
-
-impl From<crate::verify::InMemoryKernelReport> for KernelMetrics {
-    fn from(report: crate::verify::InMemoryKernelReport) -> Self {
-        Self {
-            dispatch_arm: report.dispatch_arm.to_owned(),
-            used_containers: report.used_containers,
-            array_containers: report.container.array_containers,
-            bitmap_containers: report.container.bitmap_containers,
-            run_containers: report.container.run_containers,
-            container_bytes: report.container.container_bytes,
-            raw_bitmap_bytes: report.container.raw_bitmap_bytes,
-        }
-    }
-}
-
 impl ServingMetrics {
     /// Whether the accounting balances: every accepted request ended in
     /// exactly one of answered / shed / timed out.
@@ -409,9 +340,7 @@ impl ServingMetrics {
 /// by every run that built (or loaded) a phase-1 sketch — H-LSH runs,
 /// which work directly on the data, omit the `phase1` object entirely.
 ///
-/// `dispatch_arm` is machine-dependent, like
-/// [`KernelMetrics::dispatch_arm`], and `bench-diff` strips it under the
-/// same key name. The cache flags are deterministic for a given command
+/// `dispatch_arm` is machine-dependent, and `bench-diff` strips it. The cache flags are deterministic for a given command
 /// sequence and are diffed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Phase1Metrics {
@@ -499,10 +428,6 @@ pub struct MiningMetrics {
     /// Request accounting; `None` for batch runs (the key is omitted from
     /// the JSON entirely). Emitted by `sfa serve` (schema v5).
     pub serving: Option<ServingMetrics>,
-    /// Kernel-layer accounting; `None` when phase 3 never ran through
-    /// the in-memory kernel dispatch (the key is omitted from the JSON
-    /// entirely). Emitted by pool runs (schema v6).
-    pub kernels: Option<KernelMetrics>,
     /// Phase-1 provenance; `None` for H-LSH runs, which build no sketch
     /// (the key is omitted from the JSON entirely). Schema v7.
     pub phase1: Option<Phase1Metrics>,
@@ -524,7 +449,6 @@ impl Default for MiningMetrics {
             recovery: RecoveryMetrics::default(),
             sharding: None,
             serving: None,
-            kernels: None,
             phase1: None,
         }
     }
@@ -585,12 +509,6 @@ impl ToJson for MiningMetrics {
             Some(serving) => json.field("serving", serving),
             None => json,
         };
-        // Only runs through the in-memory kernel dispatch emit the key
-        // (schema v6).
-        let json = match &self.kernels {
-            Some(kernels) => json.field("kernels", kernels.clone()),
-            None => json,
-        };
         // Only runs that built a phase-1 sketch emit the key (schema v7).
         match &self.phase1 {
             Some(phase1) => json.field("phase1", phase1.clone()),
@@ -639,12 +557,6 @@ impl FromJson for MiningMetrics {
             serving: json
                 .get("serving")
                 .map(ServingMetrics::from_json)
-                .transpose()?,
-            // Only in-memory kernel-dispatch runs emit the key; absence
-            // covers streaming/sharded runs and all pre-v6 documents.
-            kernels: json
-                .get("kernels")
-                .map(KernelMetrics::from_json)
                 .transpose()?,
             // Only sketch-building runs emit the key; absence covers
             // H-LSH runs and all pre-v7 documents.
@@ -760,7 +672,6 @@ mod tests {
             },
             sharding: None,
             serving: None,
-            kernels: None,
             phase1: None,
         }
     }
@@ -778,18 +689,6 @@ mod tests {
             qps: 66.5,
             p50_micros: 180,
             p99_micros: 2_400,
-        }
-    }
-
-    fn sample_kernels() -> KernelMetrics {
-        KernelMetrics {
-            dispatch_arm: "avx2".to_string(),
-            used_containers: true,
-            array_containers: 40,
-            bitmap_containers: 3,
-            run_containers: 7,
-            container_bytes: 120_000,
-            raw_bitmap_bytes: 2_000_000,
         }
     }
 
@@ -927,24 +826,6 @@ mod tests {
         ] {
             assert!(serving.get(key).is_some(), "missing serving key {key}");
         }
-        // `kernels` is emitted only by runs that went through the in-memory
-        // verifier; documents without it must not carry the key at all.
-        assert!(metrics.get("kernels").is_none());
-        let mut kernel_metrics = sample_metrics();
-        kernel_metrics.kernels = Some(sample_kernels());
-        let kernel_json = kernel_metrics.to_json();
-        let kernels = kernel_json.get("kernels").unwrap();
-        for key in [
-            "dispatch_arm",
-            "used_containers",
-            "array_containers",
-            "bitmap_containers",
-            "run_containers",
-            "container_bytes",
-            "raw_bitmap_bytes",
-        ] {
-            assert!(kernels.get(key).is_some(), "missing kernels key {key}");
-        }
         // `phase1` is emitted only by runs that built a sketch; documents
         // without it must not carry the key at all.
         assert!(metrics.get("phase1").is_none());
@@ -987,24 +868,43 @@ mod tests {
     }
 
     #[test]
-    fn kernel_metrics_round_trip() {
-        let mut metrics = sample_metrics();
-        metrics.kernels = Some(sample_kernels());
-        let json = metrics.to_json().to_string_compact();
-        let back: MiningMetrics = sfa_json::from_str(&json).unwrap();
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
-    fn documents_without_kernels_key_still_parse() {
-        // Pre-v6 documents carry no `kernels` key; it must parse as None,
-        // not error.
+    fn v7_documents_with_a_kernels_object_still_parse() {
+        // Schema v6 and v7 threaded runs wrote a `metrics.kernels` object;
+        // v8 dropped it, and older documents must still parse with the
+        // object ignored.
         let metrics = sample_metrics();
-        let json = metrics.to_json();
-        assert!(json.get("kernels").is_none());
-        let back = MiningMetrics::from_json(&json).unwrap();
-        assert_eq!(back.kernels, None);
-        assert_eq!(back, metrics);
+        let doc = MetricsDocument {
+            schema_version: 7,
+            ..MetricsDocument::new(
+                PipelineConfig::new(Scheme::Mh { k: 4, delta: 0.2 }, 0.5, 1),
+                PhaseTimings::default(),
+                metrics.clone(),
+            )
+        };
+        let kernels = Json::obj()
+            .field("dispatch_arm", "avx2")
+            .field("used_containers", true)
+            .field("array_containers", 40u64)
+            .field("bitmap_containers", 3u64)
+            .field("run_containers", 7u64)
+            .field("container_bytes", 120_000u64)
+            .field("raw_bitmap_bytes", 2_000_000u64);
+        let json = match doc.to_json() {
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| match (k.as_str(), v) {
+                        ("metrics", m) => (k, m.field("kernels", kernels.clone())),
+                        (_, v) => (k, v),
+                    })
+                    .collect(),
+            ),
+            other => other,
+        };
+        assert!(json.get("metrics").unwrap().get("kernels").is_some());
+        let back = MetricsDocument::from_json(&json).unwrap();
+        assert_eq!(back.schema_version, 7);
+        assert_eq!(back.metrics, metrics);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The pipeline driver: signatures → candidates → exact verification.
 //!
-//! Every run mode goes through one of two drivers. The streamed driver,
-//! behind [`Pipeline::run`], [`Pipeline::run_resumable`] and
-//! [`Pipeline::run_sharded`], makes one phase-1 pass over a [`RowStream`],
-//! walks the scheme's bucket index once and verifies the candidates chunk
-//! by chunk; without a [`MemoryBudget`] the one chunk holds every
-//! candidate. The resident driver, behind [`Pipeline::run_pool`], runs
-//! every phase over a table already in memory, on a thread pool.
+//! Every run mode goes through one driver. Its input is *streamed* (a
+//! [`RowStream`] read for phase 1 and once per verified chunk) or
+//! *resident*: a table in memory, the caller's ([`Pipeline::run_pool`]) or
+//! read once from the stream ([`Pipeline::with_threads`]), sketched and
+//! indexed on a pool. Phase 2 walks the bucket index once, and phase 3
+//! counts each chunk of candidates with one block-counter pass over the
+//! stream or the resident row slices, so chunks, spills, checkpoints and
+//! cancellation work the same for both inputs.
 
 use std::borrow::Cow;
 use std::path::PathBuf;
@@ -32,7 +33,7 @@ use crate::report::{MiningResult, PhaseTimings, VerifiedPair};
 use crate::shutdown::{CancelToken, CANCEL_POLL_STRIDE};
 use crate::sigcache::SignatureCache;
 use crate::spill;
-use crate::verify::{verify_candidates_in_memory_pool_with_report, verify_candidates_resumable};
+use crate::verify::{verify_candidates_resumable, verify_table_resumable, VerifyProgress};
 
 /// Seed-derivation labels, so each pipeline component gets an independent
 /// stream from the one root seed.
@@ -74,6 +75,8 @@ fn phase1_provenance(cache_hit: bool, cache_stored: bool) -> Phase1Metrics {
 pub struct Pipeline {
     config: PipelineConfig,
     signature_cache: Option<SignatureCache>,
+    cancel: Option<CancelToken>,
+    threads: Option<usize>,
 }
 
 impl Pipeline {
@@ -83,6 +86,8 @@ impl Pipeline {
         Self {
             config,
             signature_cache: None,
+            cancel: None,
+            threads: None,
         }
     }
 
@@ -98,38 +103,32 @@ impl Pipeline {
         self
     }
 
+    /// Polls `cancel` in every run over a [`RowStream`]: before phase 1 (a
+    /// checkpointed streamed sketch pass polls per row instead), at every
+    /// chunk boundary, and in phase 3 per streamed row or per 512-row
+    /// resident block. When it fires, a checkpointed pass flushes its
+    /// frontier first and the run returns [`MatrixError::Canceled`].
+    /// [`run_pool`](Self::run_pool) always runs to completion.
+    #[must_use]
+    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
+        self.cancel = Some(cancel);
+        self
+    }
+
+    /// Makes every run over a [`RowStream`] resident: the stream is read
+    /// into memory once and phases 1 and 2 run on `n_threads` workers (`0`
+    /// sizes the pool from the machine). Output is byte-identical to the
+    /// streamed run; a resident run keeps no phase-1 checkpoint.
+    #[must_use]
+    pub fn with_threads(mut self, n_threads: usize) -> Self {
+        self.threads = Some(n_threads);
+        self
+    }
+
     /// The configuration.
     #[must_use]
     pub const fn config(&self) -> &PipelineConfig {
         &self.config
-    }
-
-    /// Phases 1 + 2 only: produce the candidate pairs and the time spent
-    /// in each phase. Exposed separately for experiments that measure the
-    /// candidate set itself.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stream errors.
-    pub fn generate_candidates<S: RowStream>(
-        &self,
-        stream: &mut S,
-    ) -> Result<(Vec<CandidatePair>, PhaseTimings)> {
-        let mut timings = PhaseTimings::default();
-        let t = Instant::now();
-        let (summary, _) = self.streamed_phase1(
-            stream,
-            false,
-            None,
-            &mut RecoveryMetrics::default(),
-            &CancelToken::default(),
-        )?;
-        timings.signatures = t.elapsed();
-        let t = Instant::now();
-        let pool = ThreadPool::new(1);
-        let (candidates, _) = self.generator(&summary, &pool).generate(&pool);
-        timings.candidates = t.elapsed();
-        Ok((candidates, timings))
     }
 
     /// Classifies verified pairs against the `s*` threshold and packs the
@@ -151,170 +150,77 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Propagates stream errors.
-    pub fn run<S: RowStream>(&self, stream: &mut S) -> Result<MiningResult> {
-        self.run_streamed(stream, None, None, &CancelToken::default())
-    }
-
-    /// [`run`](Self::run) with cooperative cancellation: `cancel` is
-    /// polled at the pass boundaries and after every verify-pass row. A
-    /// plain run keeps no on-disk state, so cancellation simply abandons
-    /// the work — use [`run_resumable_with`](Self::run_resumable_with)
-    /// when an interrupted run should leave a resumable frontier.
-    ///
-    /// # Errors
-    ///
     /// Propagates stream errors; returns [`MatrixError::Canceled`] when
-    /// `cancel` fires.
-    pub fn run_with<S: RowStream>(
-        &self,
-        stream: &mut S,
-        cancel: &CancelToken,
-    ) -> Result<MiningResult> {
-        self.run_streamed(stream, None, None, cancel)
+    /// the [`with_cancel`](Self::with_cancel) token fires.
+    pub fn run<S: RowStream>(&self, stream: &mut S) -> Result<MiningResult> {
+        self.run_stream(stream, None, None)
     }
 
-    /// [`run`](Self::run) with checkpoint/resume: both streaming passes
-    /// persist their partial state into `spec.dir` every `spec.every_rows`
-    /// rows (phase 1 checkpoints the signature builder, phase 3 the
-    /// verification frontier), so a rerun after a crash fast-forwards past
-    /// the checkpointed prefix and re-reads only the unprocessed suffix.
+    /// [`run`](Self::run) with checkpoint/resume: both passes persist
+    /// their partial state into `spec.dir` every `spec.every_rows` rows
+    /// (phase 1 checkpoints the signature builder, phase 3 the verification
+    /// frontier), so a rerun after a crash fast-forwards past the
+    /// checkpointed prefix and re-reads only the unprocessed suffix.
     ///
     /// Output is byte-identical to an uninterrupted [`run`](Self::run);
     /// `metrics.recovery` reports how many checkpoints were written and the
     /// row cursor a resumed run continued from. Checkpoints are tied to the
     /// exact `(configuration, table)` pair — stale or mismatched state is
     /// ignored, never resumed into — and are deleted once the run
-    /// completes. The H-LSH scheme materializes the table up front and has
-    /// no incremental phase-1 state, so it checkpoints phase 3 only.
+    /// completes. H-LSH and resident runs (see
+    /// [`with_threads`](Self::with_threads)) keep no phase-1 state, so they
+    /// checkpoint phase 3 only; a streamed run's phase-3 frontier resumes
+    /// under a resident rerun, and the reverse.
+    ///
+    /// Before any work, the checkpoint directory is swept by
+    /// [`durable::recover_dir`]: stray `.tmp` files are deleted and
+    /// corrupt or stale checkpoints quarantined (reported in
+    /// `metrics.recovery`).
     ///
     /// # Errors
     ///
-    /// Propagates stream and checkpoint-IO errors.
+    /// Propagates stream and checkpoint-IO errors; returns
+    /// [`MatrixError::Canceled`] when the token fires.
     pub fn run_resumable<S: RowStream>(
         &self,
         stream: &mut S,
         spec: &CheckpointSpec,
     ) -> Result<MiningResult> {
-        self.run_streamed(stream, None, Some(spec), &CancelToken::default())
+        self.run_stream(stream, None, Some(spec))
     }
 
-    /// [`run_resumable`](Self::run_resumable) with cooperative
-    /// cancellation. `cancel` is polled after every processed row; when it
-    /// fires, the current pass flushes its state to the checkpoint
-    /// directory first and the run returns [`MatrixError::Canceled`] — a
-    /// rerun with the same `spec` resumes from that frontier. This is the
-    /// entry point behind the CLI's graceful `SIGINT`/`SIGTERM` and
-    /// `--deadline-secs` handling (exit code 3).
-    ///
-    /// Before any work, the checkpoint directory is swept by
-    /// [`durable::recover_dir`]: stray `.tmp` files are deleted and
-    /// corrupt or stale checkpoints are quarantined (reported in
-    /// `metrics.recovery`) rather than trusted or fatal.
-    ///
-    /// # Errors
-    ///
-    /// Propagates stream and checkpoint-IO errors; returns
-    /// [`MatrixError::Canceled`] when `cancel` fires.
-    pub fn run_resumable_with<S: RowStream>(
-        &self,
-        stream: &mut S,
-        spec: &CheckpointSpec,
-        cancel: &CancelToken,
-    ) -> Result<MiningResult> {
-        self.run_streamed(stream, None, Some(spec), cancel)
-    }
-
-    /// Parallel in-memory run: every phase of every scheme executes over
-    /// one persistent [`sfa_par::ThreadPool`] — signature computation,
-    /// candidate generation (Hash-Count, Row-Sorting, K-MH overlap, M-LSH
-    /// banding, and H-LSH ladder runs all have pool-parallel kernels), and
-    /// exact verification. Output is byte-identical to [`run`](Self::run)
-    /// for every scheme at every thread count.
-    ///
-    /// `n_threads == 0` sizes the pool from the machine
-    /// (`std::thread::available_parallelism`); the count actually used is
-    /// recorded in `metrics.threads`.
+    /// Parallel in-memory run: phases 1 and 2 of every scheme run on a
+    /// pool of `n_threads` workers (`0` sizes it from the machine;
+    /// `metrics.threads` records the count) and phase 3 counts over the
+    /// table's rows in place. Output is byte-identical to
+    /// [`run`](Self::run) for every scheme at every thread count.
     #[must_use]
     pub fn run_parallel(&self, matrix: &RowMajorMatrix, n_threads: usize) -> MiningResult {
         self.run_pool(matrix, &ThreadPool::new(n_threads))
     }
 
     /// [`run_parallel`](Self::run_parallel) over a caller-owned pool, so
-    /// several runs (e.g. a benchmark sweep) can share one set of workers.
-    ///
-    /// This is the resident driver: phase 1 reads the table in place
-    /// (H-LSH's summary is the table itself, borrowed), phase 2 runs the
-    /// scheme's generator on the pool, and phase 3 verifies against the
-    /// column-major transpose instead of re-scanning rows.
+    /// several runs (e.g. a benchmark sweep) can share one set of workers:
+    /// the driver's resident case without a budget or checkpoint.
     #[must_use]
     pub fn run_pool(&self, matrix: &RowMajorMatrix, pool: &ThreadPool) -> MiningResult {
-        let mut timings = PhaseTimings::default();
-        let mut metrics = MiningMetrics {
-            scheme: self.config.scheme.name().to_owned(),
-            threads: pool.threads() as u64,
-            ..MiningMetrics::default()
-        };
-        let seed = self.sig_seed();
-        let t = Instant::now();
-        let (summary, phase1) = self
-            .cached(matrix.n_rows(), matrix.n_cols(), |sketch| {
-                Ok(match sketch {
-                    Sketch::MinHash(k) => {
-                        Phase1Summary::Sigs(compute_signatures_pool(matrix, k, seed, pool))
-                    }
-                    Sketch::BottomK(k) => {
-                        Phase1Summary::BottomK(compute_bottom_k_pool(matrix, k, seed, pool))
-                    }
-                    Sketch::Table => Phase1Summary::Table(Cow::Borrowed(matrix)),
-                })
-            })
-            .expect("a resident phase 1 reads no stream");
-        timings.signatures = t.elapsed();
-        metrics.phase1 = phase1;
-        metrics.signature_bytes = summary.heap_bytes();
-        let t = Instant::now();
-        let (candidates, stats) = self.generator(&summary, pool).generate(pool);
-        // Phase 3 needs only the table: free the sketch before the transpose.
-        drop(summary);
-        timings.candidates = t.elapsed();
-        metrics.absorb_candidate_stats(stats);
-        metrics.candidates_generated = candidates.len() as u64;
-        let t = Instant::now();
-        let (verified, column_counts, kernel_report) =
-            verify_candidates_in_memory_pool_with_report(&matrix.transpose(), &candidates, pool);
-        timings.verify = t.elapsed();
-        metrics.kernels = Some(kernel_report.into());
-        // Both passes scan the whole in-memory matrix; the in-memory
-        // verifier does not count per-pair probes, so `intersection_work`
-        // stays 0 on this path (use `run` for the full counters).
-        let full_scan = PassMetrics {
-            rows_scanned: u64::from(matrix.n_rows()),
-            nonzeros_scanned: matrix.nnz() as u64,
-        };
-        metrics.signature_pass = full_scan;
-        metrics.verify_pass = full_scan;
-        metrics.verification = self.verification_metrics(&verified, 0);
-        MiningResult {
-            config: self.config,
-            verified,
-            column_counts,
-            timings,
-            metrics,
-        }
+        self.drive(
+            Input::<sfa_matrix::MemoryRowStream>::Resident(matrix, pool),
+            None,
+            None,
+            &CancelToken::default(),
+        )
+        .expect("a resident run with no budget, checkpoint or cancel token cannot fail")
     }
 
     /// Runs the pipeline with its pair-space state capped at
     /// `budget.bytes`, verifying the candidates in chunks and spilling each
     /// chunk's result.
     ///
-    /// Phase 1 makes one streaming pass into the resident summary. Phase 2
-    /// builds the scheme's bucket index from it once and walks the focus
-    /// columns a single time, cutting the candidates into chunks whose
-    /// verify state (64 bytes per candidate) fits the
-    /// budget. Each chunk is verified by one streaming pass over the table
-    /// and its result spilled to `budget.spill_dir` as a checksummed
-    /// `.sfsp` file.
+    /// Phase 2 walks the scheme's bucket index once, cutting the candidates
+    /// into chunks whose verify state (64 bytes per candidate) fits the
+    /// budget. Each chunk is verified by one pass over the table and its
+    /// result spilled to `budget.spill_dir` as a checksummed `.sfsp` file.
     ///
     /// Output is **byte-identical** to [`run`](Self::run): the chunks
     /// partition the candidate list of the unbudgeted generator, stage
@@ -323,61 +229,51 @@ impl Pipeline {
     /// reports the chunk count (`shards`), the single generation pass,
     /// spill volume and the largest chunk's verify state; `metrics`
     /// `index_bytes` the resident bucket index. With `checkpoint` given,
-    /// both streaming passes also checkpoint (resume semantics as
+    /// the passes also checkpoint (resume semantics as
     /// [`run_resumable`](Self::run_resumable)); a rerun rebuilds the index
     /// without reading the table, recounts, and loads every finished
     /// chunk's result by candidate fingerprint, so it rescans at most the
-    /// interrupted chunk.
+    /// interrupted chunk. The spill directory is swept like the checkpoint
+    /// directory.
     ///
     /// # Errors
     ///
-    /// Propagates stream and spill-IO errors, and reports a budget below
-    /// [`MemoryBudget::MIN_BYTES`] as [`MatrixError::DimensionMismatch`].
+    /// Propagates stream and spill-IO errors, reports a budget below
+    /// [`MemoryBudget::MIN_BYTES`] as [`MatrixError::DimensionMismatch`],
+    /// and returns [`MatrixError::Canceled`] when the token fires.
     pub fn run_sharded<S: RowStream>(
         &self,
         stream: &mut S,
         budget: &MemoryBudget,
         checkpoint: Option<&CheckpointSpec>,
     ) -> Result<MiningResult> {
-        self.run_streamed(stream, Some(budget), checkpoint, &CancelToken::default())
+        self.run_stream(stream, Some(budget), checkpoint)
     }
 
-    /// [`run_sharded`](Self::run_sharded) with cooperative cancellation.
-    /// `cancel` is polled at chunk boundaries, after every verify-pass row
-    /// and (with `checkpoint` given) after every phase-1 row; finished
-    /// chunks are already spilled when it fires, so a rerun redoes at most
-    /// the interrupted chunk's scan. Both state directories are swept by
-    /// [`durable::recover_dir`] first — stray `.tmp` files deleted,
-    /// corrupt or stale spills and checkpoints quarantined (reported in
-    /// `metrics.recovery`).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_sharded`](Self::run_sharded); returns
-    /// [`MatrixError::Canceled`] when `cancel` fires.
-    pub fn run_sharded_with<S: RowStream>(
+    /// The driver over a stream, under this pipeline's cancel token.
+    fn run_stream<S: RowStream>(
         &self,
         stream: &mut S,
-        budget: &MemoryBudget,
+        budget: Option<&MemoryBudget>,
         checkpoint: Option<&CheckpointSpec>,
-        cancel: &CancelToken,
     ) -> Result<MiningResult> {
-        self.run_streamed(stream, Some(budget), checkpoint, cancel)
+        let never = CancelToken::default();
+        let cancel = self.cancel.as_ref().unwrap_or(&never);
+        self.drive(
+            Input::Stream(ScanCounter::new(stream)),
+            budget,
+            checkpoint,
+            cancel,
+        )
     }
 
-    /// The streamed driver behind every `run*` entry point that takes a
-    /// [`RowStream`].
-    ///
-    /// Phase 1 is one pass into the resident summary, checkpointed under
-    /// `checkpoint`. Phase 2 is one walk of the scheme's bucket index.
-    /// Phase 3 verifies the walked candidates chunk by chunk, one table
-    /// scan per chunk: without a budget the single chunk holds every
-    /// candidate and nothing is spilled; with one, each chunk holds at most
-    /// `budget.bytes / 64` candidates and its result is spilled, so a rerun
-    /// loads it instead of rescanning.
-    fn run_streamed<S: RowStream>(
+    /// The one driver behind every `run*` entry point (see the module
+    /// docs). Without a budget the single chunk holds every candidate and
+    /// nothing is spilled; with one, each chunk holds at most
+    /// `budget.bytes / 64` candidates and its result is spilled.
+    fn drive<S: RowStream>(
         &self,
-        stream: &mut S,
+        input: Input<'_, S>,
         budget: Option<&MemoryBudget>,
         checkpoint: Option<&CheckpointSpec>,
         cancel: &CancelToken,
@@ -391,7 +287,11 @@ impl Pipeline {
                 ),
             });
         }
-        let key = RunKey::new(&self.config, stream.n_rows(), stream.n_cols());
+        let (n_rows, n_cols) = match &input {
+            Input::Stream(scan) => (scan.n_rows(), scan.n_cols()),
+            Input::Resident(table, _) => (table.n_rows(), table.n_cols()),
+        };
+        let key = RunKey::new(&self.config, n_rows, n_cols);
         let mut recovery = RecoveryMetrics::default();
         let spill_dir = budget.map(|b| b.spill_dir.as_path());
         let checkpoint_dir = checkpoint
@@ -407,62 +307,65 @@ impl Pipeline {
             scheme: self.config.scheme.name().to_owned(),
             ..MiningMetrics::default()
         };
-        let mut scan = ScanCounter::new(&mut *stream);
 
-        // Phase 1. A checkpointed sketch pass polls `cancel` after every
-        // row; any other pass is preceded by one check.
-        if checkpoint.is_none() || matches!(self.config.scheme, Scheme::HLsh { .. }) {
+        // Phase 1. A checkpointed streamed sketch pass polls `cancel` after
+        // every row; any other pass is preceded by one check.
+        let resident = self.threads.is_some() || matches!(input, Input::Resident(..));
+        if resident || checkpoint.is_none() || matches!(self.config.scheme, Scheme::HLsh { .. }) {
             cancel.check()?;
         }
         let t = Instant::now();
-        let (summary, phase1) = self.streamed_phase1(
-            &mut scan,
-            budget.is_some(),
-            checkpoint.map(|spec| (spec, key)),
-            &mut recovery,
-            cancel,
-        )?;
+        // A stream run that asked for workers reads its table once.
+        let (table, workers);
+        let mut input = match (input, self.threads) {
+            (Input::Stream(mut scan), Some(n)) => {
+                table = RowMajorMatrix::from_stream(&mut scan, usize::MAX)?;
+                workers = ThreadPool::new(n);
+                Input::Resident(&table, &workers)
+            }
+            (input, _) => input,
+        };
+        let (summary, phase1) = match &mut input {
+            Input::Stream(scan) => self.streamed_phase1(
+                scan,
+                budget.is_some(),
+                checkpoint.map(|spec| (spec, key)),
+                &mut recovery,
+                cancel,
+            )?,
+            Input::Resident(table, pool) => {
+                let seed = self.sig_seed();
+                self.cached(n_rows, n_cols, |sketch| {
+                    Ok(match sketch {
+                        Sketch::MinHash(k) => {
+                            Phase1Summary::Sigs(compute_signatures_pool(table, k, seed, pool))
+                        }
+                        Sketch::BottomK(k) => {
+                            Phase1Summary::BottomK(compute_bottom_k_pool(table, k, seed, pool))
+                        }
+                        Sketch::Table => Phase1Summary::Table(Cow::Borrowed(*table)),
+                    })
+                })?
+            }
+        };
         timings.signatures = t.elapsed();
         metrics.phase1 = phase1;
         metrics.signature_bytes = summary.heap_bytes();
 
-        // Phases 2 and 3: one walk of the bucket index, verified chunk by
-        // chunk.
-        let t = Instant::now();
-        let generator = self.generator(&summary, &ThreadPool::new(1));
-        let capacity = budget.map_or(usize::MAX, |b| {
-            (b.bytes / VERIFY_BYTES_PER_CANDIDATE as usize).max(1)
-        });
-        let mut walk = generator.stream();
-        timings.candidates = t.elapsed();
-        // Walked candidates not yet verified. A focus column's candidates
-        // are walked whole and split across chunk boundaries as needed.
-        let mut pending = Vec::new();
-        let mut walking = true;
-        let mut chunks = 0usize;
+        // Phase 3, one chunk at a time: a chunk's result is loaded from its
+        // spill, or counted by one pass over the rows (resumed from a
+        // matching checkpoint) and then spilled.
+        let mut verified = Vec::new();
+        let mut column_counts = vec![0u32; n_cols as usize];
+        let mut probes = 0u64;
         let mut spill_bytes = 0u64;
         let mut peak_tracked_bytes = 0u64;
-        let mut verified = Vec::new();
-        let mut column_counts = vec![0u32; scan.n_cols() as usize];
-        let mut probes = 0u64;
-        loop {
-            let t = Instant::now();
-            while walking && pending.len() < capacity {
-                walking = walk.next_column(&mut pending);
-            }
-            // A chunk that takes every pending candidate takes the vector
-            // itself, so an unbudgeted run never copies its candidates.
-            let chunk: Vec<CandidatePair> = if pending.len() <= capacity {
-                std::mem::take(&mut pending)
-            } else {
-                pending.drain(..capacity).collect()
-            };
-            timings.candidates += t.elapsed();
-            // Every run verifies at least one chunk: the pass also counts
-            // the columns.
-            if chunk.is_empty() && chunks > 0 {
-                break;
-            }
+        let one_worker = ThreadPool::new(1);
+        let pool = match &input {
+            Input::Stream(_) => &one_worker,
+            Input::Resident(_, pool) => *pool,
+        };
+        let mut verify_chunk = |index: usize, chunk: Vec<CandidatePair>| -> Result<()> {
             // Chunk boundary: every earlier chunk's result is spilled.
             cancel.check()?;
             metrics.candidates_generated += chunk.len() as u64;
@@ -477,35 +380,40 @@ impl Pipeline {
                 0
             };
             let spilled =
-                budget.and_then(|b| spill::load_group_result(&b.spill_dir, key, chunks, fp));
+                budget.and_then(|b| spill::load_group_result(&b.spill_dir, key, index, fp));
             let (chunk_verified, chunk_counts, chunk_probes) = match spilled {
                 Some(result) => result,
                 None => {
-                    scan.reset()?;
                     let resume = checkpoint.and_then(|spec| checkpoint::load_phase3(spec, key, fp));
                     if let Some(s) = &resume {
                         recovery.resumed_from_row =
                             recovery.resumed_from_row.max(s.progress.rows_done);
                     }
-                    let result = verify_candidates_resumable(
-                        &mut scan,
-                        &chunk,
-                        resume.map(|s| s.progress),
-                        checkpoint.map_or(u64::MAX, |spec| spec.every_rows),
-                        &mut |p| {
-                            if let Some(spec) = checkpoint {
-                                checkpoint::save_phase3(spec, key, fp, p)?;
-                                recovery.checkpoints_written += 1;
-                            }
-                            Ok(())
-                        },
-                        cancel,
-                    )?;
+                    let resume = resume.map(|s| s.progress);
+                    let every_rows = checkpoint.map_or(u64::MAX, |spec| spec.every_rows);
+                    let mut save = |p: &VerifyProgress| {
+                        if let Some(spec) = checkpoint {
+                            checkpoint::save_phase3(spec, key, fp, p)?;
+                            recovery.checkpoints_written += 1;
+                        }
+                        Ok(())
+                    };
+                    let result = match &mut input {
+                        Input::Stream(scan) => {
+                            scan.reset()?;
+                            verify_candidates_resumable(
+                                scan, &chunk, resume, every_rows, &mut save, cancel,
+                            )?
+                        }
+                        Input::Resident(table, _) => verify_table_resumable(
+                            table, &chunk, resume, every_rows, &mut save, cancel,
+                        )?,
+                    };
                     if let Some(b) = budget {
                         spill_bytes += spill::save_group_result(
                             &b.spill_dir,
                             key,
-                            chunks,
+                            index,
                             fp,
                             &result.0,
                             &result.1,
@@ -527,22 +435,83 @@ impl Pipeline {
                 *acc = (*acc).max(*v);
             }
             probes += chunk_probes;
-            chunks += 1;
             timings.verify += t.elapsed();
-        }
-        metrics.absorb_candidate_stats(walk.stats());
+            Ok(())
+        };
+
+        // Phase 2: one walk of the bucket index, built on the run's pool.
+        let t = Instant::now();
+        let generator = self.generator(&summary, pool);
+        metrics.index_bytes = budget.map(|_| generator.index().heap_bytes());
+        let (stats, chunks) = if resident && budget.is_none() {
+            let (candidates, stats) = generator.generate(pool);
+            // Phase 3 needs only the rows: free the summary first.
+            drop(generator);
+            drop(summary);
+            timings.candidates = t.elapsed();
+            verify_chunk(0, candidates)?;
+            (stats, 1)
+        } else {
+            let capacity = budget.map_or(usize::MAX, |b| {
+                (b.bytes / VERIFY_BYTES_PER_CANDIDATE as usize).max(1)
+            });
+            let mut walk = generator.stream();
+            timings.candidates = t.elapsed();
+            // Walked candidates not yet verified. A focus column's candidates
+            // are walked whole and split across chunk boundaries as needed.
+            let mut pending = Vec::new();
+            let mut walking = true;
+            let mut chunks = 0;
+            loop {
+                let t = Instant::now();
+                while walking && pending.len() < capacity {
+                    walking = walk.next_column(&mut pending);
+                }
+                // A chunk that takes every pending candidate takes the
+                // vector itself, so an unbudgeted run never copies them.
+                let chunk: Vec<CandidatePair> = if pending.len() <= capacity {
+                    std::mem::take(&mut pending)
+                } else {
+                    pending.drain(..capacity).collect()
+                };
+                timings.candidates += t.elapsed();
+                // Every run verifies at least one chunk: the pass also
+                // counts the columns.
+                if chunk.is_empty() && chunks > 0 {
+                    break;
+                }
+                verify_chunk(chunks, chunk)?;
+                chunks += 1;
+            }
+            (walk.stats(), chunks)
+        };
+        metrics.absorb_candidate_stats(stats);
         verified.sort_by_key(|p| (p.i, p.j));
 
-        let passes = scan.pass_scans();
-        metrics.signature_pass = passes[0].into();
-        metrics.verify_pass = PassMetrics {
-            rows_scanned: passes[1..].iter().map(|p| p.rows).sum(),
-            nonzeros_scanned: passes[1..].iter().map(|p| p.nonzeros).sum(),
-        };
+        match &input {
+            Input::Stream(scan) => {
+                let passes = scan.pass_scans();
+                metrics.signature_pass = passes[0].into();
+                metrics.verify_pass = PassMetrics {
+                    rows_scanned: passes[1..].iter().map(|p| p.rows).sum(),
+                    nonzeros_scanned: passes[1..].iter().map(|p| p.nonzeros).sum(),
+                };
+            }
+            // A resident table is read once, by phase 1 or by the caller,
+            // and phase 3 counts over it in place: both passes report it.
+            Input::Resident(table, pool) => {
+                let read = PassMetrics {
+                    rows_scanned: u64::from(table.n_rows()),
+                    nonzeros_scanned: table.nnz() as u64,
+                };
+                metrics.signature_pass = read;
+                metrics.verify_pass = read;
+                metrics.threads = pool.threads() as u64;
+            }
+        }
         metrics.verification = self.verification_metrics(&verified, probes);
         metrics.recovery = recovery;
         if let Some(b) = budget {
-            metrics.index_bytes = Some(generator.index().heap_bytes());
             metrics.sharding = Some(ShardingMetrics {
                 memory_budget: b.bytes as u64,
                 shards: chunks as u64,
@@ -681,6 +650,14 @@ impl Pipeline {
             _ => unreachable!("summary kind always matches the scheme"),
         }
     }
+}
+
+/// A run's input rows.
+enum Input<'a, S> {
+    /// Read from a stream: once for phase 1, once per counted chunk.
+    Stream(ScanCounter<&'a mut S>),
+    /// Held in memory, with the pool that sketches and indexes it.
+    Resident(&'a RowMajorMatrix, &'a ThreadPool),
 }
 
 /// What phase 1 builds for a scheme.
@@ -1398,7 +1375,8 @@ mod tests {
     /// Every run mode against `run`, for every scheme, on a table the
     /// MinHash phase 1 folds and on one it walks: the pairs, counts,
     /// phase-2 counters and verdicts must match, and each mode keeps its
-    /// own metrics.
+    /// own metrics. Streamed and resident runs cover the whole budget ×
+    /// checkpoint grid.
     #[test]
     fn every_mode_matches_run_for_every_scheme() {
         every_mode_matches_run(&chunky_matrix(), "chunky");
@@ -1417,6 +1395,7 @@ mod tests {
             let n = plain.metrics.candidates_generated;
             assert!(n >= 7, "{name}: test premise: {n} candidates fill 3 chunks");
             assert_eq!(plain.metrics.scheme, scheme_name);
+            assert_eq!(plain.metrics.threads, 1);
             let same = |r: &MiningResult, mode: &str| {
                 let at = format!("{name} {mode}");
                 assert_eq!(r.verified, plain.verified, "{at}");
@@ -1443,82 +1422,97 @@ mod tests {
                     "{at}"
                 );
             };
-            let streamed = |r: &MiningResult, mode: &str| {
+            // A resident run counts the same rows in one pass per chunk, so
+            // its probes and its one read of the table equal `run`'s.
+            let resident = |r: &MiningResult, mode: &str, threads: usize| {
                 same(r, mode);
-                assert_eq!(r.metrics.threads, 1, "{name} {mode}");
-                assert!(r.metrics.kernels.is_none(), "{name} {mode}");
+                let at = format!("{name} {mode}");
+                assert_eq!(
+                    r.metrics.verification.intersection_work,
+                    plain.metrics.verification.intersection_work,
+                    "{at}: probes"
+                );
+                assert_eq!(r.metrics.verify_pass, plain.metrics.verify_pass, "{at}");
+                assert_eq!(r.metrics.threads, threads as u64, "{at}");
             };
-            let unbudgeted = |r: &MiningResult, mode: &str| {
-                streamed(r, mode);
-                assert!(r.metrics.sharding.is_none(), "{name} {mode}");
-                assert!(r.metrics.index_bytes.is_none(), "{name} {mode}");
-            };
-            let checkpointed = |r: &MiningResult, mode: &str, spec: &CheckpointSpec| {
-                let recovery = &r.metrics.recovery;
-                assert!(recovery.checkpoints_written > 0, "{name} {mode}");
-                assert_eq!(recovery.resumed_from_row, 0, "{name} {mode}");
-                assert_no_state_files(&spec.dir, ".sfcp");
-            };
-            unbudgeted(&plain, "plain");
-
-            let spec = checkpoint_spec(&format!("modes_{table}_{s}")).with_every_rows(16);
-            let resumable = pipeline
-                .run_resumable(&mut MemoryRowStream::new(m), &spec)
-                .unwrap();
-            unbudgeted(&resumable, "resumable");
-            checkpointed(&resumable, "resumable", &spec);
 
             // A roomy budget holds every candidate in one chunk; the
             // minimum holds three per chunk.
-            for (bytes, chunks) in [(1 << 20, 1), (MemoryBudget::MIN_BYTES, n.div_ceil(3))] {
+            let budgets = [
+                None,
+                Some((1 << 20, 1)),
+                Some((MemoryBudget::MIN_BYTES, n.div_ceil(3))),
+            ];
+            for (b, budget) in budgets.into_iter().enumerate() {
                 for with_checkpoint in [false, true] {
-                    let mode = format!("at {bytes} bytes, checkpoint {with_checkpoint}");
-                    let d = spill_dir(&format!("modes-{table}-{s}-{bytes}-{with_checkpoint}"));
-                    let spec = CheckpointSpec::new(d.join("ckpt")).with_every_rows(16);
-                    let sharded = pipeline
-                        .run_sharded(
-                            &mut MemoryRowStream::new(m),
-                            &MemoryBudget::new(bytes, &d),
-                            with_checkpoint.then_some(&spec),
-                        )
+                    for threads in [None, Some(1), Some(2), Some(4)] {
+                        let mode = format!(
+                            "budget {budget:?}, checkpoint {with_checkpoint}, threads {threads:?}"
+                        );
+                        let at = format!("{name} {mode}");
+                        let d = spill_dir(&format!(
+                            "modes-{table}-{s}-{b}-{with_checkpoint}-{}",
+                            threads.unwrap_or(0)
+                        ));
+                        let spec = CheckpointSpec::new(d.join("ckpt")).with_every_rows(16);
+                        let checkpoint = with_checkpoint.then_some(&spec);
+                        let mut p = pipeline.clone();
+                        if let Some(t) = threads {
+                            p = p.with_threads(t);
+                        }
+                        let mut stream = MemoryRowStream::new(m);
+                        let r = match (budget, checkpoint) {
+                            (Some((bytes, _)), ck) => {
+                                p.run_sharded(&mut stream, &MemoryBudget::new(bytes, &d), ck)
+                            }
+                            (None, Some(spec)) => p.run_resumable(&mut stream, spec),
+                            (None, None) => p.run(&mut stream),
+                        }
                         .unwrap();
-                    streamed(&sharded, &mode);
-                    let at = format!("{name} {mode}");
-                    assert!(sharded.metrics.index_bytes.is_some_and(|b| b > 0), "{at}");
-                    let sharding = sharded.metrics.sharding.expect("sharding metrics");
-                    assert_eq!(sharding.shards, chunks, "{at}: chunks");
-                    assert_eq!(sharding.verify_groups, chunks, "{at}: verify groups");
-                    assert_eq!(sharding.generation_passes, 1, "{at}");
-                    assert_eq!(sharding.shard_restarts, 0, "{at}");
-                    assert!(sharding.spill_bytes > 0, "{at}");
-                    assert!(sharding.peak_tracked_bytes <= bytes as u64, "{at}");
-                    assert_no_state_files(&d, ".sfsp");
-                    if with_checkpoint {
-                        checkpointed(&sharded, &mode, &spec);
+                        match threads {
+                            Some(t) => resident(&r, &mode, t),
+                            None => {
+                                same(&r, &mode);
+                                assert_eq!(r.metrics.threads, 1, "{at}");
+                            }
+                        }
+                        match budget {
+                            None => {
+                                assert!(r.metrics.sharding.is_none(), "{at}");
+                                assert!(r.metrics.index_bytes.is_none(), "{at}");
+                            }
+                            Some((bytes, chunks)) => {
+                                assert!(r.metrics.index_bytes.is_some_and(|b| b > 0), "{at}");
+                                let sharding = r.metrics.sharding.expect("sharding metrics");
+                                assert_eq!(sharding.shards, chunks, "{at}: chunks");
+                                assert_eq!(sharding.verify_groups, chunks, "{at}: verify groups");
+                                assert_eq!(sharding.generation_passes, 1, "{at}");
+                                assert_eq!(sharding.shard_restarts, 0, "{at}");
+                                assert!(sharding.spill_bytes > 0, "{at}");
+                                assert!(sharding.peak_tracked_bytes <= bytes as u64, "{at}");
+                                assert_no_state_files(&d, ".sfsp");
+                            }
+                        }
+                        let recovery = &r.metrics.recovery;
+                        assert_eq!(recovery.resumed_from_row, 0, "{at}");
+                        assert_eq!(recovery.checkpoints_written > 0, with_checkpoint, "{at}");
+                        if with_checkpoint {
+                            assert_no_state_files(&spec.dir, ".sfcp");
+                        }
+                        let _ = std::fs::remove_dir_all(&d);
                     }
-                    let _ = std::fs::remove_dir_all(&d);
                 }
             }
 
-            let resident = |r: &MiningResult, mode: &str| {
-                same(r, mode);
-                assert!(r.metrics.kernels.is_some(), "{name} {mode}");
-                assert_eq!(r.metrics.verification.intersection_work, 0, "{name} {mode}");
-                assert!(r.metrics.sharding.is_none(), "{name} {mode}");
-                assert!(r.metrics.index_bytes.is_none(), "{name} {mode}");
-            };
             for pool in &pools {
                 let pooled = pipeline.run_pool(m, pool);
                 let mode = format!("x{}", pool.threads());
-                resident(&pooled, &mode);
-                assert_eq!(
-                    pooled.metrics.threads,
-                    pool.threads() as u64,
-                    "{name} {mode}"
-                );
+                resident(&pooled, &mode, pool.threads());
+                assert!(pooled.metrics.sharding.is_none(), "{name} {mode}");
+                assert!(pooled.metrics.index_bytes.is_none(), "{name} {mode}");
             }
             let auto = pipeline.run_parallel(m, 0);
-            resident(&auto, "auto threads");
+            same(&auto, "auto threads");
             assert!(auto.metrics.threads >= 1, "{name}");
         }
     }

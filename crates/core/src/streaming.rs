@@ -10,12 +10,13 @@
 //!
 //! [`KmhBuilder`]: sfa_minhash::KmhBuilder
 
-use sfa_matrix::{MemoryRowStream, Result, RowMajorMatrix};
+use sfa_matrix::{Result, RowMajorMatrix};
 use sfa_minhash::hashcount::kmh_candidates;
 use sfa_minhash::KmhBuilder;
 
 use crate::report::VerifiedPair;
-use crate::verify::verify_candidates;
+use crate::shutdown::CancelToken;
+use crate::verify::verify_table_resumable;
 
 /// An online miner over an append-only 0/1 table.
 ///
@@ -100,16 +101,24 @@ impl StreamingMiner {
     }
 
     /// Mines the current state: candidates from the sketch, exact
-    /// verification over the rows seen so far, output filtered at `s_star`.
+    /// verification over the rows seen so far (the pipeline's counting
+    /// pass, fed the retained rows in place), output filtered at `s_star`.
     ///
     /// # Errors
     ///
-    /// Propagates (in-memory) stream errors — practically infallible.
+    /// Propagates matrix-construction errors — practically infallible.
     pub fn mine(&self, s_star: f64, delta: f64) -> Result<Vec<VerifiedPair>> {
         let sigs = self.sketch.clone().finish();
         let candidates = kmh_candidates(&sigs, s_star, delta);
         let matrix = RowMajorMatrix::from_rows(self.n_cols, self.rows.clone())?;
-        let (verified, _) = verify_candidates(&mut MemoryRowStream::new(&matrix), &candidates)?;
+        let (verified, _, _) = verify_table_resumable(
+            &matrix,
+            &candidates,
+            None,
+            u64::MAX,
+            &mut |_| Ok(()),
+            &CancelToken::default(),
+        )?;
         let mut out: Vec<VerifiedPair> = verified
             .into_iter()
             .filter(|p| p.similarity >= s_star)
@@ -134,6 +143,7 @@ impl StreamingMiner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfa_matrix::MemoryRowStream;
     use sfa_minhash::compute_bottom_k;
 
     #[test]

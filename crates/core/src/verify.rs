@@ -1,4 +1,4 @@
-//! Phase 3: exact candidate verification in one streaming pass.
+//! Phase 3: exact candidate verification in one pass over the rows.
 //!
 //! "While scanning the table data, maintain for each candidate column-pair
 //! `(c_i, c_j)` the counts of the number of rows having a 1 in at least one
@@ -6,14 +6,21 @@
 //! columns." We count intersections directly and column cardinalities for
 //! the union via `|C_i ∪ C_j| = |C_i| + |C_j| − |C_i ∩ C_j|`.
 //!
-//! Cost model of the streamed pass: one step per 1-entry (its column
-//! count, and a bit in its column's block line if the column belongs to a
-//! candidate), plus one 64-byte AND-popcount per candidate per 512-row
-//! block in which the candidate's smaller column holds a 1. The reported
-//! probe count is Σ over 1-entries of the candidates the entry's column
-//! belongs to — a fixed function of the table and the candidate list.
+//! One counting pass serves every pipeline mode. It reads its rows either
+//! from a [`RowStream`] ([`verify_candidates_resumable`]) or from the row
+//! slices of a table already in memory (`verify_table_resumable`, which the
+//! pipeline's resident runs and [`crate::streaming::StreamingMiner`] use);
+//! both feed the same block counter and the same final assembly, so they
+//! agree on every pair, count and probe.
+//!
+//! Cost model of a pass: one step per 1-entry (its column count, and a bit
+//! in its column's block line if the column belongs to a candidate), plus
+//! one 64-byte AND-popcount per candidate per 512-row block in which the
+//! candidate's smaller column holds a 1. The reported probe count is Σ over
+//! 1-entries of the candidates the entry's column belongs to — a fixed
+//! function of the table and the candidate list.
 
-use sfa_matrix::{MatrixError, Result, RowStream, SparseMatrix};
+use sfa_matrix::{MatrixError, Result, RowMajorMatrix, RowStream, SparseMatrix};
 use sfa_minhash::CandidatePair;
 
 use crate::report::VerifiedPair;
@@ -131,8 +138,8 @@ impl BlockCounter {
 
 /// Assembles the sorted [`VerifiedPair`] list from per-candidate
 /// intersections and per-column counts — the single definition every
-/// verification path (streaming, pooled, in-memory bitmap) funnels
-/// through, so their outputs are identical by construction.
+/// verification path (the counting pass and the container verifier)
+/// funnels through, so their outputs are identical by construction.
 fn assemble_verified(
     candidates: &[CandidatePair],
     intersections: &[u32],
@@ -260,6 +267,118 @@ pub fn verify_candidates_resumable<S: RowStream>(
     cancel: &CancelToken,
 ) -> Result<(Vec<VerifiedPair>, Vec<u32>, u64)> {
     let m = stream.n_cols() as usize;
+    let mut rows = Streamed {
+        stream,
+        buf: Vec::new(),
+    };
+    count_pass(
+        &mut rows,
+        m,
+        candidates,
+        resume,
+        every_rows,
+        on_checkpoint,
+        cancel,
+    )
+}
+
+/// [`verify_candidates_resumable`] over the row slices of a table already
+/// in memory: the same counters, checkpoints and output as a pass over a
+/// stream of `table`, without copying a row. `cancel` is polled once per
+/// 512-row block.
+///
+/// # Errors
+///
+/// As [`verify_candidates_resumable`], minus stream errors.
+///
+/// # Panics
+///
+/// As [`verify_candidates_resumable`].
+pub(crate) fn verify_table_resumable(
+    table: &RowMajorMatrix,
+    candidates: &[CandidatePair],
+    resume: Option<VerifyProgress>,
+    every_rows: u64,
+    on_checkpoint: &mut dyn FnMut(&VerifyProgress) -> Result<()>,
+    cancel: &CancelToken,
+) -> Result<(Vec<VerifiedPair>, Vec<u32>, u64)> {
+    let mut rows = Slices { table, next: 0 };
+    count_pass(
+        &mut rows,
+        table.n_cols() as usize,
+        candidates,
+        resume,
+        every_rows,
+        on_checkpoint,
+        cancel,
+    )
+}
+
+/// Where a counting pass reads its rows.
+trait Rows {
+    /// Whether cancellation is polled after every row; otherwise once per
+    /// block.
+    const POLL_EVERY_ROW: bool;
+
+    /// Skips `count` rows; returns how many there were.
+    fn skip(&mut self, count: u64) -> Result<u64>;
+
+    /// The next row's ascending column ids, or `None` at the end.
+    fn next_row(&mut self) -> Result<Option<&[u32]>>;
+}
+
+/// A stream's rows, read into one reused buffer.
+struct Streamed<'s, S> {
+    stream: &'s mut S,
+    buf: Vec<u32>,
+}
+
+impl<S: RowStream> Rows for Streamed<'_, S> {
+    const POLL_EVERY_ROW: bool = true;
+
+    fn skip(&mut self, count: u64) -> Result<u64> {
+        self.stream.skip_rows(count)
+    }
+
+    fn next_row(&mut self) -> Result<Option<&[u32]>> {
+        Ok(self.stream.read_row(&mut self.buf)?.map(|_| &self.buf[..]))
+    }
+}
+
+/// A resident table's rows, read in place.
+struct Slices<'m> {
+    table: &'m RowMajorMatrix,
+    next: u32,
+}
+
+impl Rows for Slices<'_> {
+    const POLL_EVERY_ROW: bool = false;
+
+    fn skip(&mut self, count: u64) -> Result<u64> {
+        let skipped = count.min(u64::from(self.table.n_rows() - self.next));
+        self.next += skipped as u32;
+        Ok(skipped)
+    }
+
+    fn next_row(&mut self) -> Result<Option<&[u32]>> {
+        if self.next == self.table.n_rows() {
+            return Ok(None);
+        }
+        self.next += 1;
+        Ok(Some(self.table.row(self.next - 1)))
+    }
+}
+
+/// The one counting pass behind both feeders.
+fn count_pass<R: Rows>(
+    rows: &mut R,
+    m: usize,
+    candidates: &[CandidatePair],
+    resume: Option<VerifyProgress>,
+    every_rows: u64,
+    on_checkpoint: &mut dyn FnMut(&VerifyProgress) -> Result<()>,
+    cancel: &CancelToken,
+) -> Result<(Vec<VerifiedPair>, Vec<u32>, u64)> {
     let mut counter = BlockCounter::new(m, candidates);
     let (mut rows_done, mut intersections, mut column_counts, mut probes) = match resume {
         Some(p) => {
@@ -273,7 +392,7 @@ pub fn verify_candidates_resumable<S: RowStream>(
                 m,
                 "resume state belongs to a different table"
             );
-            let skipped = stream.skip_rows(p.rows_done)?;
+            let skipped = rows.skip(p.rows_done)?;
             if skipped != p.rows_done {
                 return Err(MatrixError::DimensionMismatch {
                     detail: format!(
@@ -286,20 +405,28 @@ pub fn verify_candidates_resumable<S: RowStream>(
         }
         None => (0, vec![0u32; candidates.len()], vec![0u32; m], 0u64),
     };
-    let mut buf = Vec::new();
-    let mut cancel = cancel.throttled(CANCEL_POLL_STRIDE);
-    while stream.read_row(&mut buf)?.is_some() {
-        for &col in &buf {
+    // The next row count on the checkpoint cadence, kept instead of a
+    // per-row division.
+    let mut next_checkpoint = (rows_done / every_rows + 1).saturating_mul(every_rows);
+    let mut cancel = cancel.throttled(if R::POLL_EVERY_ROW {
+        CANCEL_POLL_STRIDE
+    } else {
+        1
+    });
+    while let Some(cols) = rows.next_row()? {
+        for &col in cols {
             column_counts[col as usize] += 1;
             probes += counter.set(col, rows_done);
         }
         rows_done += 1;
-        let canceled = cancel.is_canceled();
-        let checkpoint = rows_done % every_rows == 0 || canceled;
-        if checkpoint || rows_done % BLOCK_ROWS == 0 {
+        let block_done = rows_done % BLOCK_ROWS == 0;
+        let canceled = (R::POLL_EVERY_ROW || block_done) && cancel.is_canceled();
+        let checkpoint = rows_done == next_checkpoint || canceled;
+        if checkpoint || block_done {
             counter.flush(&mut intersections);
         }
         if checkpoint {
+            next_checkpoint = next_checkpoint.saturating_add(every_rows);
             on_checkpoint(&VerifyProgress {
                 rows_done,
                 intersections: intersections.clone(),
@@ -316,7 +443,7 @@ pub fn verify_candidates_resumable<S: RowStream>(
     Ok((verified, column_counts, probes))
 }
 
-/// Memory budget for the in-memory fast path: the materialized hybrid
+/// Memory budget for the container verifier: the materialized hybrid
 /// containers for the candidate-touched columns may use at most this
 /// much payload. The charge is the *actual* container bytes
 /// ([`sfa_matrix::HybridColumns::payload_bytes_for_subset`]), not the
@@ -326,8 +453,8 @@ pub fn verify_candidates_resumable<S: RowStream>(
 /// which needs no extra memory.
 const IN_MEMORY_CONTAINER_CAP_BYTES: usize = 256 << 20;
 
-/// What the in-memory verifier's kernel layer did for one run — the
-/// source of the `metrics.kernels` block.
+/// What the container verifier's kernel layer did for one call. The
+/// benchmark's phase-3 probe reads it; no pipeline path produces it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InMemoryKernelReport {
     /// The process-wide kernel arm (`"scalar"` | `"avx2"` | `"neon"`).
@@ -341,7 +468,10 @@ pub struct InMemoryKernelReport {
     pub container: sfa_matrix::ContainerStats,
 }
 
-/// In-memory phase 3: verifies candidates directly against a resident
+/// The container verifier, kept as the benchmark's phase-3 probe: no
+/// pipeline path calls it (every run counts with the block counter).
+///
+/// Verifies candidates directly against a resident
 /// [`SparseMatrix`] (the column-major transpose of the table) instead of
 /// re-scanning rows, dealing candidates out to `pool`'s workers (a
 /// 1-thread pool, or a list under the pool's serial cutoff, runs on the
@@ -692,6 +822,131 @@ mod tests {
             err,
             sfa_matrix::MatrixError::DimensionMismatch { .. }
         ));
+    }
+
+    /// A seeded 9-column table whose column 8 no candidate touches: a
+    /// fifth of the rows empty, the rest at a per-column density.
+    fn drawn_table(n_rows: u32, seed: u64) -> RowMajorMatrix {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let density: Vec<f64> = (0..9).map(|_| rng.gen_range(0.02..0.6)).collect();
+        let rows = (0..n_rows)
+            .map(|_| {
+                if rng.gen_bool(0.2) {
+                    return Vec::new();
+                }
+                (0..9u32)
+                    .filter(|&c| rng.gen_bool(density[c as usize]))
+                    .collect()
+            })
+            .collect();
+        RowMajorMatrix::from_rows(9, rows).unwrap()
+    }
+
+    /// A pass's verified pairs, column counts and probes.
+    type Pass = Result<(Vec<VerifiedPair>, Vec<u32>, u64)>;
+
+    /// A slice pass with the given resume point and cadence, plus every
+    /// checkpoint it wrote.
+    fn slice_pass(
+        m: &RowMajorMatrix,
+        candidates: &[CandidatePair],
+        resume: Option<VerifyProgress>,
+        every_rows: u64,
+        cancel: &CancelToken,
+    ) -> (Pass, Vec<VerifyProgress>) {
+        let mut checkpoints = Vec::new();
+        let out = verify_table_resumable(
+            m,
+            candidates,
+            resume,
+            every_rows,
+            &mut |p| {
+                checkpoints.push(p.clone());
+                Ok(())
+            },
+            cancel,
+        );
+        (out, checkpoints)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// The slice feeder against a column oracle, at row counts around
+        /// the 512-row block edges, with duplicate candidates and an
+        /// untouched column; every checkpoint resumes to the full pass,
+        /// which also equals the streamed pass.
+        #[test]
+        fn slice_feeder_matches_a_column_oracle(seed in proptest::prelude::any::<u64>()) {
+            let candidates: Vec<CandidatePair> = (0..8u32)
+                .flat_map(|i| (i + 1..8).map(move |j| CandidatePair::new(i, j, 0.5)))
+                .chain([CandidatePair::new(0, 1, 0.9), CandidatePair::new(2, 5, 0.1)])
+                .collect();
+            for n_rows in [0, 1, 511, 512, 513, 1537] {
+                let m = drawn_table(n_rows, seed ^ u64::from(n_rows));
+                let columns = m.transpose();
+                let never = CancelToken::default();
+                let (full, none) = slice_pass(&m, &candidates, None, u64::MAX, &never);
+                let full = full.unwrap();
+                proptest::prop_assert!(none.is_empty());
+                let counts: Vec<u32> = (0..9).map(|c| columns.column_count(c) as u32).collect();
+                proptest::prop_assert_eq!(&full.1, &counts);
+                let probes: u64 = candidates
+                    .iter()
+                    .map(|c| u64::from(counts[c.i as usize] + counts[c.j as usize]))
+                    .sum();
+                proptest::prop_assert_eq!(full.2, probes);
+                let mut ids: Vec<(u32, u32)> = candidates.iter().map(|c| (c.i, c.j)).collect();
+                ids.sort_unstable();
+                proptest::prop_assert_eq!(full.0.iter().map(|p| (p.i, p.j)).collect::<Vec<_>>(), ids);
+                for p in &full.0 {
+                    let inter = columns.intersection_size(p.i, p.j) as u32;
+                    proptest::prop_assert_eq!(p.intersection, inter);
+                    proptest::prop_assert_eq!(p.union, counts[p.i as usize] + counts[p.j as usize] - inter);
+                }
+                let streamed =
+                    verify_candidates_with_stats(&mut MemoryRowStream::new(&m), &candidates).unwrap();
+                proptest::prop_assert_eq!(&streamed, &full);
+                for every_rows in [7u64, 300] {
+                    let (out, checkpoints) = slice_pass(&m, &candidates, None, every_rows, &never);
+                    proptest::prop_assert_eq!(&out.unwrap(), &full);
+                    let frontiers: Vec<u64> = checkpoints.iter().map(|p| p.rows_done).collect();
+                    let expected: Vec<u64> =
+                        (1..=u64::from(n_rows) / every_rows).map(|k| k * every_rows).collect();
+                    proptest::prop_assert_eq!(frontiers, expected);
+                    for p in checkpoints {
+                        let (resumed, _) = slice_pass(&m, &candidates, Some(p), every_rows, &never);
+                        proptest::prop_assert_eq!(&resumed.unwrap(), &full);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn canceled_slice_pass_flushes_a_frontier_at_the_first_block_end() {
+        let m = drawn_table(1537, 5);
+        let candidates = vec![CandidatePair::new(0, 1, 0.9), CandidatePair::new(3, 4, 0.2)];
+        let token = CancelToken::new();
+        token.cancel();
+        let (out, checkpoints) = slice_pass(&m, &candidates, None, u64::MAX, &token);
+        assert!(out.unwrap_err().is_canceled());
+        assert_eq!(
+            checkpoints.iter().map(|p| p.rows_done).collect::<Vec<_>>(),
+            vec![512],
+            "a resident pass polls once per 512-row block"
+        );
+        let (resumed, _) = slice_pass(
+            &m,
+            &candidates,
+            checkpoints.into_iter().next(),
+            u64::MAX,
+            &CancelToken::default(),
+        );
+        let full =
+            verify_candidates_with_stats(&mut MemoryRowStream::new(&m), &candidates).unwrap();
+        assert_eq!(resumed.unwrap(), full);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! named `"timing"` (per-run phase seconds, the 1-vs-4-thread speedup
 //! sweep). This tool strips those subtrees from both documents — at any
 //! depth — plus every field named `"dispatch_arm"` (the kernel arm the
-//! host CPU selected, e.g. `"avx2"` vs `"scalar"`, which a pool-mined
-//! `metrics.kernels` block records), and compares what remains, so CI
+//! host CPU selected, e.g. `"avx2"` vs `"scalar"`, which every
+//! `metrics.phase1` block records), and compares what remains, so CI
 //! fails only when deterministic counters (candidates, pairs, histograms,
 //! scan volumes, container tallies) actually change.
 //!

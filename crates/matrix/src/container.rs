@@ -23,8 +23,7 @@
 //! [`HybridColumns`] mirrors the [`crate::bitmap::BitMatrix`] API
 //! (`from_csc[_subset]`, `intersection_size`, `heap_bytes`) so the
 //! in-memory verifier can swap representations under its byte cap, and
-//! [`ContainerStats`] reports what the choice saved — the
-//! `metrics.kernels` block surfaces those counters per run.
+//! [`ContainerStats`] reports what the choice saved.
 
 use crate::bitmap::words_for;
 use crate::csc::SparseMatrix;
@@ -369,8 +368,7 @@ impl HybridColumn {
     }
 }
 
-/// Aggregate container tallies for a built [`HybridColumns`] — the
-/// payload of the `metrics.kernels` block.
+/// Aggregate container tallies for a built [`HybridColumns`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ContainerStats {
     /// Chunks stored as sorted arrays.
@@ -417,7 +415,8 @@ impl HybridColumns {
     }
 
     /// Builds only the listed columns, in the order given; index `t`
-    /// corresponds to `cols[t]`.
+    /// corresponds to `cols[t]`. Only the container verifier, the
+    /// benchmark's phase-3 probe, calls it; no pipeline path does.
     ///
     /// # Panics
     ///
@@ -433,8 +432,8 @@ impl HybridColumns {
     }
 
     /// Payload bytes [`from_csc_subset`](Self::from_csc_subset) would
-    /// allocate, without building anything — the verifier's cap
-    /// pre-pass.
+    /// allocate, without building anything — the container verifier's
+    /// cap pre-pass (the benchmark's probe; no pipeline path calls it).
     #[must_use]
     pub fn payload_bytes_for_subset(matrix: &SparseMatrix, cols: &[u32]) -> usize {
         cols.iter()

@@ -13,20 +13,13 @@
 //! `SFA_KERNEL` pin phase 1 and phase 3 together and `dispatch_arm` in
 //! the metrics describes both.
 //!
-//! Three kernels:
+//! Two kernels:
 //!
 //! * [`min_merge_u64`] — `dst[i] = min(dst[i], src[i])` over unsigned
 //!   64-bit lanes. AVX2 has no unsigned 64-bit min, so the AVX2 arm uses
 //!   the sign-flip trick: XOR both operands with `2^63`, compare with the
 //!   *signed* `vpcmpgtq`, and blend. NEON compares natively (`vcgtq_u64`)
 //!   and selects with `vbslq_u64`.
-//! * [`min_merge_u64_lo32`] — the same merge under the 32-bit
-//!   paper-fidelity precondition (every value is a zero-extended `u32` or
-//!   the `u64::MAX` empty sentinel). Under that precondition a per-32-bit
-//!   lane unsigned min (`vpminud` / `vminq_u32`) computes the exact
-//!   64-bit min — the high half of every non-sentinel lane is zero, and
-//!   the sentinel is all-ones in both halves — so this arm runs one cheap
-//!   instruction where the general arm needs three.
 //! * [`sieve_le`] — the batched K-MH sieve: given one row hash `h` and
 //!   the gathered per-column admission thresholds, emit the indices whose
 //!   threshold `h` does not exceed. Columns rejected here are never
@@ -68,36 +61,6 @@ pub fn min_merge_u64_simd(dst: &mut [u64], src: &[u64]) -> bool {
     assert_eq!(dst.len(), src.len(), "min-merge length mismatch");
     if simd_arm().is_some() {
         simd_min_merge(dst, src);
-        true
-    } else {
-        false
-    }
-}
-
-/// `dst[i] = min(dst[i], src[i])` under the 32-bit mode precondition:
-/// every value in both slices is either `< 2^32` (a zero-extended folded
-/// hash) or `u64::MAX` (the empty-signature sentinel).
-///
-/// The scalar arm is a plain 64-bit min, so the result is correct even if
-/// the precondition is violated — only the SIMD arms rely on it.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn min_merge_u64_lo32(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "min-merge length mismatch");
-    match arm() {
-        KernelArm::Scalar => min_merge_u64_scalar(dst, src),
-        KernelArm::Avx2 | KernelArm::Neon => simd_min_merge_lo32(dst, src),
-    }
-}
-
-/// Forced-SIMD arm of [`min_merge_u64_lo32`]; `false` when the CPU has no
-/// SIMD arm.
-pub fn min_merge_u64_lo32_simd(dst: &mut [u64], src: &[u64]) -> bool {
-    assert_eq!(dst.len(), src.len(), "min-merge length mismatch");
-    if simd_arm().is_some() {
-        simd_min_merge_lo32(dst, src);
         true
     } else {
         false
@@ -146,15 +109,13 @@ pub fn sieve_le_simd(h: u64, thresholds: &[u64], admitted: &mut Vec<u32>) -> boo
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! Sign-flip unsigned-min, `vpminud` 32-bit-mode min, and the
-    //! broadcast-compare sieve. Every function is `unsafe` with
+    //! Sign-flip unsigned-min and the broadcast-compare sieve. Every function is `unsafe` with
     //! `#[target_feature(enable = "avx2")]`; callers in the parent module
     //! only reach these after runtime detection reports AVX2.
 
     use std::arch::x86_64::{
         _mm256_blendv_epi8, _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_loadu_si256,
-        _mm256_min_epu32, _mm256_movemask_pd, _mm256_set1_epi64x, _mm256_storeu_si256,
-        _mm256_xor_si256,
+        _mm256_movemask_pd, _mm256_set1_epi64x, _mm256_storeu_si256, _mm256_xor_si256,
     };
 
     /// The unsigned-compare bias: XOR with `2^63` maps unsigned order
@@ -180,34 +141,6 @@ mod avx2 {
             let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(d, bias), _mm256_xor_si256(s, bias));
             let m = _mm256_blendv_epi8(d, s, gt);
             _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), m);
-            i += 4;
-        }
-        for w in i..n {
-            if src[w] < dst[w] {
-                dst[w] = src[w];
-            }
-        }
-    }
-
-    /// 32-bit-mode min-merge: one `vpminud` per vector. Correct because
-    /// every lane is `[v, 0]` (zero-extended `u32`) or `[~0, ~0]` (the
-    /// sentinel): per-32-bit mins of those shapes reproduce the 64-bit
-    /// min exactly.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and `dst.len() == src.len()`; callers must uphold
-    /// the value-shape precondition.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn min_merge_lo32(dst: &mut [u64], src: &[u64]) {
-        debug_assert_eq!(dst.len(), src.len());
-        let n = dst.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: the guard leaves >= 4 readable/writable words.
-            let d = _mm256_loadu_si256(dst.as_ptr().add(i).cast());
-            let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-            _mm256_storeu_si256(dst.as_mut_ptr().add(i).cast(), _mm256_min_epu32(d, s));
             i += 4;
         }
         for w in i..n {
@@ -257,10 +190,7 @@ mod avx2 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use std::arch::aarch64::{
-        vbslq_u64, vcgtq_u64, vdupq_n_u64, vld1q_u64, vminq_u32, vreinterpretq_u32_u64,
-        vreinterpretq_u64_u32, vst1q_u64,
-    };
+    use std::arch::aarch64::{vbslq_u64, vcgtq_u64, vdupq_n_u64, vld1q_u64, vst1q_u64};
 
     /// # Safety
     ///
@@ -277,35 +207,6 @@ mod neon {
             let s = vld1q_u64(src.as_ptr().add(i));
             // Select `s` in lanes where d > s (unsigned): the min.
             vst1q_u64(dst.as_mut_ptr().add(i), vbslq_u64(vcgtq_u64(d, s), s, d));
-            i += 2;
-        }
-        for w in i..n {
-            if src[w] < dst[w] {
-                dst[w] = src[w];
-            }
-        }
-    }
-
-    /// 32-bit-mode min-merge via `vminq_u32` (see the AVX2 arm for the
-    /// lane-shape argument).
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON and `dst.len() == src.len()`; callers must uphold
-    /// the value-shape precondition.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn min_merge_lo32(dst: &mut [u64], src: &[u64]) {
-        debug_assert_eq!(dst.len(), src.len());
-        let n = dst.len();
-        let mut i = 0usize;
-        while i + 2 <= n {
-            // SAFETY: the guard leaves >= 2 readable/writable words.
-            let d = vreinterpretq_u32_u64(vld1q_u64(dst.as_ptr().add(i)));
-            let s = vreinterpretq_u32_u64(vld1q_u64(src.as_ptr().add(i)));
-            vst1q_u64(
-                dst.as_mut_ptr().add(i),
-                vreinterpretq_u64_u32(vminq_u32(d, s)),
-            );
             i += 2;
         }
         for w in i..n {
@@ -364,23 +265,6 @@ fn simd_min_merge(dst: &mut [u64], src: &[u64]) {
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 fn simd_min_merge(dst: &mut [u64], src: &[u64]) {
-    min_merge_u64_scalar(dst, src);
-}
-
-#[cfg(target_arch = "x86_64")]
-fn simd_min_merge_lo32(dst: &mut [u64], src: &[u64]) {
-    // SAFETY: only reached when `simd_arm()` reported AVX2.
-    unsafe { avx2::min_merge_lo32(dst, src) }
-}
-
-#[cfg(target_arch = "aarch64")]
-fn simd_min_merge_lo32(dst: &mut [u64], src: &[u64]) {
-    // SAFETY: only reached when `simd_arm()` reported NEON.
-    unsafe { neon::min_merge_lo32(dst, src) }
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn simd_min_merge_lo32(dst: &mut [u64], src: &[u64]) {
     min_merge_u64_scalar(dst, src);
 }
 
@@ -449,35 +333,6 @@ mod tests {
             scalar,
             vec![0, 5, 1 << 63, (1 << 63) - 1, u64::MAX, 3, 2, 2]
         );
-    }
-
-    #[test]
-    fn lo32_mode_matches_scalar() {
-        // Values shaped like 32-bit mode: zero-extended u32 or the sentinel.
-        for n in [0, 1, 3, 4, 6, 8, 33, 100] {
-            let shape = |seed: u64| -> Vec<u64> {
-                words(seed, n)
-                    .into_iter()
-                    .map(|w| {
-                        if w % 7 == 0 {
-                            u64::MAX
-                        } else {
-                            w & 0xFFFF_FFFF
-                        }
-                    })
-                    .collect()
-            };
-            let src = shape(11 + n as u64);
-            let mut scalar = shape(23 + n as u64);
-            let mut simd = scalar.clone();
-            let mut dispatched = scalar.clone();
-            min_merge_u64_scalar(&mut scalar, &src);
-            if min_merge_u64_lo32_simd(&mut simd, &src) {
-                assert_eq!(simd, scalar, "n={n}");
-            }
-            min_merge_u64_lo32(&mut dispatched, &src);
-            assert_eq!(dispatched, scalar, "n={n}");
-        }
     }
 
     #[test]

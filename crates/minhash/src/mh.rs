@@ -156,8 +156,8 @@ pub fn compute_signatures_32<S: RowStream>(
     let m = stream.n_cols() as usize;
     let family = sfa_hash::HashFamily::new(k, seed);
     // Column-major work buffer, like MhBuilder's: every value is either a
-    // zero-extended folded u32 or the u64::MAX sentinel, which is exactly
-    // the shape the lo32 kernel arm requires.
+    // zero-extended folded u32 or the u64::MAX sentinel, and the general
+    // 64-bit min-merge is exact on both.
     let mut work = vec![crate::signature::EMPTY_SIGNATURE; k * m];
     let mut row_hashes = vec![0u64; k];
     let mut buf = Vec::new();
@@ -170,7 +170,7 @@ pub fn compute_signatures_32<S: RowStream>(
         }
         for &col in &buf {
             let start = col as usize * k;
-            crate::kernel::min_merge_u64_lo32(&mut work[start..start + k], &row_hashes);
+            crate::kernel::min_merge_u64(&mut work[start..start + k], &row_hashes);
         }
     }
     Ok(SignatureMatrix::from_col_major(k, m, &work))

@@ -1,8 +1,7 @@
 //! Property-based equivalence of the phase-1 signature kernels.
 //!
 //! The scalar min-merge/sieve loops are the semantic floor; the SIMD
-//! arms (sign-flip AVX2 min, `vpminud` 32-bit-mode min, broadcast
-//! sieve) must produce exactly the same bytes on every input — including
+//! arms (sign-flip AVX2 min, broadcast sieve) must produce exactly the same bytes on every input — including
 //! values straddling `2^63`, the `u64::MAX` empty-signature sentinel,
 //! and vector-width remainder tails. On top of the per-kernel checks,
 //! whole signature builds (MH, 32-bit MH, K-MH) over randomly shaped
@@ -23,8 +22,7 @@ use sfa_matrix::kernel::{force, simd_arm, KernelChoice};
 use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
 use sfa_minhash::builder::{KmhBuilder, MhBuilder};
 use sfa_minhash::kernel::{
-    min_merge_u64_lo32_simd, min_merge_u64_scalar, min_merge_u64_simd, sieve_le_scalar,
-    sieve_le_simd,
+    min_merge_u64_scalar, min_merge_u64_simd, sieve_le_scalar, sieve_le_simd,
 };
 use sfa_minhash::mh::compute_signatures_32;
 use sfa_minhash::{compute_bottom_k, compute_signatures};
@@ -37,16 +35,6 @@ static FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// the widths where the vector loop, its tail, and the empty case live.
 fn word_pairs(max_len: usize) -> impl Strategy<Value = Vec<(u64, u64)>> {
     prop::collection::vec((any::<u64>(), any::<u64>()), 0..=max_len)
-}
-
-/// Values shaped like 32-bit signature mode: zero-extended `u32` hashes
-/// or the `u64::MAX` empty sentinel — the precondition `vpminud` needs.
-fn lo32_shape(w: u64) -> u64 {
-    if w.is_multiple_of(7) {
-        u64::MAX
-    } else {
-        w & 0xFFFF_FFFF
-    }
 }
 
 /// A small 0/1 matrix as sorted row sets over `n_cols` columns, mixing
@@ -78,17 +66,6 @@ proptest! {
         min_merge_u64_scalar(&mut scalar, &src);
         if min_merge_u64_simd(&mut simd, &src) {
             prop_assert_eq!(simd, scalar, "SIMD min-merge diverged");
-        }
-    }
-
-    #[test]
-    fn lo32_min_merge_simd_matches_scalar(pairs in word_pairs(300)) {
-        let src: Vec<u64> = pairs.iter().map(|&(_, s)| lo32_shape(s)).collect();
-        let mut scalar: Vec<u64> = pairs.iter().map(|&(d, _)| lo32_shape(d)).collect();
-        let mut simd = scalar.clone();
-        min_merge_u64_scalar(&mut scalar, &src);
-        if min_merge_u64_lo32_simd(&mut simd, &src) {
-            prop_assert_eq!(simd, scalar, "lo32 SIMD min-merge diverged");
         }
     }
 

@@ -112,7 +112,8 @@ pub struct Server {
     listener: TcpListener,
     store: SnapshotStore,
     stats: ServerStats,
-    base: Vec<Vec<u32>>,
+    /// Rows of the base table; the miner holds the rows themselves.
+    base_rows: usize,
     ingest: Mutex<IngestState>,
     /// The live sketch across epochs: rebuilds fold only newly ingested
     /// rows into it (`O(Δ·k)`) instead of re-sketching the full table.
@@ -173,10 +174,13 @@ impl Server {
             Some(log) => log.replay()?,
             None => Vec::new(),
         };
-        let base_rows: Vec<Vec<u32>> = base.rows().map(|(_, cols)| cols.to_vec()).collect();
-        let mut all = base_rows.clone();
-        all.extend(replayed.iter().cloned());
-        let miner = StreamingMiner::from_rows(n_cols, config.k, config.seed, &all);
+        let mut miner = StreamingMiner::new(n_cols, config.k, config.seed);
+        for (_, cols) in base.rows() {
+            miner.push_row(cols);
+        }
+        for row in &replayed {
+            miner.push_row(row);
+        }
         let snapshot = Snapshot::build_from_miner(1, &miner, config.s_star, config.delta)?;
         let listener = TcpListener::bind(&config.addr)?;
         let persisted = replayed.len();
@@ -185,7 +189,7 @@ impl Server {
             listener,
             store: SnapshotStore::new(snapshot),
             stats: ServerStats::default(),
-            base: base_rows,
+            base_rows: base.n_rows() as usize,
             ingest: Mutex::new(IngestState {
                 rows: replayed,
                 persisted,
@@ -327,14 +331,14 @@ impl Server {
     fn rebuild_loop(&self, stop: &AtomicBool) {
         let mut built_rows = {
             let st = lock_ingest(&self.ingest);
-            self.base.len() + st.rows.len()
+            self.base_rows + st.rows.len()
         };
         let mut epoch = 1u64;
         while !stop.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(15));
             let ingested: Vec<Vec<u32>> = {
                 let st = lock_ingest(&self.ingest);
-                if self.base.len() + st.rows.len() == built_rows {
+                if self.base_rows + st.rows.len() == built_rows {
                     continue;
                 }
                 st.rows.clone()
@@ -354,7 +358,7 @@ impl Server {
                 // Only the rebuild loop takes this lock after startup,
                 // so holding it across the build contends with no one.
                 let mut miner = lock_miner(&self.miner);
-                let folded = miner.n_rows() as usize - self.base.len();
+                let folded = miner.n_rows() as usize - self.base_rows;
                 for row in &ingested[folded..] {
                     miner.push_row(row);
                 }
@@ -362,7 +366,7 @@ impl Server {
             };
             match built {
                 Ok(snapshot) => {
-                    built_rows = self.base.len() + ingested.len();
+                    built_rows = self.base_rows + ingested.len();
                     self.store.swap(snapshot);
                     self.stats.swapped();
                 }
@@ -542,7 +546,7 @@ fn execute(req: &Request, ctx: &Ctx<'_>) -> (String, bool) {
                 let st = lock_ingest(&server.ingest);
                 (st.rows.len(), st.persisted)
             };
-            let rows = server.base.len() + acked;
+            let rows = server.base_rows + acked;
             (
                 format!(
                     "OK epoch={} rows={rows} cols={} pairs={} inflight={}\n",
@@ -561,7 +565,7 @@ fn execute(req: &Request, ctx: &Ctx<'_>) -> (String, bool) {
             let row_id = {
                 let mut st = lock_ingest(&server.ingest);
                 st.rows.push(cols.clone());
-                server.base.len() + st.rows.len() - 1
+                server.base_rows + st.rows.len() - 1
             };
             server.stats.ingested(1);
             (format!("OK {row_id}\n"), false)

@@ -27,17 +27,14 @@
 //! `--max-retries` wraps the input in a
 //! [`RetryingRowStream`] so transient IO errors are absorbed;
 //! `--checkpoint-dir` makes `mine` crash-safe via
-//! [`Pipeline::run_resumable`]. `--threads N` runs the in-memory parallel
-//! pipeline over a worker pool (`0` sizes it from the machine); it is
-//! incompatible with the streaming-only `--checkpoint-dir`/`--max-retries`
-//! options, and the output is byte-identical to the sequential run.
-//! `--memory-budget BYTES` runs the budgeted out-of-core pipeline
-//! ([`Pipeline::run_sharded`]): pair-space state is capped at the budget,
-//! candidates are verified in chunks whose results spill to disk (into
-//! `--checkpoint-dir` when given,
-//! a per-process temp directory otherwise), and the output is again
-//! byte-identical. It composes with `--checkpoint-dir`/`--max-retries`
-//! but not with the in-memory `--threads`.
+//! [`Pipeline::run_resumable`]. `--memory-budget BYTES` runs the budgeted
+//! out-of-core pipeline ([`Pipeline::run_sharded`]): pair-space state is
+//! capped at the budget, candidates are verified in chunks whose results
+//! spill to disk (into `--checkpoint-dir` when given, a per-process temp
+//! directory otherwise). `--threads N` reads the input into memory once
+//! and sketches and indexes it on a worker pool (`0` sizes it from the
+//! machine; [`Pipeline::with_threads`]). Every flag composes with every
+//! other, and the pairs are byte-identical in every combination.
 //! `--signature-cache DIR` persists phase-1 sketches (keyed on scheme
 //! kind, `k`, seed, and table shape) so repeated mines over the same
 //! table skip the signature pass; it composes with every execution mode
@@ -185,11 +182,12 @@ Every subcommand also accepts --kernel auto|scalar|simd (default auto;
 env SFA_KERNEL=scalar): pins the word-count kernel dispatch arm. auto
 picks AVX2/NEON when the CPU has it; simd errors when it does not.
 Output is byte-identical across arms — the option only affects speed.
-Parallelism: --threads N runs the in-memory parallel pipeline (N workers;
-0 = size from the machine). Output is identical to the sequential run.
+Parallelism: --threads N reads the input into memory once and runs phases
+1 and 2 on N workers (0 = size from the machine).
 Memory: --memory-budget BYTES caps pair-space state, verifying candidates
-in chunks and spilling each chunk's result to disk; output is identical to an
-unbudgeted run. Composes with --checkpoint-dir, not with --threads.
+in chunks and spilling each chunk's result to disk.
+Every mine flag composes with every other; the pairs are identical in
+every combination.
 Caching: --signature-cache DIR reuses phase-1 sketches (MH/K-MH) across
 mines keyed on scheme kind, k, seed, and table shape; use one directory
 per dataset. Corrupt entries are quarantined and recomputed; metrics
@@ -497,26 +495,19 @@ fn mine_err(e: crate::matrix::MatrixError, resumable: bool) -> CliError {
 }
 
 /// Runs `mine`'s pipeline over a stream, with or without a checkpoint dir
-/// and/or a memory budget, polling `cancel` at safe points.
+/// and a memory budget.
 fn mine_run<S: RowStream>(
-    config: PipelineConfig,
+    pipeline: Pipeline,
     stream: &mut S,
     checkpoint: Option<&CheckpointSpec>,
     budget: Option<&MemoryBudget>,
-    sig_cache: Option<&str>,
-    cancel: &CancelToken,
 ) -> Result<crate::core::MiningResult, CliError> {
-    let mut pipeline = Pipeline::new(config);
-    if let Some(dir) = sig_cache {
-        pipeline = pipeline.with_signature_cache(dir);
-    }
-    let resumable = checkpoint.is_some();
     match (budget, checkpoint) {
-        (Some(b), ck) => pipeline.run_sharded_with(stream, b, ck, cancel),
-        (None, Some(spec)) => pipeline.run_resumable_with(stream, spec, cancel),
-        (None, None) => pipeline.run_with(stream, cancel),
+        (Some(b), ck) => pipeline.run_sharded(stream, b, ck),
+        (None, Some(spec)) => pipeline.run_resumable(stream, spec),
+        (None, None) => pipeline.run(stream),
     }
-    .map_err(|e| mine_err(e, resumable))
+    .map_err(|e| mine_err(e, checkpoint.is_some()))
 }
 
 /// Parses `--deadline-secs` into a wall-clock budget. `0` is legal (cancel
@@ -576,27 +567,8 @@ fn cmd_mine(args: &Args) -> Result<String, CliError> {
         .get("checkpoint-dir")
         .map(|dir| CheckpointSpec::new(dir).with_every_rows(every_rows));
     let threads = parse_threads(args)?;
-    if threads.is_some() && (checkpoint.is_some() || max_retries > 0) {
-        return Err(CliError::Usage(
-            "--threads is incompatible with the streaming-only \
-             --checkpoint-dir/--max-retries options"
-                .into(),
-        ));
-    }
     let budget = parse_memory_budget(args, checkpoint.as_ref())?;
-    if threads.is_some() && budget.is_some() {
-        return Err(CliError::Usage(
-            "--threads is incompatible with the out-of-core --memory-budget option".into(),
-        ));
-    }
     let deadline = parse_deadline(args)?;
-    if threads.is_some() && deadline.is_some() {
-        return Err(CliError::Usage(
-            "--deadline-secs needs the streaming pipeline's cancellation \
-             points and is incompatible with --threads"
-                .into(),
-        ));
-    }
     let sig_cache = args.get("signature-cache");
     let scheme = scheme_from_args(args)?;
     let config = PipelineConfig::new(scheme, s_star, seed);
@@ -608,36 +580,27 @@ fn cmd_mine(args: &Args) -> Result<String, CliError> {
     if let Some(budget) = deadline {
         cancel = cancel.with_deadline(budget);
     }
-    let result = if let Some(n) = threads {
-        let matrix = RowMajorMatrix::from_stream(&mut stream, usize::MAX).map_err(io_err)?;
-        let mut pipeline = Pipeline::new(config);
-        if let Some(dir) = sig_cache {
-            pipeline = pipeline.with_signature_cache(dir);
-        }
-        pipeline.run_parallel(&matrix, n)
-    } else if max_retries > 0 {
+    let mut pipeline = Pipeline::new(config).with_cancel(cancel);
+    if let Some(dir) = sig_cache {
+        pipeline = pipeline.with_signature_cache(dir);
+    }
+    if let Some(n) = threads {
+        pipeline = pipeline.with_threads(n);
+    }
+    let result = if max_retries > 0 {
         let mut retrying = RetryingRowStream::new(stream, max_retries);
         let mut result = mine_run(
-            config,
+            pipeline,
             &mut retrying,
             checkpoint.as_ref(),
             budget.as_ref(),
-            sig_cache,
-            &cancel,
         )?;
         let stats = retrying.stats();
         result.metrics.recovery.transient_errors_retried += stats.retries;
         result.metrics.recovery.rows_refetched += stats.rows_refetched;
         result
     } else {
-        mine_run(
-            config,
-            &mut stream,
-            checkpoint.as_ref(),
-            budget.as_ref(),
-            sig_cache,
-            &cancel,
-        )?
+        mine_run(pipeline, &mut stream, checkpoint.as_ref(), budget.as_ref())?
     };
     // An ephemeral spill directory (no --checkpoint-dir) has served its
     // purpose once the run completes; run_sharded already removed the
@@ -849,6 +812,8 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
         cancel = cancel.with_deadline(budget);
     }
     let server = crate::serve::Server::bind(config, &matrix).map_err(io_err)?;
+    // The server keeps its own copy of the rows.
+    drop(matrix);
     let bound = server.local_addr().map_err(io_err)?;
     // The harness reads the bound address (port 0 support) before sending
     // traffic, so it must hit stdout before the blocking run.
@@ -1428,7 +1393,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_rejects_bad_values_and_streaming_conflicts() {
+    fn threads_flag_rejects_bad_values() {
         // All of these are usage errors (exit 2) and must be detected
         // before the (nonexistent) input is opened.
         for bad in [
@@ -1440,28 +1405,6 @@ mod tests {
                 "mh",
                 "--threads",
                 "NaN",
-            ],
-            vec![
-                "mine",
-                "--input",
-                "/nonexistent/no.sfab",
-                "--scheme",
-                "mh",
-                "--threads",
-                "2",
-                "--checkpoint-dir",
-                "/nonexistent/ckpt",
-            ],
-            vec![
-                "mine",
-                "--input",
-                "/nonexistent/no.sfab",
-                "--scheme",
-                "mh",
-                "--threads",
-                "2",
-                "--max-retries",
-                "3",
             ],
             vec![
                 "sketch",
@@ -1481,7 +1424,7 @@ mod tests {
     }
 
     #[test]
-    fn memory_budget_flag_rejects_bad_values_and_threads_conflict() {
+    fn memory_budget_flag_rejects_bad_values() {
         // Usage errors (exit 2), detected before the nonexistent input is
         // opened.
         for bad in [
@@ -1502,17 +1445,6 @@ mod tests {
                 "mh",
                 "--memory-budget",
                 "64",
-            ],
-            vec![
-                "mine",
-                "--input",
-                "/nonexistent/no.sfab",
-                "--scheme",
-                "mh",
-                "--memory-budget",
-                "1048576",
-                "--threads",
-                "2",
             ],
         ] {
             let err = dispatch(&strs(&bad)).unwrap_err();
@@ -1705,7 +1637,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_flag_rejects_bad_values_and_threads_conflict() {
+    fn deadline_flag_rejects_bad_values() {
         // Usage errors (exit 2), detected before the nonexistent input is
         // opened.
         for bad in [
@@ -1736,21 +1668,67 @@ mod tests {
                 "--deadline-secs",
                 "inf",
             ],
-            vec![
-                "mine",
-                "--input",
-                "/nonexistent/no.sfab",
-                "--scheme",
-                "mh",
-                "--deadline-secs",
-                "5",
-                "--threads",
-                "2",
-            ],
         ] {
             let err = dispatch(&strs(&bad)).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{bad:?} → {err:?}");
         }
+    }
+
+    #[test]
+    fn threads_compose_with_every_formerly_rejected_flag() {
+        let table = tmp("threads_compose.sfab");
+        dispatch(&strs(&[
+            "gen",
+            "--kind",
+            "weblog",
+            "--out",
+            table.to_str().unwrap(),
+            "--scale",
+            "tiny",
+        ]))
+        .unwrap();
+        let ckpt = tmp("threads_compose_ckpt");
+        std::fs::remove_dir_all(&ckpt).ok();
+        let base = [
+            "mine",
+            "--input",
+            table.to_str().unwrap(),
+            "--scheme",
+            "mh",
+            "--threshold",
+            "0.7",
+            "--k",
+            "40",
+        ];
+        let pairs = |s: &str| s.lines().skip(1).map(str::to_owned).collect::<Vec<_>>();
+        let plain = pairs(&dispatch(&strs(&base)).unwrap());
+        assert!(!plain.is_empty(), "no pairs mined");
+        let ckpt_dir = ckpt.to_str().unwrap();
+        for extra in [
+            vec!["--memory-budget", "4096"],
+            vec!["--checkpoint-dir", ckpt_dir],
+            vec!["--memory-budget", "4096", "--checkpoint-dir", ckpt_dir],
+            vec!["--max-retries", "2"],
+            vec!["--deadline-secs", "3600"],
+        ] {
+            let mut argv = base.to_vec();
+            argv.extend(["--threads", "2"]);
+            argv.extend(&extra);
+            let out = dispatch(&strs(&argv)).unwrap();
+            assert_eq!(pairs(&out), plain, "--threads 2 {extra:?}");
+        }
+        // An expired deadline cancels a threaded run at its first safe
+        // point; rerunning without it completes with the plain pairs.
+        let mut argv = base.to_vec();
+        argv.extend(["--threads", "2", "--checkpoint-dir", ckpt_dir]);
+        let mut expired = argv.clone();
+        expired.extend(["--deadline-secs", "0"]);
+        let err = dispatch(&strs(&expired)).unwrap_err();
+        assert_eq!(err.exit_code(), 3, "{err:?}");
+        assert!(err.message().contains("deadline"), "{err:?}");
+        assert_eq!(pairs(&dispatch(&strs(&argv)).unwrap()), plain);
+        std::fs::remove_dir_all(&ckpt).ok();
+        std::fs::remove_file(&table).ok();
     }
 
     #[test]

@@ -91,7 +91,8 @@ fn state_fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
     let budget = MemoryBudget::new(MemoryBudget::MIN_BYTES, &dir);
     let config = PipelineConfig::new(Scheme::Mh { k: 32, delta: 0.2 }, 0.1, 42);
     let err = Pipeline::new(config)
-        .run_sharded_with(&mut stream, &budget, Some(&spec), &token)
+        .with_cancel(token)
+        .run_sharded(&mut stream, &budget, Some(&spec))
         .unwrap_err();
     assert!(err.is_canceled(), "fixture run must cancel, got {err}");
 

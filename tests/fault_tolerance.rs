@@ -265,3 +265,143 @@ fn retry_and_checkpointing_compose_over_one_flaky_stream() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn resident_run_over_a_retrying_faulty_stream_equals_a_clean_run() {
+    let (path, config) = fixture("resident_retry.sfab", 43);
+    let clean = Pipeline::new(config)
+        .run(&mut FileRowStream::open(&path).unwrap())
+        .unwrap();
+
+    let faulty = FaultyRowStream::new(
+        FileRowStream::open(&path).unwrap(),
+        FaultConfig {
+            seed: 7,
+            transient_per_mille: 5,
+            transient_at_rows: vec![0, 999],
+            ..FaultConfig::default()
+        },
+    );
+    let mut retrying = RetryingRowStream::new(faulty, 4);
+    let resident = Pipeline::new(config)
+        .with_threads(2)
+        .run(&mut retrying)
+        .unwrap();
+    assert!(retrying.stats().retries >= 2, "{:?}", retrying.stats());
+    assert_eq!(resident.verified, clean.verified);
+    assert_eq!(resident.column_counts, clean.column_counts);
+    assert_eq!(resident.metrics.threads, 2);
+    assert_eq!(
+        resident.metrics.verification.intersection_work,
+        clean.metrics.verification.intersection_work
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn resident_rerun_resumes_a_streamed_phase3_frontier() {
+    let (path, config) = fixture("resident_resume.sfab", 47);
+    let clean = Pipeline::new(config)
+        .run(&mut FileRowStream::open(&path).unwrap())
+        .unwrap();
+
+    let dir = tmp("resident_resume_ckpt");
+    std::fs::remove_dir_all(&dir).ok();
+    let spec = CheckpointSpec::new(dir.clone()).with_every_rows(256);
+
+    // A streamed run killed at row 1200 of its verify pass, after the
+    // phase-3 frontier at row 1024 was written.
+    let mut doomed = FaultyRowStream::new(
+        FileRowStream::open(&path).unwrap(),
+        FaultConfig {
+            fatal_at_row: Some(1200),
+            fatal_in_pass: Some(1),
+            ..FaultConfig::default()
+        },
+    );
+    Pipeline::new(config)
+        .run_resumable(&mut doomed, &spec)
+        .unwrap_err();
+    assert!(spec.dir.join("phase3.sfcp").exists());
+
+    // A resident rerun finds the same candidates, so it counts on from
+    // the streamed run's frontier.
+    let resumed = Pipeline::new(config)
+        .with_threads(2)
+        .run_resumable(&mut FileRowStream::open(&path).unwrap(), &spec)
+        .unwrap();
+    assert_eq!(resumed.metrics.recovery.resumed_from_row, 1024);
+    assert_eq!(resumed.verified, clean.verified);
+    assert_eq!(resumed.column_counts, clean.column_counts);
+    assert_eq!(
+        resumed.metrics.verification.intersection_work,
+        clean.metrics.verification.intersection_work
+    );
+    assert!(!spec.dir.join("phase1.sfcp").exists());
+    assert!(!spec.dir.join("phase3.sfcp").exists());
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn resident_rerun_finishes_a_streamed_sharded_run_from_its_spills() {
+    let (path, config) = fixture("resident_spills.sfab", 53);
+    let clean = Pipeline::new(config)
+        .run(&mut FileRowStream::open(&path).unwrap())
+        .unwrap();
+    let dir = tmp("resident_spills_state");
+    std::fs::remove_dir_all(&dir).ok();
+    let budget = MemoryBudget::new(4 * MemoryBudget::MIN_BYTES, dir.join("spill"));
+    let fresh = Pipeline::new(config)
+        .with_threads(2)
+        .run_sharded(
+            &mut FileRowStream::open(&path).unwrap(),
+            &MemoryBudget::new(budget.bytes, dir.join("fresh")),
+            None,
+        )
+        .unwrap();
+    let fresh_sharding = fresh.metrics.sharding.expect("sharding metrics");
+    assert!(
+        fresh_sharding.shards >= 3,
+        "test premise: {fresh_sharding:?}"
+    );
+
+    // A streamed run killed as the third chunk's scan (pass 3) starts:
+    // chunks 0 and 1 are verified and spilled.
+    let mut doomed = FaultyRowStream::new(
+        FileRowStream::open(&path).unwrap(),
+        FaultConfig {
+            fatal_at_row: Some(0),
+            fatal_in_pass: Some(3),
+            ..FaultConfig::default()
+        },
+    );
+    Pipeline::new(config)
+        .run_sharded(&mut doomed, &budget, None)
+        .unwrap_err();
+    let spilled: u64 = std::fs::read_dir(&budget.spill_dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sfsp"))
+        .map(|p| std::fs::metadata(p).unwrap().len())
+        .sum();
+    assert!(spilled > 0);
+
+    // The resident rerun cuts the same chunks, loads the two spilled ones
+    // and writes only the rest.
+    let resumed = Pipeline::new(config)
+        .with_threads(2)
+        .run_sharded(&mut FileRowStream::open(&path).unwrap(), &budget, None)
+        .unwrap();
+    assert_eq!(resumed.verified, clean.verified);
+    assert_eq!(resumed.column_counts, clean.column_counts);
+    let sharding = resumed.metrics.sharding.expect("sharding metrics");
+    assert_eq!(sharding.shards, fresh_sharding.shards);
+    assert_eq!(sharding.spill_bytes, fresh_sharding.spill_bytes - spilled);
+    assert_eq!(
+        resumed.metrics.verification.intersection_work,
+        clean.metrics.verification.intersection_work
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&path).ok();
+}
