@@ -1719,6 +1719,10 @@ mod tests {
         }
         // An expired deadline cancels a threaded run at its first safe
         // point; rerunning without it completes with the plain pairs.
+        let mut expired = base.to_vec();
+        expired.extend(["--threads", "2", "--deadline-secs", "0"]);
+        let err = dispatch(&strs(&expired)).unwrap_err();
+        assert_eq!(err.exit_code(), 3, "{err:?}");
         let mut argv = base.to_vec();
         argv.extend(["--threads", "2", "--checkpoint-dir", ckpt_dir]);
         let mut expired = argv.clone();
