@@ -325,7 +325,7 @@ impl Pipeline {
             }
             (input, _) => input,
         };
-        let (summary, phase1) = match &mut input {
+        let (mut summary, phase1) = match &mut input {
             Input::Stream(scan) => self.streamed_phase1(
                 scan,
                 budget.is_some(),
@@ -441,7 +441,7 @@ impl Pipeline {
 
         // Phase 2: one walk of the bucket index, built on the run's pool.
         let t = Instant::now();
-        let generator = self.generator(&summary, pool);
+        let generator = self.generator(&mut summary, pool);
         metrics.index_bytes = budget.map(|_| generator.index().heap_bytes());
         let (stats, chunks) = if resident && budget.is_none() {
             let (candidates, stats) = generator.generate(pool);
@@ -606,8 +606,15 @@ impl Pipeline {
     }
 
     /// The configured scheme's phase 2 over the phase-1 summary, its index
-    /// built on `pool`: the one place a scheme picks its generator.
-    fn generator<'s>(&self, summary: &'s Phase1Summary<'_>, pool: &ThreadPool) -> CandidateGen<'s> {
+    /// built on `pool`: the one place a scheme picks its generator. H-LSH's
+    /// index keeps no reference to its table, so a table the run read
+    /// itself is freed here, before the walk: phase 3 re-reads the stream.
+    /// A resident run's phase 3 reads the borrowed table, which stays.
+    fn generator<'s>(
+        &self,
+        summary: &'s mut Phase1Summary<'_>,
+        pool: &ThreadPool,
+    ) -> CandidateGen<'s> {
         let cfg = &self.config;
         let lsh_seed = sfa_hash::family::derive_seed(cfg.seed, purpose::LSH);
         match (cfg.scheme, summary) {
@@ -645,7 +652,12 @@ impl Pipeline {
                     include_zero_keys: false,
                     seed: lsh_seed,
                 };
-                hlsh_generator(table, &params, pool)
+                let generator = hlsh_generator(table, &params, pool);
+                if let Cow::Owned(read) = table {
+                    *read = RowMajorMatrix::from_rows(0, Vec::new())
+                        .expect("a table of no rows is valid");
+                }
+                generator
             }
             _ => unreachable!("summary kind always matches the scheme"),
         }

@@ -21,7 +21,9 @@
 //! * [`hlsh`] — **H-LSH** (§4.2): the density ladder `M_0, M_1, …` (each
 //!   level ORs random row pairs of the previous), per-level density gating
 //!   into `(1/t, (t−1)/t)`, and `r`-row sampled bit-pattern hashing,
-//!   repeated `l` times per level.
+//!   repeated `l` times per level. No level is materialized: the base rows
+//!   are laid out in the pairing tree's leaf order, where every level-`L`
+//!   row is an aligned block of `2^L` base rows.
 //! * [`online`] — the §4 online/interruptible mode: iterations stream out
 //!   newly found pairs with a running recall estimate, so "the user can
 //!   monitor the progress of the algorithm and interrupt the process at
@@ -37,7 +39,7 @@ pub mod optimize;
 pub use filter::{p_filter, q_filter};
 pub use hlsh::{
     hlsh_candidates, hlsh_candidates_with_stats, hlsh_candidates_with_stats_pool, hlsh_generator,
-    DensityLadder, HLshParams,
+    HLshParams,
 };
 pub use mlsh::{
     mlsh_candidates, mlsh_candidates_with_stats, mlsh_candidates_with_stats_pool, mlsh_generator,

@@ -33,7 +33,7 @@
 //!   and bounded-retry recovery ([`fault::RetryingRowStream`]) for testing
 //!   and surviving transient IO failures mid-pass.
 //! * [`ops`] — transpose, support pruning, row sampling, and the random
-//!   row-pairing OR-fold that builds the H-LSH density ladder (§4.2).
+//!   row-pairing OR-fold that defines the H-LSH density ladder (§4.2).
 //! * [`stats`] — exact all-pairs similarity (the paper's offline
 //!   brute-force ground truth), similarity histograms (Fig. 3), density
 //!   statistics and the average similarity `S̄` appearing in the §3.1

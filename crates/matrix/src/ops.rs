@@ -1,5 +1,7 @@
 //! Whole-matrix operations: support pruning, column/row selection, and the
-//! random row-pairing OR-fold used by the H-LSH density ladder (§4.2).
+//! random row-pairing OR-fold that defines the H-LSH density ladder (§4.2).
+//! H-LSH draws the pairings and reads each level as blocks of base rows;
+//! the fold itself is the reference its tests check against.
 
 use crate::csc::SparseMatrix;
 use crate::csr::RowMajorMatrix;
