@@ -53,6 +53,7 @@ pub mod cluster;
 pub mod confidence;
 pub mod config;
 pub mod durable;
+mod layouts;
 pub mod metrics;
 pub mod pipeline;
 pub mod quality;
