@@ -7,7 +7,7 @@
 //! frontier (phase 3) to a checkpoint directory, and on the next invocation
 //! resumes from the last checkpoint instead of restarting.
 //!
-//! **File layout** (`.sfcp`, little-endian, see `docs/ROBUSTNESS.md`):
+//! **File layout** (`.sfcp`, a sealed record, see `docs/FORMATS.md`):
 //!
 //! ```text
 //! magic  b"SFCP"
@@ -16,9 +16,12 @@
 //! config_fingerprint: u32   CRC-32 of the pipeline-config JSON
 //! n_rows: u32, n_cols: u32  the table the checkpoint belongs to
 //! rows_done: u64            the row cursor
-//! <phase-specific payload>
+//! <phase-specific payload>  phase 1: builder tag, then the .sfmh/.sfkm body
 //! crc32: u32                over everything after the magic
 //! ```
+//!
+//! The header up to `n_cols` is the [`StateFormat`] every run-state file
+//! (`.sfcp`, `.sfsp`, `.sfmf`) shares.
 //!
 //! A checkpoint is *advisory*: when loading fails for any reason — missing
 //! file, corrupt bytes, a fingerprint from a different configuration or
@@ -33,18 +36,27 @@ use std::path::{Path, PathBuf};
 
 use sfa_json::ToJson;
 use sfa_matrix::crc32::crc32;
+use sfa_matrix::record::{RecordReader, RecordWriter};
 use sfa_matrix::{MatrixError, Result};
-use sfa_minhash::{CandidatePair, SignatureMatrix};
+use sfa_minhash::persist::{
+    read_bottom_k_body, read_signatures_body, write_bottom_k_body, write_signatures_body,
+};
+use sfa_minhash::{BottomKSignatures, CandidatePair, SignatureMatrix};
 
 use crate::config::PipelineConfig;
 use crate::verify::VerifyProgress;
 
-const MAGIC: [u8; 4] = *b"SFCP";
-const VERSION: u32 = 1;
 const PHASE_SIGNATURES: u32 = 1;
 const PHASE_VERIFY: u32 = 3;
 const BUILDER_MH: u32 = 1;
 const BUILDER_KMH: u32 = 2;
+
+/// The `.sfcp` format: version 1, one record kind per phase.
+const FORMAT: StateFormat = StateFormat {
+    magic: *b"SFCP",
+    version: 1,
+    kinds: &[PHASE_SIGNATURES, PHASE_VERIFY],
+};
 
 /// Where and how often [`run_resumable`](crate::Pipeline::run_resumable)
 /// checkpoints.
@@ -107,6 +119,71 @@ impl RunKey {
     }
 }
 
+/// A run-state file format (`.sfcp`, `.sfsp`, `.sfmf`): a sealed record
+/// whose fields open with the header `version | kind | fingerprint |
+/// n_rows | n_cols`, the last three being the [`RunKey`]. The manifest
+/// holds one kind of record and has no `kind` field.
+#[derive(Debug)]
+pub(crate) struct StateFormat {
+    pub(crate) magic: [u8; 4],
+    pub(crate) version: u32,
+    /// The record kinds the format defines; empty when the header has no
+    /// `kind` field.
+    pub(crate) kinds: &'static [u32],
+}
+
+impl StateFormat {
+    /// Starts a record of `kind` (`None` for a format without kinds) for
+    /// the run `key`.
+    pub(crate) fn record(&self, kind: Option<u32>, key: RunKey) -> RecordWriter {
+        debug_assert_eq!(kind.is_some(), !self.kinds.is_empty());
+        let mut w = RecordWriter::new(self.magic);
+        w.u32(self.version);
+        if let Some(kind) = kind {
+            w.u32(kind);
+        }
+        w.u32(key.fingerprint).u32(key.n_rows).u32(key.n_cols);
+        w
+    }
+
+    /// Opens a record of this format and reads its header: checks length,
+    /// magic, trailer, version and kind. Returns a reader at the first
+    /// payload field, the record's kind and its run key.
+    ///
+    /// # Errors
+    ///
+    /// [`MatrixError::Parse`] or [`MatrixError::Checksum`] for the first
+    /// check that fails.
+    pub(crate) fn open<'a>(
+        &self,
+        bytes: &'a [u8],
+    ) -> Result<(RecordReader<'a>, Option<u32>, RunKey)> {
+        let mut r = RecordReader::open(bytes, self.magic)?;
+        let bad = |at: u64, what: &str| MatrixError::Parse {
+            at,
+            detail: format!("unknown {} {what}", String::from_utf8_lossy(&self.magic)),
+        };
+        if r.u32()? != self.version {
+            return Err(bad(4, "version"));
+        }
+        let kind = if self.kinds.is_empty() {
+            None
+        } else {
+            let kind = r.u32()?;
+            if !self.kinds.contains(&kind) {
+                return Err(bad(8, "record kind"));
+            }
+            Some(kind)
+        };
+        let key = RunKey {
+            fingerprint: r.u32()?,
+            n_rows: r.u32()?,
+            n_cols: r.u32()?,
+        };
+        Ok((r, kind, key))
+    }
+}
+
 /// Partial phase-1 builder state at a row cursor.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Phase1State {
@@ -118,17 +195,13 @@ pub(crate) enum Phase1State {
         /// The partial signatures.
         sigs: SignatureMatrix,
     },
-    /// [`KmhBuilder`](sfa_minhash::builder::KmhBuilder) state: per-column
-    /// retained values and 1-counts.
+    /// [`KmhBuilder`](sfa_minhash::builder::KmhBuilder) state: the partial
+    /// bottom-k sketches and 1-counts.
     Kmh {
         /// Rows folded in so far.
         rows_done: u64,
-        /// Sketch size.
-        k: u32,
-        /// Per-column 1-counts.
-        counts: Vec<u32>,
-        /// Per-column retained values, each ascending.
-        sigs: Vec<Vec<u64>>,
+        /// The partial sketches.
+        sigs: BottomKSignatures,
     },
 }
 
@@ -165,235 +238,71 @@ pub(crate) fn candidates_fingerprint(candidates: &[CandidatePair]) -> u32 {
 // ---------------------------------------------------------------------------
 // serialization
 
-struct Writer {
-    bytes: Vec<u8>,
+/// Opens a checkpoint image: the run-state header, then the row cursor
+/// both phases start their payload with. Returns the reader at the rest of
+/// the payload, the phase, the run key and the cursor.
+fn open(bytes: &[u8]) -> Result<(RecordReader<'_>, Option<u32>, RunKey, u64)> {
+    let (mut r, phase, key) = FORMAT.open(bytes)?;
+    let rows_done = r.u64()?;
+    Ok((r, phase, key, rows_done))
 }
 
-impl Writer {
-    fn new(phase: u32, key: RunKey, rows_done: u64) -> Self {
-        let mut w = Self { bytes: Vec::new() };
-        w.bytes.extend_from_slice(&MAGIC);
-        w.u32(VERSION);
-        w.u32(phase);
-        w.u32(key.fingerprint);
-        w.u32(key.n_rows);
-        w.u32(key.n_cols);
-        w.u64(rows_done);
-        w
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends the CRC trailer and durably replaces `path` (tmp + fsync +
-    /// rename + parent-dir fsync, via [`crate::durable::write_atomic`]).
-    fn commit(mut self, path: &Path) -> Result<()> {
-        let crc = crc32(&self.bytes[4..]);
-        self.u32(crc);
-        crate::durable::write_atomic(path, &self.bytes)?;
-        Ok(())
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(MatrixError::Parse {
-                at: self.pos as u64,
-                detail: "checkpoint truncated".into(),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(MatrixError::Parse {
-                at: self.pos as u64,
-                detail: "trailing bytes in checkpoint".into(),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Loads `path`, verifies magic/version/CRC and the run key, and returns a
-/// reader over the payload. `None` means "no usable checkpoint".
-fn open(path: &Path, phase: u32, key: RunKey) -> Option<Vec<u8>> {
+/// Loads the phase-`phase` checkpoint at `path` if it belongs to `key` and
+/// `parse` accepts all of its payload after the row cursor. `None` means
+/// "no usable checkpoint".
+fn load<T>(
+    path: &Path,
+    phase: u32,
+    key: RunKey,
+    parse: impl FnOnce(u64, &mut RecordReader<'_>) -> Result<T>,
+) -> Option<T> {
     let bytes = std::fs::read(path).ok()?;
-    if bytes.len() < 36 || bytes[0..4] != MAGIC {
+    let (mut r, found, found_key, rows_done) = open(&bytes).ok()?;
+    if found != Some(phase) || found_key != key {
         return None;
     }
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(&bytes[4..bytes.len() - 4]) != stored {
-        return None;
-    }
-    let mut r = Reader {
-        bytes: &bytes[..bytes.len() - 4],
-        pos: 4,
-    };
-    let header_ok = (|| -> Result<bool> {
-        Ok(r.u32()? == VERSION
-            && r.u32()? == phase
-            && r.u32()? == key.fingerprint
-            && r.u32()? == key.n_rows
-            && r.u32()? == key.n_cols)
-    })()
-    .unwrap_or(false);
-    if !header_ok {
-        return None;
-    }
-    Some(bytes)
+    let state = parse(rows_done, &mut r).ok()?;
+    r.finish().ok()?;
+    Some(state)
 }
 
-/// A payload reader positioned at `rows_done` (offset 24) of a validated
-/// checkpoint image.
-fn payload(bytes: &[u8]) -> Reader<'_> {
-    Reader {
-        bytes: &bytes[..bytes.len() - 4],
-        pos: 24,
-    }
-}
-
-/// Persists phase-1 builder state.
+/// Persists phase-1 builder state: the builder tag, then the sketch as
+/// its `.sfmh`/`.sfkm` body.
 pub(crate) fn save_phase1(spec: &CheckpointSpec, key: RunKey, state: &Phase1State) -> Result<()> {
-    let mut w = Writer::new(PHASE_SIGNATURES, key, state.rows_done());
+    let mut w = FORMAT.record(Some(PHASE_SIGNATURES), key);
+    w.u64(state.rows_done());
     match state {
-        Phase1State::Mh { sigs, .. } => {
-            w.u32(BUILDER_MH);
-            w.u32(u32::try_from(sigs.k()).expect("k fits u32"));
-            w.u32(u32::try_from(sigs.m()).expect("m fits u32"));
-            for l in 0..sigs.k() {
-                for &v in sigs.row(l) {
-                    w.u64(v);
-                }
-            }
-        }
-        Phase1State::Kmh {
-            k, counts, sigs, ..
-        } => {
-            w.u32(BUILDER_KMH);
-            w.u32(*k);
-            w.u32(u32::try_from(sigs.len()).expect("m fits u32"));
-            for (count, sig) in counts.iter().zip(sigs) {
-                w.u32(*count);
-                w.u32(u32::try_from(sig.len()).expect("len fits u32"));
-                for &v in sig {
-                    w.u64(v);
-                }
-            }
-        }
+        Phase1State::Mh { sigs, .. } => write_signatures_body(w.u32(BUILDER_MH), sigs),
+        Phase1State::Kmh { sigs, .. } => write_bottom_k_body(w.u32(BUILDER_KMH), sigs),
     }
-    w.commit(&spec.phase1_path())
+    crate::durable::write_atomic(&spec.phase1_path(), &w.seal())?;
+    Ok(())
 }
 
 /// Loads phase-1 builder state, if a usable checkpoint exists.
 pub(crate) fn load_phase1(spec: &CheckpointSpec, key: RunKey) -> Option<Phase1State> {
-    let bytes = open(&spec.phase1_path(), PHASE_SIGNATURES, key)?;
-    let mut r = payload(&bytes);
-    let parse = |r: &mut Reader<'_>| -> Result<Phase1State> {
-        let rows_done = r.u64()?;
-        let tag = r.u32()?;
-        let state = match tag {
-            BUILDER_MH => {
-                let k = r.u32()? as usize;
-                let m = r.u32()? as usize;
-                // Validate the declared size against the payload *before*
-                // allocating k·m slots (a hostile header must not OOM us).
-                if (k as u128) * (m as u128) * 8 != r.remaining() as u128 {
-                    return Err(MatrixError::Parse {
-                        at: 0,
-                        detail: "signature payload size mismatch".into(),
-                    });
-                }
-                let mut values = Vec::with_capacity(k * m);
-                for _ in 0..k * m {
-                    values.push(r.u64()?);
-                }
-                Phase1State::Mh {
+    load(
+        &spec.phase1_path(),
+        PHASE_SIGNATURES,
+        key,
+        |rows_done, r| {
+            let at = r.offset();
+            match r.u32()? {
+                BUILDER_MH => Ok(Phase1State::Mh {
                     rows_done,
-                    sigs: SignatureMatrix::from_values(k, m, values),
-                }
-            }
-            BUILDER_KMH => {
-                let k = r.u32()?;
-                let m = r.u32()? as usize;
-                // Every column costs at least 8 payload bytes (count + len).
-                if m > r.remaining() / 8 {
-                    return Err(MatrixError::Parse {
-                        at: 0,
-                        detail: "column count exceeds payload".into(),
-                    });
-                }
-                let mut counts = Vec::with_capacity(m);
-                let mut sigs = Vec::with_capacity(m);
-                for _ in 0..m {
-                    counts.push(r.u32()?);
-                    let len = r.u32()? as usize;
-                    if len > k as usize || len * 8 > r.remaining() {
-                        return Err(MatrixError::Parse {
-                            at: 0,
-                            detail: "signature longer than k or payload".into(),
-                        });
-                    }
-                    let mut sig = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        sig.push(r.u64()?);
-                    }
-                    if !sig.windows(2).all(|w| w[0] < w[1]) {
-                        return Err(MatrixError::Parse {
-                            at: 0,
-                            detail: "signature not ascending".into(),
-                        });
-                    }
-                    sigs.push(sig);
-                }
-                Phase1State::Kmh {
+                    sigs: read_signatures_body(r)?,
+                }),
+                BUILDER_KMH => Ok(Phase1State::Kmh {
                     rows_done,
-                    k,
-                    counts,
-                    sigs,
-                }
-            }
-            _ => {
-                return Err(MatrixError::Parse {
-                    at: 0,
+                    sigs: read_bottom_k_body(r)?,
+                }),
+                _ => Err(MatrixError::Parse {
+                    at,
                     detail: "unknown builder tag".into(),
-                })
+                }),
             }
-        };
-        r.done()?;
-        Ok(state)
-    };
-    parse(&mut r).ok()
+        },
+    )
 }
 
 /// Persists the phase-3 frontier.
@@ -403,18 +312,14 @@ pub(crate) fn save_phase3(
     cand_fingerprint: u32,
     progress: &VerifyProgress,
 ) -> Result<()> {
-    let mut w = Writer::new(PHASE_VERIFY, key, progress.rows_done);
-    w.u32(cand_fingerprint);
-    w.u32(u32::try_from(progress.intersections.len()).expect("candidates fit u32"));
-    for &v in &progress.intersections {
-        w.u32(v);
-    }
-    w.u32(u32::try_from(progress.column_counts.len()).expect("m fits u32"));
-    for &v in &progress.column_counts {
-        w.u32(v);
-    }
-    w.u64(progress.probes);
-    w.commit(&spec.phase3_path())
+    let mut w = FORMAT.record(Some(PHASE_VERIFY), key);
+    w.u64(progress.rows_done)
+        .u32(cand_fingerprint)
+        .u32_list(&progress.intersections)
+        .u32_list(&progress.column_counts)
+        .u64(progress.probes);
+    crate::durable::write_atomic(&spec.phase3_path(), &w.seal())?;
+    Ok(())
 }
 
 /// Loads the phase-3 frontier for the candidate list fingerprinted by
@@ -424,58 +329,26 @@ pub(crate) fn load_phase3(
     key: RunKey,
     cand_fingerprint: u32,
 ) -> Option<Phase3State> {
-    let bytes = open(&spec.phase3_path(), PHASE_VERIFY, key)?;
-    let mut r = payload(&bytes);
-    let parse = |r: &mut Reader<'_>| -> Result<Phase3State> {
-        let rows_done = r.u64()?;
-        let fp = r.u32()?;
-        let n_cands = r.u32()? as usize;
-        if n_cands > r.remaining() / 4 {
-            return Err(MatrixError::Parse {
-                at: 0,
-                detail: "candidate count exceeds payload".into(),
-            });
-        }
-        let mut intersections = Vec::with_capacity(n_cands);
-        for _ in 0..n_cands {
-            intersections.push(r.u32()?);
-        }
-        let m = r.u32()? as usize;
-        if m > r.remaining() / 4 {
-            return Err(MatrixError::Parse {
-                at: 0,
-                detail: "column count exceeds payload".into(),
-            });
-        }
-        let mut column_counts = Vec::with_capacity(m);
-        for _ in 0..m {
-            column_counts.push(r.u32()?);
-        }
-        let probes = r.u64()?;
-        r.done()?;
+    let state = load(&spec.phase3_path(), PHASE_VERIFY, key, |rows_done, r| {
         Ok(Phase3State {
-            cand_fingerprint: fp,
+            cand_fingerprint: r.u32()?,
             progress: VerifyProgress {
                 rows_done,
-                intersections,
-                column_counts,
-                probes,
+                intersections: r.u32_list()?,
+                column_counts: r.u32_list()?,
+                probes: r.u64()?,
             },
         })
-    };
-    let state = parse(&mut r).ok()?;
-    if state.cand_fingerprint != cand_fingerprint
-        || state.progress.column_counts.len() != key.n_cols as usize
-    {
-        return None;
-    }
-    Some(state)
+    })?;
+    (state.cand_fingerprint == cand_fingerprint
+        && state.progress.column_counts.len() == key.n_cols as usize)
+        .then_some(state)
 }
 
 /// Whether `path` holds an intact checkpoint (either phase) belonging to
 /// `key` — the startup-recovery test deciding keep vs quarantine.
 pub(crate) fn valid_for(path: &Path, key: RunKey) -> bool {
-    open(path, PHASE_SIGNATURES, key).is_some() || open(path, PHASE_VERIFY, key).is_some()
+    std::fs::read(path).is_ok_and(|bytes| open(&bytes).is_ok_and(|(_, _, k, _)| k == key))
 }
 
 /// Strictly validates the container format of a checkpoint file: magic,
@@ -489,34 +362,7 @@ pub(crate) fn valid_for(path: &Path, key: RunKey) -> bool {
 /// first violation; any single-byte mutation or truncation of a valid
 /// file is guaranteed to be rejected.
 pub fn validate_file(path: &Path) -> Result<()> {
-    let bytes = std::fs::read(path)?;
-    validate_image(&bytes)
-}
-
-fn validate_image(bytes: &[u8]) -> Result<()> {
-    let bad = |at: usize, detail: &str| MatrixError::Parse {
-        at: at as u64,
-        detail: detail.into(),
-    };
-    if bytes.len() < 36 {
-        return Err(bad(bytes.len(), "checkpoint shorter than its header"));
-    }
-    if bytes[0..4] != MAGIC {
-        return Err(bad(0, "bad checkpoint magic"));
-    }
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    let computed = crc32(&bytes[4..bytes.len() - 4]);
-    if stored != computed {
-        return Err(MatrixError::Checksum { stored, computed });
-    }
-    let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-    if u32_at(4) != VERSION {
-        return Err(bad(4, "unknown checkpoint version"));
-    }
-    if !matches!(u32_at(8), PHASE_SIGNATURES | PHASE_VERIFY) {
-        return Err(bad(8, "unknown checkpoint phase"));
-    }
-    Ok(())
+    open(&std::fs::read(path)?).map(|_| ())
 }
 
 /// Removes both checkpoint files and any stray `.sfcp.tmp` staging files
@@ -580,9 +426,11 @@ mod tests {
         let spec = spec("kmh_roundtrip");
         let state = Phase1State::Kmh {
             rows_done: 10,
-            k: 3,
-            counts: vec![4, 0, 2],
-            sigs: vec![vec![7, 9, 11], vec![], vec![5]],
+            sigs: BottomKSignatures::from_parts(
+                3,
+                vec![vec![7, 9, 11], vec![], vec![5]],
+                vec![4, 0, 2],
+            ),
         };
         save_phase1(&spec, key(), &state).unwrap();
         assert_eq!(load_phase1(&spec, key()), Some(state));

@@ -58,18 +58,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use sfa_hash::hash64_with_seed;
-use sfa_matrix::crc32::crc32;
 use sfa_matrix::{MatrixError, Result};
 
-use crate::checkpoint::RunKey;
+use crate::checkpoint::{RunKey, StateFormat};
 
 /// File name of the per-run manifest inside a state directory.
 pub const MANIFEST_NAME: &str = "manifest.sfmf";
 /// Subdirectory corrupt or stale state files are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
 
-const MANIFEST_MAGIC: [u8; 4] = *b"SFMF";
-const MANIFEST_VERSION: u32 = 1;
+/// The `.sfmf` format: version 1, the run-state header without a kind
+/// field and no payload.
+const MANIFEST: StateFormat = StateFormat {
+    magic: *b"SFMF",
+    version: 1,
+    kinds: &[],
+};
 
 // ---------------------------------------------------------------------------
 // fault injection
@@ -239,8 +243,8 @@ fn injected(fault: WriteFault, op_detail: &str) -> MatrixError {
 // the atomic write
 
 /// `<name>.tmp` next to `path` — the staging file for an atomic replace.
-/// Matches the `phase1.sfcp.tmp` / `shard_0_of_2.sfsp.tmp` convention the
-/// recovery sweep looks for.
+/// Matches the `phase1.sfcp.tmp` / `verify_group_0.sfsp.tmp` convention
+/// the recovery sweep looks for.
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
@@ -373,32 +377,16 @@ impl DurableDir {
 
 /// Durably writes the run manifest for `key` into `dir`.
 pub(crate) fn write_manifest(dir: &Path, key: RunKey) -> Result<()> {
-    let mut bytes = Vec::with_capacity(24);
-    bytes.extend_from_slice(&MANIFEST_MAGIC);
-    bytes.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&key.fingerprint.to_le_bytes());
-    bytes.extend_from_slice(&key.n_rows.to_le_bytes());
-    bytes.extend_from_slice(&key.n_cols.to_le_bytes());
-    bytes.extend_from_slice(&crc32(&bytes[4..]).to_le_bytes());
-    write_atomic(&dir.join(MANIFEST_NAME), &bytes)?;
+    write_atomic(&dir.join(MANIFEST_NAME), &MANIFEST.record(None, key).seal())?;
     Ok(())
 }
 
 /// Reads the manifest in `dir`, if present and intact.
 pub(crate) fn read_manifest(dir: &Path) -> Option<RunKey> {
     let bytes = std::fs::read(dir.join(MANIFEST_NAME)).ok()?;
-    if bytes.len() != 24 || bytes[0..4] != MANIFEST_MAGIC {
-        return None;
-    }
-    let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-    if crc32(&bytes[4..20]) != u32_at(20) || u32_at(4) != MANIFEST_VERSION {
-        return None;
-    }
-    Some(RunKey {
-        fingerprint: u32_at(8),
-        n_rows: u32_at(12),
-        n_cols: u32_at(16),
-    })
+    let (r, _, key) = MANIFEST.open(&bytes).ok()?;
+    r.finish().ok()?;
+    Some(key)
 }
 
 /// Removes the manifest — called when the run completes and its state
@@ -425,7 +413,7 @@ pub struct RecoveredDir {
 
 /// Moves `path` into the `quarantine/` subdirectory of `dir`, suffixing
 /// the name if a previous quarantine already holds one.
-fn quarantine(dir: &Path, path: &Path) -> Result<()> {
+pub(crate) fn quarantine(dir: &Path, path: &Path) -> Result<()> {
     let qdir = dir.join(QUARANTINE_DIR);
     std::fs::create_dir_all(&qdir)?;
     let name = path

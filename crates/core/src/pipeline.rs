@@ -771,15 +771,10 @@ impl Builder {
                 rows_done: b.rows_seen(),
                 sigs: b.current(),
             },
-            Self::Kmh(b) => {
-                let (sigs, counts) = b.snapshot();
-                Phase1State::Kmh {
-                    rows_done: b.rows_seen(),
-                    k: u32::try_from(b.k()).expect("k fits u32"),
-                    counts,
-                    sigs,
-                }
-            }
+            Self::Kmh(b) => Phase1State::Kmh {
+                rows_done: b.rows_seen(),
+                sigs: b.current(),
+            },
         }
     }
 
@@ -811,16 +806,10 @@ fn fold_checkpointed<S: RowStream>(
         {
             Builder::Mh(MhBuilder::from_state(seed, rows_done, sigs))
         }
-        (
-            Sketch::BottomK(k),
-            Some(Phase1State::Kmh {
-                rows_done,
-                k: ck,
-                counts,
-                sigs,
-            }),
-        ) if ck as usize == k && sigs.len() == m => {
-            Builder::Kmh(KmhBuilder::from_state(k, seed, rows_done, sigs, counts))
+        (Sketch::BottomK(k), Some(Phase1State::Kmh { rows_done, sigs }))
+            if sigs.k() == k && sigs.m() == m =>
+        {
+            Builder::Kmh(KmhBuilder::from_state(seed, rows_done, sigs))
         }
         (Sketch::MinHash(k), _) => Builder::Mh(MhBuilder::new(k, m, seed)),
         (Sketch::BottomK(k), _) => Builder::Kmh(KmhBuilder::new(k, m, seed)),

@@ -90,28 +90,6 @@ impl SignatureCache {
         ))
     }
 
-    /// Moves a bad entry into `quarantine/` so it is never consulted
-    /// again but stays inspectable; best-effort (a failed move just
-    /// leaves the bad entry to lose every future lookup).
-    fn quarantine(&self, path: &Path) {
-        let qdir = self.dir.join(durable::QUARANTINE_DIR);
-        if std::fs::create_dir_all(&qdir).is_err() {
-            return;
-        }
-        let Some(name) = path.file_name() else {
-            return;
-        };
-        let mut dest = qdir.join(name);
-        let mut n = 1u32;
-        while dest.exists() {
-            let mut salted = name.to_os_string();
-            salted.push(format!(".{n}"));
-            dest = qdir.join(salted);
-            n += 1;
-        }
-        let _ = std::fs::rename(path, &dest);
-    }
-
     /// Looks up an MH signature matrix for `(k, seed, n_rows × n_cols)`.
     ///
     /// Returns `None` on a miss; a corrupt or wrong-shape entry is
@@ -129,7 +107,9 @@ impl SignatureCache {
         match decode_signatures(&bytes) {
             Ok(sigs) if sigs.k() == k && sigs.m() == n_cols as usize => Some(sigs),
             _ => {
-                self.quarantine(&path);
+                // Best-effort: a failed move leaves the bad entry to miss
+                // every future lookup.
+                let _ = durable::quarantine(&self.dir, &path);
                 None
             }
         }
@@ -169,7 +149,7 @@ impl SignatureCache {
         match decode_bottom_k(&bytes) {
             Ok(sigs) if sigs.k() == k && sigs.m() == n_cols as usize => Some(sigs),
             _ => {
-                self.quarantine(&path);
+                let _ = durable::quarantine(&self.dir, &path);
                 None
             }
         }

@@ -20,146 +20,31 @@
 //! any load failure — missing file, bad magic/version/CRC, or a run-key,
 //! shard, or fingerprint mismatch — means "regenerate", never a wrong
 //! answer. Writes go through a temp file plus rename, and the byte layout
-//! (documented in `docs/FORMATS.md`) follows the v2 format family: LE
-//! fields back-to-back behind a 4-byte magic, CRC-32 trailer over
-//! everything after the magic, sizes validated before allocation.
+//! (documented in `docs/FORMATS.md`) is a sealed record opening with the
+//! run-state header shared with checkpoints ([`StateFormat`]).
 
 use std::path::{Path, PathBuf};
 
-use sfa_matrix::crc32::crc32;
-use sfa_matrix::{MatrixError, Result};
+use sfa_matrix::record::RecordReader;
+use sfa_matrix::Result;
 
-use crate::checkpoint::RunKey;
+use crate::checkpoint::{RunKey, StateFormat};
 use crate::report::VerifiedPair;
 
-/// Magic for spill files.
-const MAGIC: [u8; 4] = *b"SFSP";
-/// Format version (2: chunked verify results only).
-const VERSION: u32 = 2;
 /// Record kind: one verify group's results (kind 1, per-shard candidate
 /// lists, was retired with version 1).
 const KIND_GROUP_RESULT: u32 = 2;
 
+/// The `.sfsp` format (version 2: chunked verify results only).
+const FORMAT: StateFormat = StateFormat {
+    magic: *b"SFSP",
+    version: 2,
+    kinds: &[KIND_GROUP_RESULT],
+};
+
 /// Path of verify group `idx` inside `dir`.
 pub(crate) fn group_path(dir: &Path, idx: usize) -> PathBuf {
     dir.join(format!("verify_group_{idx}.sfsp"))
-}
-
-struct Writer {
-    bytes: Vec<u8>,
-}
-
-impl Writer {
-    fn new(kind: u32, key: RunKey) -> Self {
-        let mut w = Self { bytes: Vec::new() };
-        w.bytes.extend_from_slice(&MAGIC);
-        w.u32(VERSION);
-        w.u32(kind);
-        w.u32(key.fingerprint);
-        w.u32(key.n_rows);
-        w.u32(key.n_cols);
-        w
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends the CRC trailer and durably replaces `path` (tmp + fsync +
-    /// rename + parent-dir fsync, via [`crate::durable::write_atomic`]);
-    /// returns the file size in bytes.
-    fn commit(mut self, path: &Path) -> Result<u64> {
-        let crc = crc32(&self.bytes[4..]);
-        self.u32(crc);
-        crate::durable::write_atomic(path, &self.bytes)
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(MatrixError::Parse {
-                at: self.pos as u64,
-                detail: "spill file truncated".into(),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(MatrixError::Parse {
-                at: self.pos as u64,
-                detail: "trailing bytes in spill file".into(),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Loads `path`, verifies magic/version/CRC and the run key, and returns
-/// the validated image. `None` means "no usable spill file".
-fn open(path: &Path, kind: u32, key: RunKey) -> Option<Vec<u8>> {
-    let bytes = std::fs::read(path).ok()?;
-    if bytes.len() < 28 || bytes[0..4] != MAGIC {
-        return None;
-    }
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(&bytes[4..bytes.len() - 4]) != stored {
-        return None;
-    }
-    let mut r = Reader {
-        bytes: &bytes[..bytes.len() - 4],
-        pos: 4,
-    };
-    let header_ok = (|| -> Result<bool> {
-        Ok(r.u32()? == VERSION
-            && r.u32()? == kind
-            && r.u32()? == key.fingerprint
-            && r.u32()? == key.n_rows
-            && r.u32()? == key.n_cols)
-    })()
-    .unwrap_or(false);
-    if !header_ok {
-        return None;
-    }
-    Some(bytes)
-}
-
-/// A payload reader positioned just past the common header (offset 24) of
-/// a validated spill image.
-fn payload(bytes: &[u8]) -> Reader<'_> {
-    Reader {
-        bytes: &bytes[..bytes.len() - 4],
-        pos: 24,
-    }
 }
 
 /// Persists one verify group's results — its verified pairs, the full
@@ -175,23 +60,18 @@ pub(crate) fn save_group_result(
     column_counts: &[u32],
     probes: u64,
 ) -> Result<u64> {
-    let mut w = Writer::new(KIND_GROUP_RESULT, key);
-    w.u32(cand_fingerprint);
-    w.u32(u32::try_from(verified.len()).expect("verified count fits u32"));
+    let mut w = FORMAT.record(Some(KIND_GROUP_RESULT), key);
+    w.u32(cand_fingerprint).count(verified.len());
     for v in verified {
-        w.u32(v.i);
-        w.u32(v.j);
-        w.u32(v.intersection);
-        w.u32(v.union);
-        w.u64(v.similarity.to_bits());
-        w.u64(v.estimate.to_bits());
+        w.u32(v.i)
+            .u32(v.j)
+            .u32(v.intersection)
+            .u32(v.union)
+            .u64(v.similarity.to_bits())
+            .u64(v.estimate.to_bits());
     }
-    w.u32(u32::try_from(column_counts.len()).expect("column count fits u32"));
-    for &c in column_counts {
-        w.u32(c);
-    }
-    w.u64(probes);
-    w.commit(&group_path(dir, group_idx))
+    w.u32_list(column_counts).u64(probes);
+    crate::durable::write_atomic(&group_path(dir, group_idx), &w.seal())
 }
 
 /// Loads a verify group's results, if a valid spill for exactly this
@@ -202,58 +82,40 @@ pub(crate) fn load_group_result(
     group_idx: usize,
     cand_fingerprint: u32,
 ) -> Option<(Vec<VerifiedPair>, Vec<u32>, u64)> {
-    let bytes = open(&group_path(dir, group_idx), KIND_GROUP_RESULT, key)?;
-    let parse = |r: &mut Reader<'_>| -> Result<(Vec<VerifiedPair>, Vec<u32>, u64)> {
-        let bad = |detail: &str, at: u64| MatrixError::Parse {
-            at,
-            detail: detail.into(),
-        };
-        if r.u32()? != cand_fingerprint {
-            return Err(bad("spill group fingerprint mismatch", 24));
-        }
-        let n = r.u32()? as usize;
-        if r.remaining() < n.saturating_mul(32) {
-            return Err(bad("spill record count exceeds payload", r.pos as u64));
-        }
-        let mut verified = Vec::with_capacity(n);
-        for _ in 0..n {
-            let i = r.u32()?;
-            let j = r.u32()?;
-            let intersection = r.u32()?;
-            let union = r.u32()?;
-            let similarity = f64::from_bits(r.u64()?);
-            let estimate = f64::from_bits(r.u64()?);
-            verified.push(VerifiedPair {
-                i,
-                j,
-                intersection,
-                union,
-                similarity,
-                estimate,
-            });
-        }
-        let m = r.u32()? as usize;
-        if m != key.n_cols as usize {
-            return Err(bad("spill column-count length mismatch", r.pos as u64));
-        }
-        if r.remaining() < m.saturating_mul(4) {
-            return Err(bad("spill column counts exceed payload", r.pos as u64));
-        }
-        let mut column_counts = Vec::with_capacity(m);
-        for _ in 0..m {
-            column_counts.push(r.u32()?);
-        }
+    let bytes = std::fs::read(group_path(dir, group_idx)).ok()?;
+    let (mut r, _, found) = FORMAT.open(&bytes).ok()?;
+    if found != key || r.u32().ok()? != cand_fingerprint {
+        return None;
+    }
+    let parse = |r: &mut RecordReader<'_>| -> Result<(Vec<VerifiedPair>, Vec<u32>, u64)> {
+        let n = r.u32()?;
+        r.check_count(n.into(), 32)?;
+        let verified = (0..n)
+            .map(|_| {
+                Ok(VerifiedPair {
+                    i: r.u32()?,
+                    j: r.u32()?,
+                    intersection: r.u32()?,
+                    union: r.u32()?,
+                    similarity: f64::from_bits(r.u64()?),
+                    estimate: f64::from_bits(r.u64()?),
+                })
+            })
+            .collect::<Result<_>>()?;
+        let column_counts = r.u32_list()?;
         let probes = r.u64()?;
-        r.done()?;
+        r.finish()?;
         Ok((verified, column_counts, probes))
     };
-    parse(&mut payload(&bytes)).ok()
+    parse(&mut r)
+        .ok()
+        .filter(|(_, counts, _)| counts.len() == key.n_cols as usize)
 }
 
 /// Whether `path` holds an intact spill record belonging to `key` — the
 /// startup-recovery test deciding keep vs quarantine.
 pub(crate) fn valid_for(path: &Path, key: RunKey) -> bool {
-    open(path, KIND_GROUP_RESULT, key).is_some()
+    std::fs::read(path).is_ok_and(|bytes| FORMAT.open(&bytes).is_ok_and(|(_, _, k)| k == key))
 }
 
 /// Strictly validates the container format of a spill file: magic,
@@ -263,34 +125,12 @@ pub(crate) fn valid_for(path: &Path, key: RunKey) -> bool {
 ///
 /// # Errors
 ///
-/// [`MatrixError::Parse`] or [`MatrixError::Checksum`] describing the
-/// first violation; any single-byte mutation or truncation of a valid
-/// file is guaranteed to be rejected.
+/// [`MatrixError::Parse`](sfa_matrix::MatrixError::Parse) or
+/// [`MatrixError::Checksum`](sfa_matrix::MatrixError::Checksum)
+/// describing the first violation; any single-byte mutation or truncation
+/// of a valid file is guaranteed to be rejected.
 pub fn validate_file(path: &Path) -> Result<()> {
-    let bytes = std::fs::read(path)?;
-    let bad = |at: usize, detail: &str| MatrixError::Parse {
-        at: at as u64,
-        detail: detail.into(),
-    };
-    if bytes.len() < 28 {
-        return Err(bad(bytes.len(), "spill file shorter than its header"));
-    }
-    if bytes[0..4] != MAGIC {
-        return Err(bad(0, "bad spill magic"));
-    }
-    let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-    let computed = crc32(&bytes[4..bytes.len() - 4]);
-    if stored != computed {
-        return Err(MatrixError::Checksum { stored, computed });
-    }
-    let u32_at = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().expect("4 bytes"));
-    if u32_at(4) != VERSION {
-        return Err(bad(4, "unknown spill version"));
-    }
-    if u32_at(8) != KIND_GROUP_RESULT {
-        return Err(bad(8, "unknown spill record kind"));
-    }
-    Ok(())
+    FORMAT.open(&std::fs::read(path)?).map(|_| ())
 }
 
 /// Removes every spill file (`*.sfsp`, plus stray `*.sfsp.tmp`) in `dir`,
@@ -320,6 +160,7 @@ pub(crate) fn clear(dir: &Path) -> Result<()> {
 mod tests {
     use super::*;
     use crate::config::{PipelineConfig, Scheme};
+    use sfa_matrix::crc32::crc32;
 
     fn dir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("sfa-spill-test-{}-{name}", std::process::id()));

@@ -2,11 +2,11 @@
 //!
 //! Min-hash sketches fold row-by-row, so a live deployment can keep them
 //! current as the log grows and mine on demand. [`StreamingMiner`] owns a
-//! [`KmhBuilder`] plus a bounded buffer of the rows seen so far, giving a
+//! [`KmhBuilder`] plus the rows seen so far as one CSR table, giving a
 //! `push_row` / `mine` API where `mine` runs candidate generation on the
-//! current sketch and *exact* verification against the retained rows — the
-//! same zero-false-positive guarantee as the batch pipeline, at any point
-//! in the stream.
+//! current sketch and *exact* verification against that table in place —
+//! the same zero-false-positive guarantee as the batch pipeline, at any
+//! point in the stream.
 //!
 //! [`KmhBuilder`]: sfa_minhash::KmhBuilder
 
@@ -35,9 +35,8 @@ use crate::verify::verify_table_resumable;
 /// ```
 #[derive(Debug, Clone)]
 pub struct StreamingMiner {
-    n_cols: u32,
     sketch: KmhBuilder,
-    rows: Vec<Vec<u32>>,
+    table: RowMajorMatrix,
 }
 
 impl StreamingMiner {
@@ -45,16 +44,15 @@ impl StreamingMiner {
     #[must_use]
     pub fn new(n_cols: u32, k: usize, seed: u64) -> Self {
         Self {
-            n_cols,
             sketch: KmhBuilder::new(k, n_cols as usize, seed),
-            rows: Vec::new(),
+            table: RowMajorMatrix::from_rows(n_cols, Vec::new()).expect("an empty table is valid"),
         }
     }
 
     /// Number of columns.
     #[must_use]
     pub const fn n_cols(&self) -> u32 {
-        self.n_cols
+        self.table.n_cols()
     }
 
     /// Rebuilds a miner from previously persisted rows — the serve layer's
@@ -71,14 +69,14 @@ impl StreamingMiner {
 
     /// Rows ingested so far.
     #[must_use]
-    pub fn n_rows(&self) -> u32 {
-        self.rows.len() as u32
+    pub const fn n_rows(&self) -> u32 {
+        self.table.n_rows()
     }
 
     /// The retained rows, in ingest order.
     #[must_use]
-    pub fn rows(&self) -> &[Vec<u32>] {
-        &self.rows
+    pub const fn table(&self) -> &RowMajorMatrix {
+        &self.table
     }
 
     /// Appends one row (strictly ascending column ids).
@@ -88,31 +86,25 @@ impl StreamingMiner {
     /// Panics if the row is not strictly ascending or references a column
     /// `>= n_cols`.
     pub fn push_row(&mut self, cols: &[u32]) {
-        assert!(
-            cols.windows(2).all(|w| w[0] < w[1]),
-            "row must be strictly ascending"
-        );
-        if let Some(&last) = cols.last() {
-            assert!(last < self.n_cols, "column {last} out of range");
+        let row_id = self.table.n_rows();
+        if let Err(e) = self.table.push_row(cols) {
+            panic!("{e}");
         }
-        let row_id = self.rows.len() as u32;
         self.sketch.push_row(row_id, cols);
-        self.rows.push(cols.to_vec());
     }
 
     /// Mines the current state: candidates from the sketch, exact
     /// verification over the rows seen so far (the pipeline's counting
-    /// pass, fed the retained rows in place), output filtered at `s_star`.
+    /// pass, fed the retained table in place), output filtered at
+    /// `s_star`.
     ///
     /// # Errors
     ///
-    /// Propagates matrix-construction errors — practically infallible.
+    /// Propagates verification errors — practically infallible.
     pub fn mine(&self, s_star: f64, delta: f64) -> Result<Vec<VerifiedPair>> {
-        let sigs = self.sketch.clone().finish();
-        let candidates = kmh_candidates(&sigs, s_star, delta);
-        let matrix = RowMajorMatrix::from_rows(self.n_cols, self.rows.clone())?;
+        let candidates = kmh_candidates(&self.sketch.current(), s_star, delta);
         let (verified, _, _) = verify_table_resumable(
-            &matrix,
+            &self.table,
             &candidates,
             None,
             u64::MAX,
@@ -136,7 +128,7 @@ impl StreamingMiner {
     /// The current sketch (finished copy), e.g. for persistence.
     #[must_use]
     pub fn snapshot_sketch(&self) -> sfa_minhash::BottomKSignatures {
-        self.sketch.clone().finish()
+        self.sketch.current()
     }
 }
 

@@ -29,25 +29,17 @@ impl RowMajorMatrix {
     /// Returns an error if any column id is `>= n_cols` or a row is not
     /// strictly ascending.
     pub fn from_rows(n_cols: u32, rows: Vec<Vec<u32>>) -> crate::Result<Self> {
-        let n_rows =
-            u32::try_from(rows.len()).map_err(|_| crate::MatrixError::DimensionMismatch {
-                detail: "more than u32::MAX rows".into(),
-            })?;
-        let nnz: usize = rows.iter().map(Vec::len).sum();
-        let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-        let mut col_idx = Vec::with_capacity(nnz);
-        row_ptr.push(0);
-        for (i, row) in rows.iter().enumerate() {
-            check_row(i, row, n_cols)?;
-            col_idx.extend_from_slice(row);
-            row_ptr.push(col_idx.len());
-        }
-        Ok(Self {
-            n_rows,
+        let mut matrix = Self {
+            n_rows: 0,
             n_cols,
-            row_ptr,
-            col_idx,
-        })
+            row_ptr: Vec::with_capacity(rows.len() + 1),
+            col_idx: Vec::with_capacity(rows.iter().map(Vec::len).sum()),
+        };
+        matrix.row_ptr.push(0);
+        for row in &rows {
+            matrix.push_row(row)?;
+        }
+        Ok(matrix)
     }
 
     /// Reads `stream` from its current position straight into the CSR
@@ -95,6 +87,25 @@ impl RowMajorMatrix {
             }
         })?;
         Ok(Self::from_parts(n_rows, n_cols, row_ptr, col_idx))
+    }
+
+    /// Appends one row, with [`from_rows`](Self::from_rows)' checks.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the row is not strictly ascending, holds a
+    /// column id `>= n_cols`, or the table already has `u32::MAX` rows.
+    pub fn push_row(&mut self, row: &[u32]) -> crate::Result<()> {
+        if self.n_rows == u32::MAX {
+            return Err(crate::MatrixError::DimensionMismatch {
+                detail: "more than u32::MAX rows".into(),
+            });
+        }
+        check_row(self.n_rows as usize, row, self.n_cols)?;
+        self.col_idx.extend_from_slice(row);
+        self.row_ptr.push(self.col_idx.len());
+        self.n_rows += 1;
+        Ok(())
     }
 
     /// Builds from raw CSR parts (trusted, debug asserted).
@@ -271,6 +282,23 @@ mod tests {
         assert!(RowMajorMatrix::from_rows(3, vec![vec![0, 3]]).is_err());
         assert!(RowMajorMatrix::from_rows(3, vec![vec![1, 0]]).is_err());
         assert!(RowMajorMatrix::from_rows(3, vec![vec![1, 1]]).is_err());
+    }
+
+    #[test]
+    fn push_row_appends_with_the_same_checks() {
+        let mut m = RowMajorMatrix::from_rows(3, Vec::new()).unwrap();
+        for row in [vec![0, 1], vec![0, 1], vec![1, 2], vec![2]] {
+            m.push_row(&row).unwrap();
+        }
+        assert_eq!(m, example1_rows());
+        assert!(m.push_row(&[0, 3]).is_err());
+        assert!(m.push_row(&[1, 0]).is_err());
+        assert!(m.push_row(&[1, 1]).is_err());
+        assert_eq!(
+            m,
+            example1_rows(),
+            "a rejected row leaves the table as it was"
+        );
     }
 
     #[test]

@@ -118,13 +118,24 @@ pub fn read_text(path: &Path) -> Result<RowMajorMatrix> {
 ///
 /// Propagates IO errors.
 pub fn write_binary(matrix: &RowMajorMatrix, path: &Path) -> Result<()> {
-    let mut w = CrcWriter::new(BufWriter::new(File::create(path)?));
+    let mut w = BufWriter::new(File::create(path)?);
+    write_binary_to(&mut w, matrix)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Writes the bytes [`write_binary`] puts on disk — magic, body, CRC-32
+/// trailer — to any writer, e.g. a buffer its caller writes atomically.
+///
+/// # Errors
+///
+/// Propagates IO errors.
+pub fn write_binary_to(w: &mut impl Write, matrix: &RowMajorMatrix) -> Result<()> {
+    let mut w = CrcWriter::new(w);
     w.get_mut().write_all(&BINARY_MAGIC_V2)?;
     write_binary_body(&mut w, matrix)?;
     let crc = w.digest();
-    let inner = w.get_mut();
-    inner.write_all(&crc.to_le_bytes())?;
-    inner.flush()?;
+    w.get_mut().write_all(&crc.to_le_bytes())?;
     Ok(())
 }
 

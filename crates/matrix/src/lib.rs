@@ -29,6 +29,9 @@
 //!   prove that phase 1 and phase 3 really are single-pass.
 //! * [`io`] — a small text format and a checksummed binary format for
 //!   matrices ([`crc32`] holds the in-tree CRC-32 implementation).
+//! * [`record`] — the sealed-record codec (LE fields behind a magic, CRC-32
+//!   trailer) that every checksummed sketch and run-state file goes
+//!   through.
 //! * [`fault`] — deterministic fault injection ([`fault::FaultyRowStream`])
 //!   and bounded-retry recovery ([`fault::RetryingRowStream`]) for testing
 //!   and surviving transient IO failures mid-pass.
@@ -54,6 +57,7 @@ pub mod fault;
 pub mod io;
 pub mod kernel;
 pub mod ops;
+pub mod record;
 pub mod stats;
 pub mod stream;
 pub mod triangle;

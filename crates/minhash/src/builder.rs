@@ -192,31 +192,19 @@ impl KmhBuilder {
         }
     }
 
-    /// Reconstructs a builder from checkpointed state: per-column retained
-    /// values (each ascending, at most `k` long) and 1-counts for the first
-    /// `rows_seen` rows. Pushing the remaining rows yields exactly what an
-    /// uninterrupted builder would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigs` and `counts` lengths disagree or a column retains
-    /// more than `k` values.
+    /// Reconstructs a builder from checkpointed state: the partial
+    /// sketches of the first `rows_seen` rows, under configuration
+    /// `(sigs.k(), sigs.m(), seed)`. Pushing the remaining rows yields
+    /// exactly what an uninterrupted builder would have produced.
     #[must_use]
-    pub fn from_state(
-        k: usize,
-        seed: u64,
-        rows_seen: u64,
-        sigs: Vec<Vec<u64>>,
-        counts: Vec<u32>,
-    ) -> Self {
-        assert_eq!(sigs.len(), counts.len(), "per-column lengths disagree");
-        let trackers: Vec<BottomK> = sigs
-            .into_iter()
-            .enumerate()
-            .map(|(j, values)| {
-                assert!(values.len() <= k, "column {j} retains more than k values");
+    pub fn from_state(seed: u64, rows_seen: u64, sigs: BottomKSignatures) -> Self {
+        let k = sigs.k();
+        let columns = 0..sigs.m() as u32;
+        let trackers: Vec<BottomK> = columns
+            .clone()
+            .map(|j| {
                 let mut t = BottomK::new(k);
-                for v in values {
+                for &v in sigs.signature(j) {
                     t.insert(v);
                 }
                 t
@@ -229,7 +217,7 @@ impl KmhBuilder {
             k,
             trackers,
             thresholds,
-            counts,
+            counts: columns.map(|j| sigs.column_count(j)).collect(),
             rows_seen,
             sieve_thresholds: Vec::new(),
             sieve_admitted: Vec::new(),
@@ -254,12 +242,11 @@ impl KmhBuilder {
         self.trackers.len()
     }
 
-    /// The current per-column state, for checkpointing: for each column its
-    /// retained values in ascending order, and its 1-count so far.
+    /// A snapshot of the current sketches (usable mid-stream).
     #[must_use]
-    pub fn snapshot(&self) -> (Vec<Vec<u64>>, Vec<u32>) {
+    pub fn current(&self) -> BottomKSignatures {
         let sigs = self.trackers.iter().map(BottomK::to_sorted_vec).collect();
-        (sigs, self.counts.clone())
+        BottomKSignatures::from_parts(self.k, sigs, self.counts.clone())
     }
 
     /// Number of rows folded in so far.
@@ -456,10 +443,10 @@ mod tests {
         for (id, cols) in m.rows().take(3) {
             first.push_row(id, cols);
         }
-        let (sigs, counts) = first.snapshot();
+        let sigs = first.current();
         let rows_seen = first.rows_seen();
         drop(first);
-        let mut resumed = KmhBuilder::from_state(2, 5, rows_seen, sigs, counts);
+        let mut resumed = KmhBuilder::from_state(5, rows_seen, sigs);
         assert_eq!((resumed.k(), resumed.m(), resumed.seed()), (2, 4, 5));
         for (id, cols) in m.rows().skip(3) {
             resumed.push_row(id, cols);

@@ -14,10 +14,11 @@
 //!   `count: u32`, `len: u32`, `len` ascending `u64` values, then a CRC-32
 //!   trailer, for [`BottomKSignatures`].
 //!
-//! The trailing CRC-32 (see [`sfa_matrix::crc32`]) covers everything after
-//! the magic and is verified before any value is trusted, so bit flips and
-//! truncation are rejected up front. Readers also still accept the legacy
-//! checksum-less v1 layouts (magics `b"SFMH"`/`b"SFKM"`, no trailer), which
+//! Both are sealed records ([`sfa_matrix::record`]): the trailing CRC-32
+//! covers everything after the magic and is verified before any value is
+//! trusted, so bit flips and truncation are rejected up front. Readers also
+//! still accept the legacy checksum-less v1 layouts (magics
+//! `b"SFMH"`/`b"SFKM"`, no trailer), which
 //! [`write_signatures_v1`]/[`write_bottom_k_v1`] keep producible.
 //!
 //! Byte-exact layouts and the validation rules readers enforce are
@@ -25,14 +26,14 @@
 //!
 //! The [`encode_signatures`]/[`decode_signatures`] (and `_bottom_k`) pairs
 //! expose the same formats as in-memory byte images, so callers that need
-//! atomic or fault-injected IO (the signature cache, checkpoints) can route
-//! the bytes through their own writer.
+//! atomic or fault-injected IO (the signature cache) can route the bytes
+//! through their own writer, and the `*_body` functions read and write the
+//! fields after the magic, which a phase-1 checkpoint embeds after its own
+//! header.
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::Path;
 
-use sfa_matrix::crc32::crc32;
+use sfa_matrix::record::{RecordReader, RecordWriter};
 use sfa_matrix::{MatrixError, Result};
 
 use crate::kmh::BottomKSignatures;
@@ -43,130 +44,23 @@ const MH_MAGIC_V2: [u8; 4] = *b"SFM2";
 const KMH_MAGIC: [u8; 4] = *b"SFKM";
 const KMH_MAGIC_V2: [u8; 4] = *b"SFK2";
 
-fn write_u32(w: &mut impl Write, v: u32) -> Result<()> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
+fn sfmh(magic: [u8; 4], sigs: &SignatureMatrix) -> RecordWriter {
+    let mut w = RecordWriter::new(magic);
+    write_signatures_body(&mut w, sigs);
+    w
 }
 
-fn write_u64(w: &mut impl Write, v: u64) -> Result<()> {
-    w.write_all(&v.to_le_bytes())?;
-    Ok(())
-}
-
-/// A bounds-checked cursor over an in-memory file image; every error
-/// carries the byte offset where the data ran out or went wrong.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    const fn new(bytes: &'a [u8], pos: usize) -> Self {
-        Self { bytes, pos }
-    }
-
-    /// Current byte offset (for error messages).
-    const fn offset(&self) -> u64 {
-        self.pos as u64
-    }
-
-    /// Bytes between the cursor and the end of the parseable region.
-    const fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(MatrixError::Parse {
-                at: self.offset(),
-                detail: format!(
-                    "file truncated: needed {n} bytes, {} left",
-                    self.remaining()
-                ),
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn read_u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn read_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
-/// Checks a sketch image's magic against the v1/v2 constants and (for v2)
-/// verifies the CRC-32 trailer, before any value is trusted.
-fn check_sketch(bytes: &[u8], magic_v1: [u8; 4], magic_v2: [u8; 4], what: &str) -> Result<()> {
-    if bytes.len() < 4 {
-        return Err(MatrixError::Parse {
-            at: bytes.len() as u64,
-            detail: format!("file too short for a magic (not an {what} sketch)"),
-        });
-    }
-    let v2 = match &bytes[0..4] {
-        m if *m == magic_v1 => false,
-        m if *m == magic_v2 => true,
-        _ => {
-            return Err(MatrixError::Parse {
-                at: 0,
-                detail: format!("bad magic (not an {what} sketch)"),
-            })
-        }
-    };
-    if v2 {
-        if bytes.len() < 8 {
-            return Err(MatrixError::Parse {
-                at: bytes.len() as u64,
-                detail: "v2 file shorter than magic + checksum trailer".into(),
-            });
-        }
-        let body_end = bytes.len() - 4;
-        let stored = u32::from_le_bytes(bytes[body_end..].try_into().expect("4 bytes"));
-        let computed = crc32(&bytes[4..body_end]);
-        if stored != computed {
-            return Err(MatrixError::Checksum { stored, computed });
-        }
-    }
-    Ok(())
-}
-
-/// Assembles a v2 image: magic, body, CRC-32 trailer over the body.
-fn seal_v2(magic: [u8; 4], body: &[u8]) -> Vec<u8> {
-    let crc = crc32(body);
-    let mut out = Vec::with_capacity(4 + body.len() + 4);
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// The payload region of a loaded sketch image: everything after the magic,
-/// minus the CRC trailer when the magic says v2.
-fn payload(bytes: &[u8], magic_v2: [u8; 4]) -> Cursor<'_> {
-    let end = if bytes[0..4] == magic_v2 {
-        bytes.len() - 4
-    } else {
-        bytes.len()
-    };
-    Cursor::new(&bytes[..end], 4)
+fn sfkm(magic: [u8; 4], sigs: &BottomKSignatures) -> RecordWriter {
+    let mut w = RecordWriter::new(magic);
+    write_bottom_k_body(&mut w, sigs);
+    w
 }
 
 /// Encodes a [`SignatureMatrix`] as a checksummed v2 `.sfmh` byte image —
 /// the exact bytes [`write_signatures`] puts on disk.
 #[must_use]
 pub fn encode_signatures(sigs: &SignatureMatrix) -> Vec<u8> {
-    let mut body = Vec::new();
-    write_signatures_body(&mut body, sigs).expect("writing to a Vec cannot fail");
-    seal_v2(MH_MAGIC_V2, &body)
+    sfmh(MH_MAGIC_V2, sigs).seal()
 }
 
 /// Writes a [`SignatureMatrix`] to `path` in the checksummed v2 format.
@@ -186,22 +80,31 @@ pub fn write_signatures(sigs: &SignatureMatrix, path: &Path) -> Result<()> {
 ///
 /// Propagates IO errors.
 pub fn write_signatures_v1(sigs: &SignatureMatrix, path: &Path) -> Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&MH_MAGIC)?;
-    write_signatures_body(&mut w, sigs)?;
-    w.flush()?;
+    std::fs::write(path, sfmh(MH_MAGIC, sigs).unsealed())?;
     Ok(())
 }
 
-fn write_signatures_body(w: &mut impl Write, sigs: &SignatureMatrix) -> Result<()> {
-    write_u32(w, u32::try_from(sigs.k()).expect("k fits u32"))?;
-    write_u32(w, u32::try_from(sigs.m()).expect("m fits u32"))?;
+/// Appends the `.sfmh` fields after the magic: `k`, `m`, then the `k·m`
+/// values row-major.
+pub fn write_signatures_body(w: &mut RecordWriter, sigs: &SignatureMatrix) {
+    w.count(sigs.k()).count(sigs.m());
     for l in 0..sigs.k() {
-        for &v in sigs.row(l) {
-            write_u64(w, v)?;
-        }
+        w.u64s(sigs.row(l));
     }
-    Ok(())
+}
+
+/// Reads the `.sfmh` fields after the magic, checking the declared `k·m`
+/// against the bytes left before allocating.
+///
+/// # Errors
+///
+/// [`MatrixError::Parse`] if the record is too short for the declared
+/// size.
+pub fn read_signatures_body(r: &mut RecordReader<'_>) -> Result<SignatureMatrix> {
+    let k = r.u32()?;
+    let m = r.u32()?;
+    let values = r.u64s(u64::from(k) * u64::from(m))?;
+    Ok(SignatureMatrix::from_values(k as usize, m as usize, values))
 }
 
 /// Reads a [`SignatureMatrix`] from `path` (v1 `SFMH` or checksummed v2
@@ -222,36 +125,17 @@ pub fn read_signatures(path: &Path) -> Result<SignatureMatrix> {
 ///
 /// As [`read_signatures`], minus the IO.
 pub fn decode_signatures(bytes: &[u8]) -> Result<SignatureMatrix> {
-    check_sketch(bytes, MH_MAGIC, MH_MAGIC_V2, "SFMH/SFM2")?;
-    let mut c = payload(bytes, MH_MAGIC_V2);
-    let k = c.read_u32()? as usize;
-    let m = c.read_u32()? as usize;
-    // Validate the declared size against the actual payload *before*
-    // allocating: a corrupt header must not drive a huge reservation.
-    let declared = (k as u128) * (m as u128) * 8;
-    if declared != c.remaining() as u128 {
-        return Err(MatrixError::Parse {
-            at: c.offset(),
-            detail: format!(
-                "header declares k={k}, m={m} ({declared} payload bytes) but {} are present",
-                c.remaining()
-            ),
-        });
-    }
-    let mut values = Vec::with_capacity(k * m);
-    for _ in 0..k * m {
-        values.push(c.read_u64()?);
-    }
-    Ok(SignatureMatrix::from_values(k, m, values))
+    let mut r = RecordReader::open_or_legacy(bytes, MH_MAGIC_V2, Some(MH_MAGIC))?;
+    let sigs = read_signatures_body(&mut r)?;
+    r.finish()?;
+    Ok(sigs)
 }
 
 /// Encodes [`BottomKSignatures`] as a checksummed v2 `.sfkm` byte image —
 /// the exact bytes [`write_bottom_k`] puts on disk.
 #[must_use]
 pub fn encode_bottom_k(sigs: &BottomKSignatures) -> Vec<u8> {
-    let mut body = Vec::new();
-    write_bottom_k_body(&mut body, sigs).expect("writing to a Vec cannot fail");
-    seal_v2(KMH_MAGIC_V2, &body)
+    sfkm(KMH_MAGIC_V2, sigs).seal()
 }
 
 /// Writes [`BottomKSignatures`] to `path` in the checksummed v2 format.
@@ -271,25 +155,55 @@ pub fn write_bottom_k(sigs: &BottomKSignatures, path: &Path) -> Result<()> {
 ///
 /// Propagates IO errors.
 pub fn write_bottom_k_v1(sigs: &BottomKSignatures, path: &Path) -> Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(&KMH_MAGIC)?;
-    write_bottom_k_body(&mut w, sigs)?;
-    w.flush()?;
+    std::fs::write(path, sfkm(KMH_MAGIC, sigs).unsealed())?;
     Ok(())
 }
 
-fn write_bottom_k_body(w: &mut impl Write, sigs: &BottomKSignatures) -> Result<()> {
-    write_u32(w, u32::try_from(sigs.k()).expect("k fits u32"))?;
-    write_u32(w, u32::try_from(sigs.m()).expect("m fits u32"))?;
+/// Appends the `.sfkm` fields after the magic: `k`, `m`, then per column
+/// its count, length and ascending values.
+pub fn write_bottom_k_body(w: &mut RecordWriter, sigs: &BottomKSignatures) {
+    w.count(sigs.k()).count(sigs.m());
     for j in 0..sigs.m() as u32 {
-        write_u32(w, sigs.column_count(j))?;
         let sig = sigs.signature(j);
-        write_u32(w, u32::try_from(sig.len()).expect("len fits u32"))?;
-        for &v in sig {
-            write_u64(w, v)?;
-        }
+        w.u32(sigs.column_count(j)).count(sig.len()).u64s(sig);
     }
-    Ok(())
+}
+
+/// Reads the `.sfkm` fields after the magic. Sizes are checked against the
+/// bytes left before allocating, and every signature must hold at most `k`
+/// strictly ascending values.
+///
+/// # Errors
+///
+/// [`MatrixError::Parse`], carrying the byte offset, for a size that does
+/// not fit, a signature longer than `k` or one that is not ascending.
+pub fn read_bottom_k_body(r: &mut RecordReader<'_>) -> Result<BottomKSignatures> {
+    let k = r.u32()? as usize;
+    let m = r.u32()?;
+    // Each column record is at least 8 bytes.
+    r.check_count(m.into(), 8)?;
+    let mut sigs = Vec::with_capacity(m as usize);
+    let mut counts = Vec::with_capacity(m as usize);
+    for j in 0..m {
+        counts.push(r.u32()?);
+        let at = r.offset();
+        let len = r.u32()?;
+        if len as usize > k {
+            return Err(MatrixError::Parse {
+                at,
+                detail: format!("column {j}: signature length {len} exceeds k = {k}"),
+            });
+        }
+        let sig = r.u64s(len.into())?;
+        if let Some(i) = sig.windows(2).position(|w| w[0] >= w[1]) {
+            return Err(MatrixError::Parse {
+                at: at + 4 + 8 * (i as u64 + 1),
+                detail: format!("column {j}: signature not strictly ascending"),
+            });
+        }
+        sigs.push(sig);
+    }
+    Ok(BottomKSignatures::from_parts(k, sigs, counts))
 }
 
 /// Reads [`BottomKSignatures`] from `path` (v1 `SFKM` or checksummed v2
@@ -311,66 +225,10 @@ pub fn read_bottom_k(path: &Path) -> Result<BottomKSignatures> {
 ///
 /// As [`read_bottom_k`], minus the IO.
 pub fn decode_bottom_k(bytes: &[u8]) -> Result<BottomKSignatures> {
-    check_sketch(bytes, KMH_MAGIC, KMH_MAGIC_V2, "SFKM/SFK2")?;
-    let mut c = payload(bytes, KMH_MAGIC_V2);
-    let k = c.read_u32()? as usize;
-    let m = c.read_u32()? as usize;
-    // Each column record is at least 8 bytes; bound the declared column
-    // count by the payload before reserving per-column vectors.
-    if (m as u64) * 8 > c.remaining() as u64 {
-        return Err(MatrixError::Parse {
-            at: c.offset(),
-            detail: format!(
-                "header declares {m} columns but only {} payload bytes remain",
-                c.remaining()
-            ),
-        });
-    }
-    let mut sigs = Vec::with_capacity(m);
-    let mut counts = Vec::with_capacity(m);
-    for j in 0..m {
-        counts.push(c.read_u32()?);
-        let len_offset = c.offset();
-        let len = c.read_u32()? as usize;
-        if len > k {
-            return Err(MatrixError::Parse {
-                at: len_offset,
-                detail: format!("column {j}: signature length {len} exceeds k = {k}"),
-            });
-        }
-        if (len as u64) * 8 > c.remaining() as u64 {
-            return Err(MatrixError::Parse {
-                at: len_offset,
-                detail: format!(
-                    "column {j}: signature of {len} values needs {} bytes, {} left",
-                    len * 8,
-                    c.remaining()
-                ),
-            });
-        }
-        let mut sig = Vec::with_capacity(len);
-        let mut prev: Option<u64> = None;
-        for _ in 0..len {
-            let value_offset = c.offset();
-            let v = c.read_u64()?;
-            if prev.is_some_and(|p| p >= v) {
-                return Err(MatrixError::Parse {
-                    at: value_offset,
-                    detail: format!("column {j}: signature not strictly ascending"),
-                });
-            }
-            prev = Some(v);
-            sig.push(v);
-        }
-        sigs.push(sig);
-    }
-    if c.remaining() > 0 {
-        return Err(MatrixError::Parse {
-            at: c.offset(),
-            detail: format!("{} trailing bytes after the last column", c.remaining()),
-        });
-    }
-    Ok(BottomKSignatures::from_parts(k, sigs, counts))
+    let mut r = RecordReader::open_or_legacy(bytes, KMH_MAGIC_V2, Some(KMH_MAGIC))?;
+    let sigs = read_bottom_k_body(&mut r)?;
+    r.finish()?;
+    Ok(sigs)
 }
 
 #[cfg(test)]

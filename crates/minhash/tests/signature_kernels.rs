@@ -156,8 +156,7 @@ fn resume_across_empty_rows_equals_uninterrupted_build() {
         assert_eq!(mh.rows_seen(), split as u64);
         assert_eq!(kmh.rows_seen(), split as u64);
         let mut mh = MhBuilder::from_state(seed, mh.rows_seen(), mh.current());
-        let (sigs, counts) = kmh.snapshot();
-        let mut kmh = KmhBuilder::from_state(4, seed, kmh.rows_seen(), sigs, counts);
+        let mut kmh = KmhBuilder::from_state(seed, kmh.rows_seen(), kmh.current());
         for (id, cols) in matrix.rows().skip(split) {
             mh.push_row(id, cols);
             kmh.push_row(id, cols);

@@ -16,7 +16,7 @@ use std::sync::{Arc, RwLock};
 
 use sfa_core::streaming::StreamingMiner;
 use sfa_core::VerifiedPair;
-use sfa_matrix::{HybridColumns, Result, RowMajorMatrix};
+use sfa_matrix::{HybridColumns, Result};
 
 /// One immutable epoch of the mined index.
 #[derive(Debug)]
@@ -79,8 +79,8 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Propagates matrix-construction errors (practically infallible:
-    /// the miner validated every row on `push_row`).
+    /// Propagates mining errors (practically infallible: the miner
+    /// validated every row on `push_row`).
     pub fn build_from_miner(
         epoch: u64,
         miner: &StreamingMiner,
@@ -89,8 +89,7 @@ impl Snapshot {
     ) -> Result<Self> {
         let n_cols = miner.n_cols();
         let pairs = miner.mine(s_star, delta)?;
-        let matrix = RowMajorMatrix::from_rows(n_cols, miner.rows().to_vec())?;
-        let columns = HybridColumns::from_csc(&matrix.transpose());
+        let columns = HybridColumns::from_csc(&miner.table().transpose());
         let mut partners: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n_cols as usize];
         // `pairs` is already sorted by descending similarity, so pushing
         // in order keeps each adjacency list sorted too.

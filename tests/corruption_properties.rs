@@ -7,7 +7,9 @@
 //! The CRC-32 trailer covers everything after the magic, so every
 //! mutation is either a magic/parse error or a checksum mismatch. The
 //! checkpoint and spill fixtures come from the real pipeline writers: a
-//! budgeted, checkpointed run canceled mid-verify leaves both behind.
+//! budgeted, checkpointed MH run canceled mid-verify leaves a spill file
+//! and both phases' checkpoints behind, and a K-MH run canceled in its
+//! signature pass leaves the other phase-1 payload layout.
 
 use proptest::prelude::*;
 
@@ -67,36 +69,48 @@ impl RowStream for CancelAfter<'_> {
     }
 }
 
-/// Produces pristine checkpoint (`.sfcp`) and spill (`.sfsp`) bytes via
-/// the real pipeline writers: a budgeted, checkpointed run over the sample
-/// matrix is canceled in its second chunk's verify scan, which flushes a
-/// phase-3 checkpoint (flush-then-error) after the first chunk's result
-/// was spilled.
-fn state_fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
+/// Runs `scheme` with checkpoints over the sample matrix, under the
+/// minimum memory budget when `budgeted`, and cancels it as the stream
+/// hands out row `cancel_at`; the run's state files stay in `dir`.
+fn canceled_run(dir: &std::path::Path, scheme: Scheme, budgeted: bool, cancel_at: u32) {
     let m = sample_matrix();
-    let dir = tmp(&format!("{prefix}{tag}_state"));
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(dir).ok();
     let token = CancelToken::new();
     let mut stream = CancelAfter {
         inner: MemoryRowStream::new(&m),
         token: token.clone(),
         delivered: 0,
-        // The signature pass and the first chunk's verify scan deliver 20
-        // rows each; row 50 is row 10 of the second chunk's scan.
-        cancel_at: 50,
+        cancel_at,
     };
-    let spec = CheckpointSpec::new(&dir).with_every_rows(64);
+    let spec = CheckpointSpec::new(dir).with_every_rows(64);
     // The minimum budget verifies three candidates per chunk; at s* = 0.1
     // all five overlapping column pairs are candidates.
-    let budget = MemoryBudget::new(MemoryBudget::MIN_BYTES, &dir);
-    let config = PipelineConfig::new(Scheme::Mh { k: 32, delta: 0.2 }, 0.1, 42);
-    let err = Pipeline::new(config)
-        .with_cancel(token)
-        .run_sharded(&mut stream, &budget, Some(&spec))
-        .unwrap_err();
+    let budget = MemoryBudget::new(MemoryBudget::MIN_BYTES, dir);
+    let pipeline = Pipeline::new(PipelineConfig::new(scheme, 0.1, 42)).with_cancel(token);
+    let err = if budgeted {
+        pipeline.run_sharded(&mut stream, &budget, Some(&spec))
+    } else {
+        pipeline.run_resumable(&mut stream, &spec)
+    }
+    .unwrap_err();
     assert!(err.is_canceled(), "fixture run must cancel, got {err}");
+}
 
+/// Produces pristine checkpoint (`.sfcp`) and spill (`.sfsp`) bytes via
+/// the real pipeline writers. A budgeted, checkpointed MH run over the
+/// sample matrix is canceled in its second chunk's verify scan, which
+/// flushes a phase-3 checkpoint (flush-then-error) after the first
+/// chunk's result was spilled, and leaves its completed phase-1
+/// checkpoint behind. A checkpointed K-MH run canceled mid-way through
+/// its signature pass leaves a phase-1 checkpoint of the other builder
+/// layout.
+fn state_fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
+    let dir = tmp(&format!("{prefix}{tag}_state"));
+    // The signature pass and the first chunk's verify scan deliver 20
+    // rows each; row 50 is row 10 of the second chunk's scan.
+    canceled_run(&dir, Scheme::Mh { k: 32, delta: 0.2 }, true, 50);
     let sfcp = std::fs::read(dir.join("phase3.sfcp")).unwrap();
+    let phase1_mh = std::fs::read(dir.join("phase1.sfcp")).unwrap();
     let sfsp = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| {
@@ -105,8 +119,18 @@ fn state_fixtures(prefix: &str, tag: u64) -> Vec<(&'static str, Vec<u8>)> {
         })
         .next()
         .expect("canceled sharded run left no spill file");
+    canceled_run(&dir, Scheme::Kmh { k: 5, delta: 0.2 }, false, 10);
+    let phase1_kmh = std::fs::read(dir.join("phase1.sfcp")).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    vec![("sfcp", sfcp), ("sfsp", sfsp)]
+    // The builder tag follows the 32-byte header and row cursor.
+    assert_eq!(phase1_mh[32..36], 1u32.to_le_bytes(), "MH builder tag");
+    assert_eq!(phase1_kmh[32..36], 2u32.to_le_bytes(), "K-MH builder tag");
+    vec![
+        ("sfcp", sfcp),
+        ("sfcp", phase1_mh),
+        ("sfcp", phase1_kmh),
+        ("sfsp", sfsp),
+    ]
 }
 
 /// Writes each checksummed format once and returns the pristine bytes
