@@ -1,16 +1,13 @@
-//! Hash-family ablation: the mixing family (default) vs multiply-shift vs
-//! tabulation, per million row hashes.
+//! Row-hash throughput of the mixing family every sketch runs on, per
+//! million row hashes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sfa_hash::tabulation::TabulationFamily;
-use sfa_hash::{HashFamily, MultiplyShiftFamily};
+use sfa_hash::HashFamily;
 
 const N: u64 = 1_000_000;
 
 fn hash_families(c: &mut Criterion) {
     let mixing = HashFamily::new(4, 7);
-    let shift = MultiplyShiftFamily::new(4, 64, 7);
-    let tab = TabulationFamily::new(4, 7);
 
     let mut group = c.benchmark_group("hash_million_rows");
     group.sample_size(20);
@@ -19,24 +16,6 @@ fn hash_families(c: &mut Criterion) {
             let mut acc = 0u64;
             for x in 0..N {
                 acc ^= mixing.hash(0, x);
-            }
-            acc
-        });
-    });
-    group.bench_function("multiply_shift", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for x in 0..N {
-                acc ^= shift.hash(0, x);
-            }
-            acc
-        });
-    });
-    group.bench_function("tabulation", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for x in 0..N {
-                acc ^= tab.hash(0, x as u32);
             }
             acc
         });

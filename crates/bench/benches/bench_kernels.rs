@@ -1,19 +1,15 @@
 //! Intersection-kernel ablation over a density × skew grid: the sorted
 //! two-pointer merge vs galloping search vs AND-popcount bitmaps (scalar
 //! and SIMD word-kernel arms) vs hybrid array/bitmap/run containers, plus
-//! the exact-ground-truth driver before (all-pairs merge) and after
-//! (blocked bitmap / co-occurrence dispatch, hybrid containers) this
-//! optimization.
+//! the dispatched exact-ground-truth driver.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sfa_bench::bench_weblog;
 use sfa_hash::SeedSequence;
-use sfa_matrix::bitmap::{intersection_size_scratch, BitColumn};
+use sfa_matrix::bitmap::{intersection_size_scratch, BitMatrix};
 use sfa_matrix::column::{intersection_size, intersection_size_adaptive, intersection_size_gallop};
-use sfa_matrix::stats::{
-    exact_similar_pairs, exact_similar_pairs_hybrid, exact_similar_pairs_merge,
-};
-use sfa_matrix::{kernel, HybridColumn};
+use sfa_matrix::stats::exact_similar_pairs;
+use sfa_matrix::{kernel, HybridColumn, SparseMatrix};
 
 const N_ROWS: u32 = 100_000;
 
@@ -78,28 +74,32 @@ fn skew_grid(c: &mut Criterion) {
     group.finish();
 }
 
-/// Precomputed [`BitColumn`] AND-popcount (no scratch fill) at the same
+/// Precomputed [`BitMatrix`] AND-popcount (no scratch fill) at the same
 /// densities — through the dispatcher (SIMD when the host has it) and
 /// pinned to the per-arm word kernels — plus the hybrid containers built
 /// from the same rows, to show each kernel's cost once its representation
 /// is materialized.
 fn materialized_bitmaps(c: &mut Criterion) {
-    let mut group = c.benchmark_group("intersection_bitcolumn");
+    let mut group = c.benchmark_group("intersection_bitmap");
     group.sample_size(30);
     for &density in &[0.01, 0.1, 0.3] {
         let rows_a = column(density, 23);
         let rows_b = column(density, 29);
-        let a = BitColumn::from_rows(N_ROWS, &rows_a);
-        let b = BitColumn::from_rows(N_ROWS, &rows_b);
+        let ha = HybridColumn::from_rows(N_ROWS, &rows_a);
+        let hb = HybridColumn::from_rows(N_ROWS, &rows_b);
+        let pair =
+            SparseMatrix::from_columns(N_ROWS, vec![rows_a, rows_b]).expect("sorted in-range rows");
+        let bits = BitMatrix::from_csc(&pair);
+        let (a, b) = (bits.column_words(0), bits.column_words(1));
         let label = format!("{density}");
         group.bench_with_input(BenchmarkId::new("popcount", &label), &(), |bench, ()| {
-            bench.iter(|| a.intersection_size(&b));
+            bench.iter(|| bits.intersection_size(0, 1));
         });
         group.bench_with_input(
             BenchmarkId::new("popcount_scalar", &label),
             &(),
             |bench, ()| {
-                bench.iter(|| kernel::and_popcount_scalar(a.words(), b.words()));
+                bench.iter(|| kernel::and_popcount_scalar(a, b));
             },
         );
         if kernel::simd_arm().is_some() {
@@ -107,12 +107,10 @@ fn materialized_bitmaps(c: &mut Criterion) {
                 BenchmarkId::new("popcount_simd", &label),
                 &(),
                 |bench, ()| {
-                    bench.iter(|| kernel::and_popcount_simd(a.words(), b.words()));
+                    bench.iter(|| kernel::and_popcount_simd(a, b));
                 },
             );
         }
-        let ha = HybridColumn::from_rows(N_ROWS, &rows_a);
-        let hb = HybridColumn::from_rows(N_ROWS, &rows_b);
         group.bench_with_input(BenchmarkId::new("hybrid", &label), &(), |bench, ()| {
             bench.iter(|| ha.intersection_size(&hb));
         });
@@ -120,59 +118,14 @@ fn materialized_bitmaps(c: &mut Criterion) {
     group.finish();
 }
 
-/// The dispatched sorted-`u64` merge (the K-MH sketch-overlap kernel)
-/// against the scalar adaptive baseline on balanced sketches — the shape
-/// where the AVX2 block-compare path engages.
-fn sorted_u64_merge(c: &mut Criterion) {
-    let mut group = c.benchmark_group("intersect_sorted_u64");
-    group.sample_size(30);
-    for &len in &[64usize, 512, 4096] {
-        // Draw from a 4×-len universe so the sketches actually overlap.
-        let universe = len as u64 * 4;
-        let a: Vec<u64> = SeedSequence::new(31)
-            .map(|h| h % universe)
-            .take(len * 2)
-            .collect::<std::collections::BTreeSet<u64>>()
-            .into_iter()
-            .take(len)
-            .collect();
-        let b: Vec<u64> = SeedSequence::new(37)
-            .map(|h| h % universe)
-            .take(len * 2)
-            .collect::<std::collections::BTreeSet<u64>>()
-            .into_iter()
-            .take(len)
-            .collect();
-        let label = format!("{len}");
-        group.bench_with_input(BenchmarkId::new("scalar", &label), &(), |bench, ()| {
-            bench.iter(|| kernel::intersect_sorted_u64_scalar(&a, &b));
-        });
-        if kernel::simd_arm().is_some() {
-            group.bench_with_input(BenchmarkId::new("simd", &label), &(), |bench, ()| {
-                bench.iter(|| kernel::intersect_sorted_u64_simd(&a, &b));
-            });
-        }
-        group.bench_with_input(BenchmarkId::new("dispatched", &label), &(), |bench, ()| {
-            bench.iter(|| kernel::intersect_sorted_u64(&a, &b));
-        });
-    }
-    group.finish();
-}
-
-/// Exact ground truth before/after: all-pairs sorted merge vs the
-/// dispatched path (blocked bitmap driver on this dataset's density).
+/// Exact ground truth through the dispatched path (the blocked bitmap
+/// driver on this dataset's density).
 fn ground_truth_driver(c: &mut Criterion) {
     let (data, _) = bench_weblog();
     let mut group = c.benchmark_group("exact_similar_pairs");
     group.sample_size(10);
-    group.bench_function("merge_all_pairs", |b| {
-        b.iter(|| exact_similar_pairs_merge(&data.matrix, 0.3));
-    });
     group.bench_function("dispatched", |b| {
         b.iter(|| exact_similar_pairs(&data.matrix, 0.3));
-    });
-    group.bench_function("hybrid_containers", |b| {
-        b.iter(|| exact_similar_pairs_hybrid(&data.matrix, 0.3));
     });
     group.finish();
 }
@@ -182,7 +135,6 @@ criterion_group!(
     density_grid,
     skew_grid,
     materialized_bitmaps,
-    sorted_u64_merge,
     ground_truth_driver
 );
 criterion_main!(benches);

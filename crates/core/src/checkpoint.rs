@@ -20,8 +20,8 @@
 //! crc32: u32                over everything after the magic
 //! ```
 //!
-//! The header up to `n_cols` is the [`StateFormat`] every run-state file
-//! (`.sfcp`, `.sfsp`, `.sfmf`) shares.
+//! The header up to `n_cols` is the run-state header (`StateFormat`) every
+//! run-state file (`.sfcp`, `.sfsp`, `.sfmf`) shares.
 //!
 //! A checkpoint is *advisory*: when loading fails for any reason — missing
 //! file, corrupt bytes, a fingerprint from a different configuration or

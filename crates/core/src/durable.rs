@@ -14,7 +14,7 @@
 //!
 //! A crash between any two steps leaves either the old file intact or the
 //! new file complete — never a torn destination. The stray `.tmp` a crash
-//! can leave behind is swept by [`recover_dir`] on the next run.
+//! can leave behind is swept by the startup recovery on the next run.
 //!
 //! # Write-side fault injection
 //!
@@ -32,8 +32,8 @@
 //! * **lost data (crash before fsync)** — the rename lands but the data
 //!   blocks never hit the platter: the destination exists with truncated
 //!   contents. This is the one failure mode that corrupts the
-//!   *destination*, which is exactly why [`recover_dir`] quarantines
-//!   rather than trusts.
+//!   *destination*, which is exactly why the startup recovery
+//!   quarantines rather than trusts.
 //!
 //! Injection is armed either programmatically (tests) or via the
 //! `SFA_WRITE_FAULTS` environment variable (`seed=7,enospc=20,short=20,`
@@ -45,8 +45,8 @@
 //! # Manifest and quarantine
 //!
 //! A state directory is owned by one run, identified by its run key
-//! (config fingerprint + table shape). [`recover_dir`] runs at startup
-//! and restores the directory to a trustworthy state: stray `.tmp` files
+//! (config fingerprint + table shape). The startup recovery (`recover_dir`)
+//! restores the directory to a trustworthy state: stray `.tmp` files
 //! are deleted, and any checkpoint/spill/manifest file that is corrupt or
 //! belongs to a different run key is moved into a `quarantine/`
 //! subdirectory — never silently reused, never fatal. Recovery can cost
@@ -402,7 +402,8 @@ pub(crate) fn remove_manifest(dir: &Path) -> Result<()> {
 // ---------------------------------------------------------------------------
 // startup recovery
 
-/// What [`recover_dir`] found and fixed in a state directory.
+/// What the startup recovery (`recover_dir`) found and fixed in a state
+/// directory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveredDir {
     /// Corrupt or stale state files moved into `quarantine/`.

@@ -344,8 +344,8 @@ impl ServingMetrics {
 /// sequence and are diffed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Phase1Metrics {
-    /// The min-merge/sieve arm phase 1 dispatched through
-    /// (`"scalar"` | `"avx2"` | `"neon"`).
+    /// The kernel arm selected when phase 1 ran, which MH's min-merge
+    /// dispatches through (`"scalar"` | `"avx2"` | `"neon"`).
     pub dispatch_arm: String,
     /// Whether the sketch was loaded from the signature cache (phase 1's
     /// table pass was skipped entirely).

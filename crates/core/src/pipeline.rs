@@ -172,10 +172,9 @@ impl Pipeline {
     /// checkpoint phase 3 only; a streamed run's phase-3 frontier resumes
     /// under a resident rerun, and the reverse.
     ///
-    /// Before any work, the checkpoint directory is swept by
-    /// [`durable::recover_dir`]: stray `.tmp` files are deleted and
-    /// corrupt or stale checkpoints quarantined (reported in
-    /// `metrics.recovery`).
+    /// Before any work, the checkpoint directory is swept by the startup
+    /// recovery of [`durable`]: stray `.tmp` files are deleted and corrupt
+    /// or stale checkpoints quarantined (reported in `metrics.recovery`).
     ///
     /// # Errors
     ///

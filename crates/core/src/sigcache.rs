@@ -21,7 +21,7 @@
 //! wrong-shape entry is quarantined into `quarantine/` (like the
 //! checkpoint recovery sweep in [`crate::durable`]) and treated as a
 //! miss — never trusted, never fatal. Stores go through
-//! [`durable::write_atomic`](crate::durable::write_atomic), so a crash
+//! [`durable::write_atomic`], so a crash
 //! mid-store leaves either no entry or a complete one, and a failed
 //! store degrades to "not cached" instead of failing the mine.
 //!

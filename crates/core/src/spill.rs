@@ -21,7 +21,7 @@
 //! shard, or fingerprint mismatch — means "regenerate", never a wrong
 //! answer. Writes go through a temp file plus rename, and the byte layout
 //! (documented in `docs/FORMATS.md`) is a sealed record opening with the
-//! run-state header shared with checkpoints ([`StateFormat`]).
+//! run-state header shared with checkpoints (`StateFormat`).
 
 use std::path::{Path, PathBuf};
 

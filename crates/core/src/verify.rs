@@ -486,7 +486,7 @@ pub struct InMemoryKernelReport {
 /// by the cheapest container-vs-container kernel (bitmap chunks
 /// AND-popcount through the SIMD-dispatched
 /// [`sfa_matrix::kernel`] layer). If the containers would exceed
-/// [`IN_MEMORY_CONTAINER_CAP_BYTES`], each pair falls back to the
+/// 256 MiB (`IN_MEMORY_CONTAINER_CAP_BYTES`), each pair falls back to the
 /// adaptive merge/gallop/bitmap kernel on the CSC slices. The
 /// [`InMemoryKernelReport`] says which happened.
 ///

@@ -171,37 +171,26 @@ fn best_seconds<T>(reps: u32, f: impl Fn() -> T) -> (T, f64) {
 }
 
 /// Exact ground-truth kernel timings on one baseline dataset: the
-/// all-pairs sorted-merge reference vs. the auto dispatcher, the blocked
-/// bitmap driver pinned to the scalar and (when the CPU has one) the SIMD
-/// word-kernel arm, and the hybrid-container path. Every variant must
-/// return identical pairs; the seconds are machine-dependent and live
-/// under the `"timing"` subtree. The host arm name is recorded alongside
-/// (also under `"timing"` — it is machine-dependent too).
+/// dispatched `exact_similar_pairs` on the auto-detected kernel arm, then
+/// pinned to the scalar and (when the CPU has one) the SIMD word-kernel
+/// arm. Every arm must return identical pairs; the seconds are
+/// machine-dependent and live under the `"timing"` subtree. The host arm
+/// name is recorded alongside (also under `"timing"` — it is
+/// machine-dependent too).
 fn kernel_json(name: &str, columns: &SparseMatrix, table: &mut Vec<Vec<String>>) -> Json {
     use sfa_matrix::{kernel, KernelChoice};
 
-    let (merge_pairs, merge_s) =
-        best_seconds(3, || stats::exact_similar_pairs_merge(columns, S_STAR));
-    let (dispatch_pairs, dispatch_s) =
-        best_seconds(3, || stats::exact_similar_pairs(columns, S_STAR));
-    assert_eq!(
-        merge_pairs, dispatch_pairs,
-        "auto dispatch must match the sorted-merge ground truth exactly"
-    );
+    let exact = || stats::exact_similar_pairs(columns, S_STAR);
+    let (dispatch_pairs, dispatch_s) = best_seconds(3, exact);
     kernel::force(KernelChoice::Scalar).expect("scalar arm always available");
-    let (scalar_pairs, scalar_s) =
-        best_seconds(3, || stats::exact_similar_pairs_bitmap(columns, S_STAR));
-    assert_eq!(scalar_pairs, merge_pairs, "scalar bitmap arm diverged");
+    let (scalar_pairs, scalar_s) = best_seconds(3, exact);
+    assert_eq!(scalar_pairs, dispatch_pairs, "scalar arm diverged");
     let simd = kernel::force(KernelChoice::Simd).ok().map(|arm| {
-        let (simd_pairs, simd_s) =
-            best_seconds(3, || stats::exact_similar_pairs_bitmap(columns, S_STAR));
-        assert_eq!(simd_pairs, merge_pairs, "SIMD bitmap arm diverged");
+        let (simd_pairs, simd_s) = best_seconds(3, exact);
+        assert_eq!(simd_pairs, dispatch_pairs, "SIMD arm diverged");
         (arm, simd_s)
     });
     kernel::force(KernelChoice::Auto).expect("auto restores detection");
-    let (hybrid_pairs, hybrid_s) =
-        best_seconds(3, || stats::exact_similar_pairs_hybrid(columns, S_STAR));
-    assert_eq!(hybrid_pairs, merge_pairs, "hybrid containers diverged");
 
     let (simd_cell, simd_speedup_cell) = simd.as_ref().map_or_else(
         || ("n/a".to_owned(), "-".to_owned()),
@@ -209,15 +198,13 @@ fn kernel_json(name: &str, columns: &SparseMatrix, table: &mut Vec<Vec<String>>)
     );
     table.push(vec![
         name.to_owned(),
-        format!("{merge_s:.4}"),
+        format!("{dispatch_s:.4}"),
         format!("{scalar_s:.4}"),
         simd_cell,
-        format!("{hybrid_s:.4}"),
         simd_speedup_cell,
     ]);
     let mut json = Json::obj()
-        .field("pairs", merge_pairs.len())
-        .field("merge_s", merge_s)
+        .field("pairs", dispatch_pairs.len())
         .field("dispatch_s", dispatch_s)
         .field(
             "dispatch_kernel",
@@ -227,8 +214,7 @@ fn kernel_json(name: &str, columns: &SparseMatrix, table: &mut Vec<Vec<String>>)
                 "cooc"
             },
         )
-        .field("bitmap_scalar_s", scalar_s)
-        .field("hybrid_s", hybrid_s);
+        .field("bitmap_scalar_s", scalar_s);
     if let Some((arm, simd_s)) = simd {
         json = json
             .field("simd_arm", arm.name())
@@ -238,14 +224,15 @@ fn kernel_json(name: &str, columns: &SparseMatrix, table: &mut Vec<Vec<String>>)
     json
 }
 
-/// Phase-1 signature-build timings on one baseline dataset: the MH and
-/// K-MH sketch builds pinned to the scalar and (when the CPU has one)
-/// the SIMD kernel arm, plus a signature-cache hit, all best-of-5. The
-/// sketches must be byte-identical across arms and across store/load,
-/// and — the `--kernel` contract extended to whole mines — every scheme
-/// must produce identical pairs under forced `scalar`, forced `simd`,
-/// a cache miss, and a cache hit. The seconds are machine-dependent and
-/// live under the `"timing"` subtree.
+/// Phase-1 signature-build timings on one baseline dataset: the MH build
+/// pinned to the scalar and (when the CPU has one) the SIMD min-merge
+/// arm, the K-MH build (one scalar compare per nonzero, no SIMD arm), and
+/// a signature-cache hit for each, all best-of-5. The sketches must be
+/// byte-identical across arms and across store/load, and — the
+/// `--kernel` contract extended to whole mines — every scheme must
+/// produce identical pairs under forced `scalar`, forced `simd`, a cache
+/// miss, and a cache hit. The seconds are machine-dependent and live
+/// under the `"timing"` subtree.
 fn phase1_json(name: &str, rows: &RowMajorMatrix, table: &mut Vec<Vec<String>>) -> Json {
     use sfa_core::SignatureCache;
     use sfa_matrix::{kernel, KernelChoice};
@@ -280,21 +267,11 @@ fn phase1_json(name: &str, rows: &RowMajorMatrix, table: &mut Vec<Vec<String>>) 
     });
     assert_eq!(mh_loaded, mh_ref, "cache hit returned different signatures");
 
-    // K-MH (k = 64): the single-hash sieve loop.
-    kernel::force(KernelChoice::Scalar).expect("scalar arm always available");
+    // K-MH (k = 64): one admission compare per nonzero.
     let (kmh_ref, kmh_scalar_s) = best_seconds(5, || {
         compute_bottom_k(&mut MemoryRowStream::new(rows), 64, EXPERIMENT_SEED)
             .expect("in-memory stream cannot fail")
     });
-    let kmh_simd = kernel::force(KernelChoice::Simd).ok().map(|_| {
-        let (sigs, s) = best_seconds(5, || {
-            compute_bottom_k(&mut MemoryRowStream::new(rows), 64, EXPERIMENT_SEED)
-                .expect("in-memory stream cannot fail")
-        });
-        assert_eq!(sigs, kmh_ref, "SIMD K-MH sketches diverged from scalar");
-        s
-    });
-    kernel::force(KernelChoice::Auto).expect("auto restores detection");
     assert!(cache.store_bottom_k(64, EXPERIMENT_SEED, n_rows, n_cols, &kmh_ref));
     let (kmh_loaded, kmh_hit_s) = best_seconds(5, || {
         cache
@@ -305,7 +282,7 @@ fn phase1_json(name: &str, rows: &RowMajorMatrix, table: &mut Vec<Vec<String>>) 
 
     for (label, scalar_s, simd, hit_s) in [
         ("MH k=100", mh_scalar_s, mh_simd, mh_hit_s),
-        ("K-MH k=64", kmh_scalar_s, kmh_simd, kmh_hit_s),
+        ("K-MH k=64", kmh_scalar_s, None, kmh_hit_s),
     ] {
         let (simd_cell, speedup_cell) = simd.map_or_else(
             || ("n/a".to_owned(), "-".to_owned()),
@@ -686,14 +663,7 @@ fn main() {
     print_table(
         "exact ground-truth kernels (best of 3; judge SIMD wins by criterion \
          bench_kernels on an idle host, not these wall-clocks)",
-        &[
-            "dataset",
-            "merge(s)",
-            "scalar(s)",
-            "simd(s)",
-            "hybrid(s)",
-            "simd speedup",
-        ],
+        &["dataset", "auto(s)", "scalar(s)", "simd(s)", "simd speedup"],
         &kernel_table,
     );
 

@@ -121,12 +121,12 @@ mod tests {
     fn kernel_timings_and_oversubscription_marker_are_ignored() {
         let a = Json::parse(
             r#"{"n": 7, "timing": {"host_threads": 1, "oversubscribed": true,
-                "kernels": {"exact_similar_pairs": {"merge_s": 2.0, "speedup": 4.1}}}}"#,
+                "kernels": {"exact_similar_pairs": {"dispatch_s": 2.0, "speedup": 4.1}}}}"#,
         )
         .unwrap();
         let b = Json::parse(
             r#"{"n": 7, "timing": {"host_threads": 16, "oversubscribed": false,
-                "kernels": {"exact_similar_pairs": {"merge_s": 0.3, "speedup": 9.9}}}}"#,
+                "kernels": {"exact_similar_pairs": {"dispatch_s": 0.3, "speedup": 9.9}}}}"#,
         )
         .unwrap();
         let (mut sa, mut sb) = (a, b);

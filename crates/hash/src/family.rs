@@ -5,18 +5,12 @@
 //! the row id, and "the first row under the permutation with a 1 in the
 //! column" becomes "the minimum hash value among the column's rows".
 //!
-//! Two families are provided:
-//!
-//! * [`HashFamily`] — the default: per-member seeds feeding the
-//!   [`crate::mix::hash64_with_seed`] bijection. Fast,
-//!   bijective per member (no row collisions at all), empirically
-//!   indistinguishable from random for this workload. The seed half of
-//!   that bijection, `splitmix64(seed)`, does not depend on the row, so
-//!   members compute it once at construction and each evaluation is a
-//!   single `fmix64(row ^ premixed)`.
-//! * [`MultiplyShiftFamily`] — the classic 2-universal
-//!   `h(x) = (a·x + b) >> (64 − bits)` family (Dietzfelbinger et al.), kept
-//!   as an ablation point: provable universality, weaker mixing.
+//! [`HashFamily`] holds per-member seeds feeding the
+//! [`crate::mix::hash64_with_seed`] bijection. Fast, bijective per member
+//! (no row collisions at all), empirically indistinguishable from random
+//! for this workload. The seed half of that bijection, `splitmix64(seed)`,
+//! does not depend on the row, so members compute it once at
+//! construction and each evaluation is a single `fmix64(row ^ premixed)`.
 
 use crate::mix::{fmix64, splitmix64};
 use crate::rng::SeedSequence;
@@ -150,61 +144,6 @@ impl HashFamily {
     }
 }
 
-/// The 2-universal multiply-shift family over `u64` keys.
-///
-/// `h_{a,b}(x) = (a·x + b) >> (64 − bits)` with odd `a`. Provably
-/// 2-universal (Dietzfelbinger et al. 1997); used as an ablation baseline
-/// against [`HashFamily`] in the `bench_hash` benchmark.
-#[derive(Debug, Clone)]
-pub struct MultiplyShiftFamily {
-    params: Vec<(u64, u64)>,
-    shift: u32,
-}
-
-impl MultiplyShiftFamily {
-    /// Creates `k` functions producing `bits`-bit outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits == 0 || bits > 64`.
-    #[must_use]
-    pub fn new(k: usize, bits: u32, seed: u64) -> Self {
-        assert!(bits > 0 && bits <= 64, "bits must be in 1..=64");
-        let mut seq = SeedSequence::new(seed);
-        let params = (0..k)
-            .map(|_| {
-                let a = seq.next_seed() | 1; // multiplier must be odd
-                let b = seq.next_seed();
-                (a, b)
-            })
-            .collect();
-        Self {
-            params,
-            shift: 64 - bits,
-        }
-    }
-
-    /// Number of functions in the family.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.params.len()
-    }
-
-    /// Whether the family is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.params.is_empty()
-    }
-
-    /// Hashes `row` under the `i`th member.
-    #[inline]
-    #[must_use]
-    pub fn hash(&self, i: usize, row: u64) -> u64 {
-        let (a, b) = self.params[i];
-        a.wrapping_mul(row).wrapping_add(b) >> self.shift
-    }
-}
-
 /// Derives a stable per-purpose seed from `(root, purpose)` labels.
 ///
 /// Convenience used across crates so that e.g. "the signature family" and
@@ -284,38 +223,6 @@ mod tests {
                 "expected ~1000 wins per row, got {wins:?}"
             );
         }
-    }
-
-    #[test]
-    fn multiply_shift_range() {
-        let fam = MultiplyShiftFamily::new(4, 16, 3);
-        for i in 0..4 {
-            for x in 0..1000u64 {
-                assert!(fam.hash(i, x) < (1 << 16));
-            }
-        }
-    }
-
-    #[test]
-    fn multiply_shift_collision_rate_is_universal() {
-        // 2-universality: Pr[h(x)=h(y)] ≤ 1/2^bits for x≠y. With 12-bit
-        // outputs and 200 keys (19900 pairs) expect ≈ 4.9 collisions per
-        // function; check the average over members is not wildly above.
-        let bits = 12;
-        let fam = MultiplyShiftFamily::new(50, bits, 11);
-        let mut total = 0usize;
-        for i in 0..fam.len() {
-            let hs: Vec<u64> = (0..200u64).map(|x| fam.hash(i, x * 7919)).collect();
-            for a in 0..hs.len() {
-                for b in (a + 1)..hs.len() {
-                    if hs[a] == hs[b] {
-                        total += 1;
-                    }
-                }
-            }
-        }
-        let avg = total as f64 / 50.0;
-        assert!(avg < 15.0, "average collisions per member: {avg}");
     }
 
     #[test]

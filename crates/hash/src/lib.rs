@@ -6,13 +6,10 @@
 //!
 //! * [`mix`] — stateless 64/32-bit mixing finalizers (splitmix64 and the
 //!   MurmurHash3 finalizers) used as building blocks everywhere else.
-//! * [`family`] — seedable families of independent hash functions over row
-//!   identifiers. A `k`-member family defines `k` implicit random row
+//! * [`family`] — a seedable family of independent hash functions over
+//!   row identifiers. A `k`-member family defines `k` implicit random row
 //!   permutations, which is exactly how the MH scheme avoids materializing
 //!   permutations (paper, §3).
-//! * [`tabulation`] — simple tabulation hashing (3-independent), available
-//!   as a drop-in replacement for the mixing family when stronger
-//!   independence guarantees are wanted.
 //! * [`topk`] — a bounded bottom-k tracker (max-heap + membership set) used
 //!   by the K-MH scheme to retain the `k` smallest row hashes per column
 //!   in `O(log k)` per accepted update (paper, §3.2).
@@ -30,15 +27,13 @@ pub mod family;
 pub mod index;
 pub mod mix;
 pub mod rng;
-pub mod tabulation;
 pub mod topk;
 
 pub use bucket::{
     CounterTable, FastHashMap, FastHashSet, FxBuildHasher, PairCounter, SparseCounters,
 };
-pub use family::{HashFamily, MultiplyShiftFamily, RowHasher};
+pub use family::{HashFamily, RowHasher};
 pub use index::{BucketIndex, PairWalker};
 pub use mix::{fmix32, fmix64, hash64_with_seed, splitmix64};
 pub use rng::SeedSequence;
-pub use tabulation::TabulationHasher;
 pub use topk::BottomK;

@@ -76,7 +76,7 @@ impl BottomK {
         self.heap.first().copied()
     }
 
-    /// The admission threshold as the K-MH sieve consumes it: the current
+    /// The admission threshold as K-MH's builder compares it: the current
     /// maximum when the tracker is saturated, `u64::MAX` (admit anything)
     /// while it still has room.
     #[must_use]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use sfa_hash::bucket::{pack_pair, unpack_pair, PairCounter, SparseCounters};
 use sfa_hash::mix::hash64_with_seed;
 use sfa_hash::topk::merge_bottom_k;
-use sfa_hash::{BottomK, HashFamily, SeedSequence, TabulationHasher};
+use sfa_hash::{BottomK, HashFamily, SeedSequence};
 
 proptest! {
     #[test]
@@ -52,18 +52,6 @@ proptest! {
             prop_assert_eq!(member.hash_row(row), want);
             prop_assert_eq!(all[i], want);
         }
-    }
-
-    #[test]
-    fn tabulation_respects_xor_structure(seed in any::<u64>(), a in any::<u32>(), b in any::<u32>()) {
-        // For keys differing in disjoint byte sets, the deltas compose.
-        let h = TabulationHasher::new(seed);
-        let low = a & 0x0000_ffff;
-        let high = b & 0xffff_0000;
-        let z = h.hash(0);
-        let d_low = h.hash(low) ^ z;
-        let d_high = h.hash(high) ^ z;
-        prop_assert_eq!(h.hash(low | high), z ^ d_low ^ d_high);
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //!
 //! Two entry points:
 //!
-//! * [`BitColumn`] — one materialized column, for ad-hoc pair counts.
 //! * [`BitMatrix`] — per-column bitmaps for all (or a selected subset of)
 //!   the columns of a [`SparseMatrix`], with a blocked all-pairs driver
 //!   ([`BitMatrix::for_each_cooccurring_pair`]) that tiles columns so each
 //!   tile pair stays cache-resident while its `block²` popcount scans run.
+//! * [`intersection_size_scratch`] — one dense pair, packed into reusable
+//!   thread-local bitmaps.
 //!
 //! Memory cost: `⌈n/64⌉ · 8 ≈ n/8` bytes per materialized column. The
 //! dispatch heuristics in [`column`](crate::column) and
@@ -49,89 +50,6 @@ fn fill_words(words: &mut [u64], rows: &[u32]) {
 #[must_use]
 pub fn intersection_size_words(a: &[u64], b: &[u64]) -> usize {
     crate::kernel::and_popcount(a, b)
-}
-
-/// `|a ∪ b|` over two bitmaps (OR-popcount via the selected kernel arm;
-/// the shorter slice zero-extends to the longer).
-#[must_use]
-pub fn union_size_words(a: &[u64], b: &[u64]) -> usize {
-    crate::kernel::or_popcount(a, b)
-}
-
-/// One column materialized as a `u64` row-bitmap.
-///
-/// # Examples
-///
-/// ```
-/// use sfa_matrix::bitmap::BitColumn;
-///
-/// let a = BitColumn::from_rows(130, &[0, 64, 129]);
-/// let b = BitColumn::from_rows(130, &[64, 100, 129]);
-/// assert_eq!(a.cardinality(), 3);
-/// assert_eq!(a.intersection_size(&b), 2);
-/// assert_eq!(a.union_size(&b), 4);
-/// assert!((a.jaccard(&b) - 0.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitColumn {
-    n_rows: u32,
-    words: Vec<u64>,
-}
-
-impl BitColumn {
-    /// Packs a strictly ascending row list into a bitmap over `n_rows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row id is `>= n_rows`.
-    #[must_use]
-    pub fn from_rows(n_rows: u32, rows: &[u32]) -> Self {
-        assert!(rows.iter().all(|&r| r < n_rows), "row id out of range");
-        let mut words = vec![0u64; words_for(n_rows)];
-        fill_words(&mut words, rows);
-        Self { n_rows, words }
-    }
-
-    /// The number of rows the bitmap spans.
-    #[must_use]
-    pub const fn n_rows(&self) -> u32 {
-        self.n_rows
-    }
-
-    /// The raw bitmap words.
-    #[must_use]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// `|C|` by popcount.
-    #[must_use]
-    pub fn cardinality(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// `|C_i ∩ C_j|` by AND-popcount.
-    #[must_use]
-    pub fn intersection_size(&self, other: &Self) -> usize {
-        intersection_size_words(&self.words, &other.words)
-    }
-
-    /// `|C_i ∪ C_j|` by OR-popcount.
-    #[must_use]
-    pub fn union_size(&self, other: &Self) -> usize {
-        union_size_words(&self.words, &other.words)
-    }
-
-    /// Jaccard similarity `S(c_i, c_j)`; 0 when both columns are empty.
-    #[must_use]
-    pub fn jaccard(&self, other: &Self) -> f64 {
-        let union = self.union_size(other);
-        if union == 0 {
-            0.0
-        } else {
-            self.intersection_size(other) as f64 / union as f64
-        }
-    }
 }
 
 /// Column tile width of the blocked all-pairs driver. 64 columns of a
@@ -226,12 +144,6 @@ impl BitMatrix {
         intersection_size_words(self.column_words(a), self.column_words(b))
     }
 
-    /// `|C_i ∪ C_j|` of materialized columns `a` and `b` by OR-popcount.
-    #[must_use]
-    pub fn union_size(&self, a: usize, b: usize) -> usize {
-        union_size_words(self.column_words(a), self.column_words(b))
-    }
-
     /// Blocked all-pairs driver: calls `f(a, b, |C_a ∩ C_b|)` for every
     /// materialized pair `a < b` whose intersection is nonzero, tiling
     /// columns in [`PAIR_BLOCK_COLS`]-wide blocks so both tiles stay
@@ -302,45 +214,22 @@ mod tests {
     use crate::column;
 
     #[test]
-    fn bit_column_matches_sorted_merge() {
-        let a_rows: Vec<u32> = (0..200).step_by(3).collect();
-        let b_rows: Vec<u32> = (0..200).step_by(5).collect();
-        let a = BitColumn::from_rows(200, &a_rows);
-        let b = BitColumn::from_rows(200, &b_rows);
-        assert_eq!(
-            a.intersection_size(&b),
-            column::intersection_size(&a_rows, &b_rows)
-        );
-        assert_eq!(
-            a.union_size(&b),
-            a_rows.len() + b_rows.len() - a.intersection_size(&b)
-        );
-        assert!((a.jaccard(&b) - column::jaccard(&a_rows, &b_rows)).abs() < 1e-12);
-    }
-
-    #[test]
     fn word_boundaries_are_exact() {
         // Bits at 63/64/127/128 exercise every word-edge case.
-        let a = BitColumn::from_rows(130, &[63, 64, 127, 128]);
-        let b = BitColumn::from_rows(130, &[64, 127]);
-        assert_eq!(a.intersection_size(&b), 2);
-        assert_eq!(a.cardinality(), 4);
-        assert_eq!(a.union_size(&b), 4);
+        let m =
+            SparseMatrix::from_columns(130, vec![vec![63, 64, 127, 128], vec![64, 127]]).unwrap();
+        let bits = BitMatrix::from_csc(&m);
+        assert_eq!(bits.intersection_size(0, 1), 2);
+        assert_eq!(bits.intersection_size(0, 0), 4);
     }
 
     #[test]
     fn empty_columns_are_zero() {
-        let e = BitColumn::from_rows(100, &[]);
-        let a = BitColumn::from_rows(100, &[1, 2]);
-        assert_eq!(e.intersection_size(&a), 0);
-        assert_eq!(e.jaccard(&e), 0.0);
+        let m = SparseMatrix::from_columns(100, vec![vec![], vec![1, 2]]).unwrap();
+        let bits = BitMatrix::from_csc(&m);
+        assert_eq!(bits.intersection_size(0, 1), 0);
+        assert_eq!(bits.intersection_size(0, 0), 0);
         assert_eq!(intersection_size_scratch(&[], &[1, 2]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "row id out of range")]
-    fn out_of_range_rows_panic() {
-        let _ = BitColumn::from_rows(10, &[10]);
     }
 
     fn example() -> SparseMatrix {
@@ -369,7 +258,6 @@ mod tests {
         let bits = BitMatrix::from_csc_subset(&m, &[2, 0]);
         assert_eq!(bits.n_cols(), 2);
         assert_eq!(bits.intersection_size(0, 1), m.intersection_size(2, 0));
-        assert_eq!(bits.union_size(0, 1), 4);
         assert_eq!(bits.heap_bytes(), 2 * std::mem::size_of::<u64>());
     }
 

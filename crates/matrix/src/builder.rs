@@ -65,12 +65,6 @@ impl MatrixBuilder {
         self.n_cols
     }
 
-    /// Number of (possibly duplicate) entries recorded so far.
-    #[must_use]
-    pub fn pending_entries(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Records a 1 at `(row, col)`.
     ///
     /// # Errors

@@ -233,7 +233,6 @@ fn runs_runs_intersection(p: &[(u16, u16)], q: &[(u16, u16)]) -> usize {
 /// let b = HybridColumn::from_rows(200_000, &[2, 3, 70_000]);
 /// assert_eq!(a.cardinality(), 5);
 /// assert_eq!(a.intersection_size(&b), 2);
-/// assert_eq!(a.union_size(&b), 6);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HybridColumn {
@@ -360,12 +359,6 @@ impl HybridColumn {
         }
         total
     }
-
-    /// `|C_i ∪ C_j|` from the tracked cardinalities.
-    #[must_use]
-    pub fn union_size(&self, other: &Self) -> usize {
-        (self.cardinality + other.cardinality) as usize - self.intersection_size(other)
-    }
 }
 
 /// Aggregate container tallies for a built [`HybridColumns`].
@@ -465,12 +458,6 @@ impl HybridColumns {
         self.cols[a].intersection_size(&self.cols[b])
     }
 
-    /// `|C_i ∪ C_j|` of materialized columns `a` and `b`.
-    #[must_use]
-    pub fn union_size(&self, a: usize, b: usize) -> usize {
-        self.cols[a].union_size(&self.cols[b])
-    }
-
     /// Total payload bytes (see [`HybridColumn::heap_bytes`]).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
@@ -557,13 +544,13 @@ mod tests {
     }
 
     #[test]
-    fn union_and_cardinality_track_exactly() {
+    fn cardinality_tracks_exactly() {
         let a_rows: Vec<u32> = (0..100_000).step_by(7).collect();
         let b_rows: Vec<u32> = (0..100_000).step_by(11).collect();
         let (a, b) = (col(100_000, &a_rows), col(100_000, &b_rows));
         assert_eq!(a.cardinality() as usize, a_rows.len());
         let inter = column::intersection_size(&a_rows, &b_rows);
-        assert_eq!(a.union_size(&b), a_rows.len() + b_rows.len() - inter);
+        assert_eq!(a.intersection_size(&b), inter);
     }
 
     #[test]

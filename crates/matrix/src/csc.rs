@@ -2,7 +2,7 @@
 
 use sfa_json::{FromJson, Json, JsonError, ToJson};
 
-use crate::column::{intersection_size_auto, ColumnSet};
+use crate::column::intersection_size_auto;
 use crate::csr::RowMajorMatrix;
 use crate::error::{MatrixError, Result};
 
@@ -122,12 +122,6 @@ impl SparseMatrix {
     pub fn column(&self, j: u32) -> &[u32] {
         let j = j as usize;
         &self.row_idx[self.col_ptr[j]..self.col_ptr[j + 1]]
-    }
-
-    /// Column `j` as an owned [`ColumnSet`].
-    #[must_use]
-    pub fn column_set(&self, j: u32) -> ColumnSet {
-        ColumnSet::from_slice(self.column(j))
     }
 
     /// `|C_j|` — support count of column `j`.

@@ -10,7 +10,7 @@
 //!   the pipeline is testable without real flaky hardware.
 //! * [`RetryingRowStream`] — a wrapper that classifies failures with
 //!   [`MatrixError::is_transient`], retries transient ones up to a bounded
-//!   number of times (with optional backoff), and transparently
+//!   number of times, and transparently
 //!   [`reset`](RowStream::reset)s and fast-forwards past already-delivered
 //!   rows so the consumer never notices the hiccup.
 //!
@@ -18,7 +18,6 @@
 //! checkpoint/resume are documented in `docs/ROBUSTNESS.md`.
 
 use std::collections::BTreeSet;
-use std::time::Duration;
 
 use sfa_hash::hash64_with_seed;
 
@@ -190,16 +189,15 @@ pub struct RetryStats {
 /// A [`RowStream`] wrapper that survives transient failures.
 ///
 /// On a transient error (per [`MatrixError::is_transient`]) during
-/// [`read_row`](RowStream::read_row), the wrapper sleeps for the configured
-/// backoff, [`reset`](RowStream::reset)s the inner stream, fast-forwards
-/// past the rows already delivered in the current pass, and retries — up to
+/// [`read_row`](RowStream::read_row), the wrapper
+/// [`reset`](RowStream::reset)s the inner stream, fast-forwards past the
+/// rows already delivered in the current pass, and retries — up to
 /// `max_retries` times per incident. Fatal errors, and transient errors
 /// beyond the budget, propagate unchanged.
 #[derive(Debug)]
 pub struct RetryingRowStream<S> {
     inner: S,
     max_retries: u32,
-    backoff: Duration,
     /// Rows consumed (delivered or skipped) in the current pass — the
     /// cursor recovery fast-forwards to.
     consumed: u64,
@@ -208,23 +206,15 @@ pub struct RetryingRowStream<S> {
 
 impl<S: RowStream> RetryingRowStream<S> {
     /// Wraps `inner`, retrying each transient incident up to `max_retries`
-    /// times with no backoff.
+    /// times.
     #[must_use]
     pub fn new(inner: S, max_retries: u32) -> Self {
         Self {
             inner,
             max_retries,
-            backoff: Duration::ZERO,
             consumed: 0,
             stats: RetryStats::default(),
         }
-    }
-
-    /// Sets a fixed sleep before each retry attempt.
-    #[must_use]
-    pub fn with_backoff(mut self, backoff: Duration) -> Self {
-        self.backoff = backoff;
-        self
     }
 
     /// What the wrapper has absorbed so far.
@@ -278,9 +268,6 @@ impl<S: RowStream> RowStream for RetryingRowStream<S> {
                     Err(e) if e.is_transient() && attempts < self.max_retries => {
                         attempts += 1;
                         self.stats.retries += 1;
-                        if !self.backoff.is_zero() {
-                            std::thread::sleep(self.backoff);
-                        }
                         continue;
                     }
                     Err(e) => return Err(e),
@@ -296,9 +283,6 @@ impl<S: RowStream> RowStream for RetryingRowStream<S> {
                 Err(e) if e.is_transient() && attempts < self.max_retries => {
                     attempts += 1;
                     self.stats.retries += 1;
-                    if !self.backoff.is_zero() {
-                        std::thread::sleep(self.backoff);
-                    }
                     need_recover = true;
                 }
                 Err(e) => return Err(e),

@@ -1,15 +1,14 @@
-//! Runtime-dispatched SIMD counting kernels.
+//! Runtime-dispatched SIMD counting kernel.
 //!
-//! Every exact count in the pipeline bottoms out in one of three word
-//! kernels: AND-popcount (`|a ∩ b|` over bitmaps), OR-popcount
-//! (`|a ∪ b|`), and sorted-set intersection (K-MH signature overlap).
-//! This module owns the *arm selection* for those kernels: one of
+//! Every bitmap count in the pipeline bottoms out in one word kernel,
+//! AND-popcount (`|a ∩ b|` over bitmaps). This module owns the *arm
+//! selection* for it, and for the phase-1 min-merge in
+//! `sfa_minhash::kernel`: one of
 //!
-//! * **scalar** — the PR 4 unrolled 4-accumulator popcount loops, the
+//! * **scalar** — an unrolled 4-accumulator popcount loop, the
 //!   portable floor that every other arm must match bit-for-bit;
 //! * **avx2** — Harley–Seal carry-save popcount (16 × 256-bit vectors =
-//!   64 words per iteration) on x86-64 CPUs that report AVX2, plus a
-//!   block-compare merge for sorted `u64` sets;
+//!   64 words per iteration) on x86-64 CPUs that report AVX2;
 //! * **neon** — `vcnt`-based popcount on aarch64.
 //!
 //! The arm is picked once per process — from the `SFA_KERNEL`
@@ -20,9 +19,9 @@
 //!
 //! Every arm returns *exactly* the same counts: SIMD only reorders the
 //! adds of a popcount, it never approximates. The
-//! `tests/kernel_equivalence` proptests pin scalar-vs-SIMD agreement on
-//! every kernel; CI runs the suites twice (once with `SFA_KERNEL=scalar`)
-//! so the portable fallback cannot rot.
+//! `tests/kernel_equivalence` proptests pin scalar-vs-SIMD agreement;
+//! CI runs the suites twice (once with `SFA_KERNEL=scalar`) so the
+//! portable fallback cannot rot.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -55,7 +54,7 @@ impl std::str::FromStr for KernelChoice {
 pub enum KernelArm {
     /// Portable unrolled scalar loops.
     Scalar,
-    /// AVX2 Harley–Seal popcount + block-compare sorted merge (x86-64).
+    /// AVX2 Harley–Seal popcount (x86-64).
     Avx2,
     /// NEON `vcnt` popcount (aarch64).
     Neon,
@@ -190,51 +189,22 @@ pub fn and_popcount_scalar(a: &[u64], b: &[u64]) -> usize {
     (c0 + c1 + c2 + c3) as usize
 }
 
-/// Scalar OR-popcount over the common prefix (same unrolling); the
-/// longer slice's tail words OR with implicit zeros, so their popcount
-/// is added as-is.
-#[must_use]
-pub fn or_popcount_scalar(a: &[u64], b: &[u64]) -> usize {
-    let n = a.len().min(b.len());
-    let mut chunks_a = a[..n].chunks_exact(4);
-    let mut chunks_b = b[..n].chunks_exact(4);
-    let (mut c0, mut c1, mut c2, mut c3) = (0u64, 0u64, 0u64, 0u64);
-    for (wa, wb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-        c0 += (wa[0] | wb[0]).count_ones() as u64;
-        c1 += (wa[1] | wb[1]).count_ones() as u64;
-        c2 += (wa[2] | wb[2]).count_ones() as u64;
-        c3 += (wa[3] | wb[3]).count_ones() as u64;
-    }
-    for (wa, wb) in chunks_a.remainder().iter().zip(chunks_b.remainder()) {
-        c0 += (wa | wb).count_ones() as u64;
-    }
-    (c0 + c1 + c2 + c3) as usize + tail_popcount(a, b, n)
-}
-
-/// Popcount of whichever slice extends past the common prefix length.
-fn tail_popcount(a: &[u64], b: &[u64], n: usize) -> usize {
-    let tail = if a.len() > n { &a[n..] } else { &b[n..] };
-    tail.iter().map(|w| w.count_ones() as usize).sum()
-}
-
 // ---------------------------------------------------------------------------
 // AVX2 arm (x86-64): Harley–Seal carry-save popcount.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! Harley–Seal AND/OR-popcount and a block-compare sorted-`u64`
-    //! merge. Every function here is `unsafe` with
+    //! Harley–Seal AND-popcount. Every function here is `unsafe` with
     //! `#[target_feature(enable = "avx2")]`; the module boundary is the
     //! safety contract — callers in the parent module only reach these
     //! after runtime detection reports AVX2.
 
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_castsi256_pd,
-        _mm256_cmpeq_epi64, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_movemask_pd,
-        _mm256_or_si256, _mm256_permute4x64_epi64, _mm256_sad_epu8, _mm256_set1_epi8,
-        _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_slli_epi64,
-        _mm256_srli_epi16, _mm256_xor_si256,
+        __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_extract_epi64,
+        _mm256_loadu_si256, _mm256_or_si256, _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8,
+        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_slli_epi64, _mm256_srli_epi16,
+        _mm256_xor_si256,
     };
 
     /// Per-lane popcount of a 256-bit vector as four `u64` sums, via the
@@ -287,193 +257,119 @@ mod avx2 {
         _mm256_and_si256(va, vb)
     }
 
-    /// Loads words `w..w+4` of both slices and ORs them.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn load_or(a: *const u64, b: *const u64, w: usize) -> __m256i {
-        // SAFETY contract (callers): `w + 4` words readable at both.
-        let va = _mm256_loadu_si256(a.add(w).cast());
-        let vb = _mm256_loadu_si256(b.add(w).cast());
-        _mm256_or_si256(va, vb)
-    }
-
-    /// Generates a Harley–Seal popcount over `$load`-combined words:
-    /// 16 vectors (64 words) per iteration feed a carry-save adder tree
-    /// whose `ones/twos/fours/eights` residues are popcounted once at
-    /// the end, so the inner loop runs one `popcount256` per 64 words
-    /// instead of 16.
-    macro_rules! harley_seal {
-        ($name:ident, $load:ident, $scalar_op:tt) => {
-            /// # Safety
-            ///
-            /// Requires AVX2 (checked by the dispatcher) and
-            /// `a.len() == b.len()`.
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $name(a: &[u64], b: &[u64]) -> usize {
-                debug_assert_eq!(a.len(), b.len());
-                let n = a.len();
-                let (ap, bp) = (a.as_ptr(), b.as_ptr());
-                let mut total = _mm256_setzero_si256();
-                let mut ones = _mm256_setzero_si256();
-                let mut twos = _mm256_setzero_si256();
-                let mut fours = _mm256_setzero_si256();
-                let mut eights = _mm256_setzero_si256();
-                let mut i = 0usize;
-                while i + 64 <= n {
-                    // SAFETY: the loop guard leaves >= 64 readable words
-                    // past `i` in both slices, and every load below stays
-                    // within `i..i + 64`.
-                    let (twos_a, o) = csa(ones, $load(ap, bp, i), $load(ap, bp, i + 4));
-                    ones = o;
-                    let (twos_b, o) = csa(ones, $load(ap, bp, i + 8), $load(ap, bp, i + 12));
-                    ones = o;
-                    let (fours_a, t) = csa(twos, twos_a, twos_b);
-                    twos = t;
-                    let (twos_a, o) = csa(ones, $load(ap, bp, i + 16), $load(ap, bp, i + 20));
-                    ones = o;
-                    let (twos_b, o) = csa(ones, $load(ap, bp, i + 24), $load(ap, bp, i + 28));
-                    ones = o;
-                    let (fours_b, t) = csa(twos, twos_a, twos_b);
-                    twos = t;
-                    let (eights_a, f) = csa(fours, fours_a, fours_b);
-                    fours = f;
-                    let (twos_a, o) = csa(ones, $load(ap, bp, i + 32), $load(ap, bp, i + 36));
-                    ones = o;
-                    let (twos_b, o) = csa(ones, $load(ap, bp, i + 40), $load(ap, bp, i + 44));
-                    ones = o;
-                    let (fours_a, t) = csa(twos, twos_a, twos_b);
-                    twos = t;
-                    let (twos_a, o) = csa(ones, $load(ap, bp, i + 48), $load(ap, bp, i + 52));
-                    ones = o;
-                    let (twos_b, o) = csa(ones, $load(ap, bp, i + 56), $load(ap, bp, i + 60));
-                    ones = o;
-                    let (fours_b, t) = csa(twos, twos_a, twos_b);
-                    twos = t;
-                    let (eights_b, f) = csa(fours, fours_a, fours_b);
-                    fours = f;
-                    let (sixteens, e) = csa(eights, eights_a, eights_b);
-                    eights = e;
-                    total = _mm256_add_epi64(total, popcount256(sixteens));
-                    i += 64;
-                }
-                total = _mm256_slli_epi64::<4>(total);
-                total = _mm256_add_epi64(total, _mm256_slli_epi64::<3>(popcount256(eights)));
-                total = _mm256_add_epi64(total, _mm256_slli_epi64::<2>(popcount256(fours)));
-                total = _mm256_add_epi64(total, _mm256_slli_epi64::<1>(popcount256(twos)));
-                total = _mm256_add_epi64(total, popcount256(ones));
-                let mut sum = hsum(total);
-                // Mid loop: whole vectors that don't fill a 16-vector block.
-                let mut vec_total = _mm256_setzero_si256();
-                while i + 4 <= n {
-                    // SAFETY: guard leaves >= 4 readable words past `i`.
-                    vec_total = _mm256_add_epi64(vec_total, popcount256($load(ap, bp, i)));
-                    i += 4;
-                }
-                sum += hsum(vec_total);
-                // Scalar tail: at most 3 words.
-                for w in i..n {
-                    sum += (a[w] $scalar_op b[w]).count_ones() as u64;
-                }
-                sum as usize
-            }
-        };
-    }
-
-    harley_seal!(and_popcount, load_and, &);
-    harley_seal!(or_popcount, load_or, |);
-
-    /// Block-compare intersection of two strictly ascending `u64`
-    /// slices: compares each 4-lane block of `a` against all four
-    /// rotations of the current block of `b`, then advances whichever
-    /// block has the smaller maximum (both on a tie). Distinctness
-    /// within each slice guarantees each lane matches at most once, so
-    /// the OR of the four compare masks counts matches exactly.
+    /// Harley–Seal AND-popcount: 16 vectors (64 words) per iteration
+    /// feed a carry-save adder tree whose `ones/twos/fours/eights`
+    /// residues are popcounted once at the end, so the inner loop runs
+    /// one `popcount256` per 64 words instead of 16.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 (checked by the dispatcher).
+    /// Requires AVX2 (checked by the dispatcher) and
+    /// `a.len() == b.len()`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn intersect_sorted(a: &[u64], b: &[u64]) -> usize {
-        let mut count = 0usize;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i + 4 <= a.len() && j + 4 <= b.len() {
-            // SAFETY: the guard leaves >= 4 readable elements past both
-            // `i` and `j`.
-            let va = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let vb = _mm256_loadu_si256(b.as_ptr().add(j).cast());
-            let m0 = _mm256_cmpeq_epi64(va, vb);
-            let m1 = _mm256_cmpeq_epi64(va, _mm256_permute4x64_epi64::<0b00_11_10_01>(vb));
-            let m2 = _mm256_cmpeq_epi64(va, _mm256_permute4x64_epi64::<0b01_00_11_10>(vb));
-            let m3 = _mm256_cmpeq_epi64(va, _mm256_permute4x64_epi64::<0b10_01_00_11>(vb));
-            let hits = _mm256_or_si256(_mm256_or_si256(m0, m1), _mm256_or_si256(m2, m3));
-            count += (_mm256_movemask_pd(_mm256_castsi256_pd(hits)) as u32).count_ones() as usize;
-            let (a_max, b_max) = (a[i + 3], b[j + 3]);
-            if a_max <= b_max {
-                i += 4;
-            }
-            if b_max <= a_max {
-                j += 4;
-            }
+    pub unsafe fn and_popcount(a: &[u64], b: &[u64]) -> usize {
+        debug_assert_eq!(a.len(), b.len());
+        let n = a.len();
+        let (ap, bp) = (a.as_ptr(), b.as_ptr());
+        let mut total = _mm256_setzero_si256();
+        let mut ones = _mm256_setzero_si256();
+        let mut twos = _mm256_setzero_si256();
+        let mut fours = _mm256_setzero_si256();
+        let mut eights = _mm256_setzero_si256();
+        let mut i = 0usize;
+        while i + 64 <= n {
+            // SAFETY: the loop guard leaves >= 64 readable words past `i`
+            // in both slices, and every load below stays within
+            // `i..i + 64`.
+            let (twos_a, o) = csa(ones, load_and(ap, bp, i), load_and(ap, bp, i + 4));
+            ones = o;
+            let (twos_b, o) = csa(ones, load_and(ap, bp, i + 8), load_and(ap, bp, i + 12));
+            ones = o;
+            let (fours_a, t) = csa(twos, twos_a, twos_b);
+            twos = t;
+            let (twos_a, o) = csa(ones, load_and(ap, bp, i + 16), load_and(ap, bp, i + 20));
+            ones = o;
+            let (twos_b, o) = csa(ones, load_and(ap, bp, i + 24), load_and(ap, bp, i + 28));
+            ones = o;
+            let (fours_b, t) = csa(twos, twos_a, twos_b);
+            twos = t;
+            let (eights_a, f) = csa(fours, fours_a, fours_b);
+            fours = f;
+            let (twos_a, o) = csa(ones, load_and(ap, bp, i + 32), load_and(ap, bp, i + 36));
+            ones = o;
+            let (twos_b, o) = csa(ones, load_and(ap, bp, i + 40), load_and(ap, bp, i + 44));
+            ones = o;
+            let (fours_a, t) = csa(twos, twos_a, twos_b);
+            twos = t;
+            let (twos_a, o) = csa(ones, load_and(ap, bp, i + 48), load_and(ap, bp, i + 52));
+            ones = o;
+            let (twos_b, o) = csa(ones, load_and(ap, bp, i + 56), load_and(ap, bp, i + 60));
+            ones = o;
+            let (fours_b, t) = csa(twos, twos_a, twos_b);
+            twos = t;
+            let (eights_b, f) = csa(fours, fours_a, fours_b);
+            fours = f;
+            let (sixteens, e) = csa(eights, eights_a, eights_b);
+            eights = e;
+            total = _mm256_add_epi64(total, popcount256(sixteens));
+            i += 64;
         }
-        // Scalar merge over the ragged tails.
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
+        total = _mm256_slli_epi64::<4>(total);
+        total = _mm256_add_epi64(total, _mm256_slli_epi64::<3>(popcount256(eights)));
+        total = _mm256_add_epi64(total, _mm256_slli_epi64::<2>(popcount256(fours)));
+        total = _mm256_add_epi64(total, _mm256_slli_epi64::<1>(popcount256(twos)));
+        total = _mm256_add_epi64(total, popcount256(ones));
+        let mut sum = hsum(total);
+        // Mid loop: whole vectors that don't fill a 16-vector block.
+        let mut vec_total = _mm256_setzero_si256();
+        while i + 4 <= n {
+            // SAFETY: guard leaves >= 4 readable words past `i`.
+            vec_total = _mm256_add_epi64(vec_total, popcount256(load_and(ap, bp, i)));
+            i += 4;
         }
-        count
+        sum += hsum(vec_total);
+        // Scalar tail: at most 3 words.
+        for w in i..n {
+            sum += (a[w] & b[w]).count_ones() as u64;
+        }
+        sum as usize
     }
 }
 
 // ---------------------------------------------------------------------------
 // NEON arm (aarch64): vcnt popcount. NEON is baseline on aarch64, but the
-// functions keep the target_feature annotation so the safety contract
+// function keeps the target_feature annotation so the safety contract
 // mirrors the AVX2 arm.
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use std::arch::aarch64::{
-        vaddvq_u8, vandq_u64, vcntq_u8, vld1q_u64, vorrq_u64, vreinterpretq_u8_u64,
-    };
+    use std::arch::aarch64::{vaddvq_u8, vandq_u64, vcntq_u8, vld1q_u64, vreinterpretq_u8_u64};
 
-    macro_rules! neon_popcount {
-        ($name:ident, $combine:ident, $scalar_op:tt) => {
-            /// # Safety
-            ///
-            /// Requires NEON (checked by the dispatcher) and
-            /// `a.len() == b.len()`.
-            #[target_feature(enable = "neon")]
-            pub unsafe fn $name(a: &[u64], b: &[u64]) -> usize {
-                debug_assert_eq!(a.len(), b.len());
-                let n = a.len();
-                let mut acc = 0u64;
-                let mut i = 0usize;
-                while i + 2 <= n {
-                    // SAFETY: the guard leaves >= 2 readable words past `i`.
-                    let va = vld1q_u64(a.as_ptr().add(i));
-                    let vb = vld1q_u64(b.as_ptr().add(i));
-                    let v = $combine(va, vb);
-                    // 16 byte-counts of <= 8 each sum to <= 128: fits u8.
-                    acc += u64::from(vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(v))));
-                    i += 2;
-                }
-                for w in i..n {
-                    acc += (a[w] $scalar_op b[w]).count_ones() as u64;
-                }
-                acc as usize
-            }
-        };
+    /// # Safety
+    ///
+    /// Requires NEON (checked by the dispatcher) and
+    /// `a.len() == b.len()`.
+    #[target_feature(enable = "neon")]
+    pub unsafe fn and_popcount(a: &[u64], b: &[u64]) -> usize {
+        debug_assert_eq!(a.len(), b.len());
+        let n = a.len();
+        let mut acc = 0u64;
+        let mut i = 0usize;
+        while i + 2 <= n {
+            // SAFETY: the guard leaves >= 2 readable words past `i`.
+            let va = vld1q_u64(a.as_ptr().add(i));
+            let vb = vld1q_u64(b.as_ptr().add(i));
+            let v = vandq_u64(va, vb);
+            // 16 byte-counts of <= 8 each sum to <= 128: fits u8.
+            acc += u64::from(vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(v))));
+            i += 2;
+        }
+        for w in i..n {
+            acc += (a[w] & b[w]).count_ones() as u64;
+        }
+        acc as usize
     }
-
-    neon_popcount!(and_popcount, vandq_u64, &);
-    neon_popcount!(or_popcount, vorrq_u64, |);
 }
 
 // ---------------------------------------------------------------------------
@@ -498,25 +394,8 @@ fn simd_and_eq(a: &[u64], b: &[u64]) -> usize {
     and_popcount_scalar(a, b)
 }
 
-#[cfg(target_arch = "x86_64")]
-fn simd_or_eq(a: &[u64], b: &[u64]) -> usize {
-    // SAFETY: only reached when `simd_arm()` reported AVX2.
-    unsafe { avx2::or_popcount(a, b) }
-}
-
-#[cfg(target_arch = "aarch64")]
-fn simd_or_eq(a: &[u64], b: &[u64]) -> usize {
-    // SAFETY: only reached when `simd_arm()` reported NEON.
-    unsafe { neon::or_popcount(a, b) }
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn simd_or_eq(a: &[u64], b: &[u64]) -> usize {
-    or_popcount_scalar(a, b)
-}
-
 // ---------------------------------------------------------------------------
-// Dispatched kernels (the API the rest of the workspace calls).
+// Dispatched kernel (the API the rest of the workspace calls).
 // ---------------------------------------------------------------------------
 
 /// `|a ∩ b|` over two bitmaps via the selected arm. Unequal lengths
@@ -531,19 +410,6 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
     }
 }
 
-/// `|a ∪ b|` over two bitmaps via the selected arm. The longer slice's
-/// tail (ORed with implicit zeros) contributes its own popcount.
-#[must_use]
-pub fn or_popcount(a: &[u64], b: &[u64]) -> usize {
-    let n = a.len().min(b.len());
-    let tail = tail_popcount(a, b, n);
-    let common = match arm() {
-        KernelArm::Scalar => or_popcount_scalar(&a[..n], &b[..n]),
-        KernelArm::Avx2 | KernelArm::Neon => simd_or_eq(&a[..n], &b[..n]),
-    };
-    common + tail
-}
-
 /// Forced-SIMD AND-popcount, or `None` when the CPU has no SIMD arm.
 /// Race-free for tests/benches: bypasses (and never mutates) the cached
 /// process-wide arm.
@@ -551,60 +417,6 @@ pub fn or_popcount(a: &[u64], b: &[u64]) -> usize {
 pub fn and_popcount_simd(a: &[u64], b: &[u64]) -> Option<usize> {
     let n = a.len().min(b.len());
     simd_arm().map(|_| simd_and_eq(&a[..n], &b[..n]))
-}
-
-/// Forced-SIMD OR-popcount, or `None` when the CPU has no SIMD arm.
-#[must_use]
-pub fn or_popcount_simd(a: &[u64], b: &[u64]) -> Option<usize> {
-    let n = a.len().min(b.len());
-    simd_arm().map(|_| simd_or_eq(&a[..n], &b[..n]) + tail_popcount(a, b, n))
-}
-
-/// Minimum length of *both* sides before the AVX2 block-compare merge
-/// beats the scalar adaptive dispatch on sorted `u64` sets.
-const SIMD_MERGE_MIN_LEN: usize = 8;
-
-/// Intersection size of two strictly ascending `u64` slices (K-MH
-/// signature overlap) via the selected arm: the AVX2 block-compare
-/// merge when both sides are long enough and the skew stays under the
-/// galloping cutoff, otherwise the scalar adaptive merge/gallop.
-#[must_use]
-pub fn intersect_sorted_u64(a: &[u64], b: &[u64]) -> usize {
-    let (small, large) = if a.len() <= b.len() {
-        (a.len(), b.len())
-    } else {
-        (b.len(), a.len())
-    };
-    let simd_fit = small >= SIMD_MERGE_MIN_LEN
-        && large / small.max(1) < crate::column::GALLOP_SKEW_CUTOFF
-        && arm() == KernelArm::Avx2;
-    if simd_fit {
-        if let Some(n) = intersect_sorted_u64_simd(a, b) {
-            return n;
-        }
-    }
-    intersect_sorted_u64_scalar(a, b)
-}
-
-/// Scalar arm of [`intersect_sorted_u64`]: the adaptive merge/gallop.
-#[must_use]
-pub fn intersect_sorted_u64_scalar(a: &[u64], b: &[u64]) -> usize {
-    crate::column::intersection_size_adaptive(a, b)
-}
-
-/// Forced-SIMD sorted-`u64` intersection, or `None` when the CPU lacks
-/// the AVX2 arm (NEON has no block-compare merge; it reports `None`).
-#[must_use]
-pub fn intersect_sorted_u64_simd(a: &[u64], b: &[u64]) -> Option<usize> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if simd_arm() == Some(KernelArm::Avx2) {
-            // SAFETY: AVX2 presence just confirmed by detection.
-            return Some(unsafe { avx2::intersect_sorted(a, b) });
-        }
-    }
-    let _ = (a, b);
-    None
 }
 
 #[cfg(test)]
@@ -648,34 +460,25 @@ mod tests {
         for n in [0, 1, 3, 4, 7, 63, 64, 65, 127, 128, 200, 512] {
             let a = words(0x9e37_79b9, n);
             let b = words(0x85eb_ca6b, n);
-            let want_and = and_popcount_scalar(&a, &b);
-            let want_or = or_popcount_scalar(&a, &b);
+            let want = and_popcount_scalar(&a, &b);
             if let Some(got) = and_popcount_simd(&a, &b) {
-                assert_eq!(got, want_and, "AND n={n}");
+                assert_eq!(got, want, "n={n}");
             }
-            if let Some(got) = or_popcount_simd(&a, &b) {
-                assert_eq!(got, want_or, "OR n={n}");
-            }
-            // The dispatched kernels agree with scalar whatever the arm.
-            assert_eq!(and_popcount(&a, &b), want_and);
-            assert_eq!(or_popcount(&a, &b), want_or);
+            // The dispatched kernel agrees with scalar whatever the arm.
+            assert_eq!(and_popcount(&a, &b), want);
         }
     }
 
     #[test]
-    fn unequal_lengths_truncate_and_extend() {
+    fn unequal_lengths_truncate() {
         let a = words(1, 70);
         let b = words(2, 10);
-        let and_want = and_popcount_scalar(&a[..10], &b);
-        let tail: usize = a[10..].iter().map(|w| w.count_ones() as usize).sum();
-        let or_want = or_popcount_scalar(&a[..10], &b) + tail;
-        assert_eq!(and_popcount(&a, &b), and_want);
-        assert_eq!(and_popcount(&b, &a), and_want);
-        assert_eq!(or_popcount(&a, &b), or_want);
-        assert_eq!(or_popcount(&b, &a), or_want);
-        assert_eq!(or_popcount_scalar(&a, &b), or_want);
-        if let Some(got) = or_popcount_simd(&a, &b) {
-            assert_eq!(got, or_want);
+        let want = and_popcount_scalar(&a[..10], &b);
+        assert_eq!(and_popcount(&a, &b), want);
+        assert_eq!(and_popcount(&b, &a), want);
+        assert_eq!(and_popcount_scalar(&a, &b), want);
+        if let Some(got) = and_popcount_simd(&a, &b) {
+            assert_eq!(got, want);
         }
     }
 
@@ -685,44 +488,8 @@ mod tests {
         let zeros = vec![0u64; 130];
         assert_eq!(and_popcount(&ones, &ones), 130 * 64);
         assert_eq!(and_popcount(&ones, &zeros), 0);
-        assert_eq!(or_popcount(&ones, &zeros), 130 * 64);
         if let Some(got) = and_popcount_simd(&ones, &ones) {
             assert_eq!(got, 130 * 64);
-        }
-    }
-
-    fn ascending(seed: u64, n: usize, stride: u64) -> Vec<u64> {
-        let mut v = Vec::with_capacity(n);
-        let mut x = seed;
-        for _ in 0..n {
-            x += 1 + (x.wrapping_mul(6_364_136_223_846_793_005) % stride);
-            v.push(x);
-        }
-        v
-    }
-
-    #[test]
-    fn sorted_merge_simd_matches_scalar() {
-        for (na, nb, stride) in [
-            (0, 5, 3),
-            (8, 8, 2),
-            (100, 100, 4),
-            (33, 190, 7),
-            (64, 64, 1),
-        ] {
-            let a = ascending(10, na, stride);
-            let b = ascending(11, nb, stride);
-            let want = intersect_sorted_u64_scalar(&a, &b);
-            if let Some(got) = intersect_sorted_u64_simd(&a, &b) {
-                assert_eq!(got, want, "na={na} nb={nb} stride={stride}");
-            }
-            assert_eq!(intersect_sorted_u64(&a, &b), want);
-        }
-        // Identical slices intersect fully.
-        let a = ascending(42, 50, 5);
-        assert_eq!(intersect_sorted_u64(&a, &a), 50);
-        if let Some(got) = intersect_sorted_u64_simd(&a, &a) {
-            assert_eq!(got, 50);
         }
     }
 

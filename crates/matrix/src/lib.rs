@@ -14,10 +14,9 @@
 //!   the confidence `Conf(c_i → c_j)`, and the Hamming distance of Lemma 3.
 //!   Raw-slice intersections dispatch adaptively (sorted merge, galloping
 //!   search, or bitmap popcount — [`column::intersection_size_auto`]).
-//! * [`bitmap::BitColumn`] / [`bitmap::BitMatrix`] — per-column `u64`
-//!   row-bitmaps with unrolled AND/OR-popcount kernels and a blocked
-//!   all-pairs driver; the fast path behind exact verification and the
-//!   §5.1 brute-force ground truth.
+//! * [`bitmap::BitMatrix`] — per-column `u64` row-bitmaps with the
+//!   AND-popcount kernel ([`kernel`]) and a blocked all-pairs driver; the
+//!   fast path behind the §5.1 brute-force ground truth.
 //! * [`builder::MatrixBuilder`] — validated incremental construction.
 //! * [`csc::SparseMatrix`] — column-major storage (fast column access;
 //!   used for ground truth, verification bookkeeping and per-column views).
@@ -35,7 +34,7 @@
 //! * [`fault`] — deterministic fault injection ([`fault::FaultyRowStream`])
 //!   and bounded-retry recovery ([`fault::RetryingRowStream`]) for testing
 //!   and surviving transient IO failures mid-pass.
-//! * [`ops`] — transpose, support pruning, row sampling, and the random
+//! * [`ops`] — support pruning, column selection, and the random
 //!   row-pairing OR-fold that defines the H-LSH density ladder (§4.2).
 //! * [`stats`] — exact all-pairs similarity (the paper's offline
 //!   brute-force ground truth), similarity histograms (Fig. 3), density
@@ -62,7 +61,7 @@ pub mod stats;
 pub mod stream;
 pub mod triangle;
 
-pub use bitmap::{BitColumn, BitMatrix};
+pub use bitmap::BitMatrix;
 pub use builder::MatrixBuilder;
 pub use column::ColumnSet;
 pub use container::{ContainerStats, HybridColumn, HybridColumns};

@@ -1,4 +1,4 @@
-//! Whole-matrix operations: support pruning, column/row selection, and the
+//! Whole-matrix operations: support pruning, column selection, and the
 //! random row-pairing OR-fold that defines the H-LSH density ladder (§4.2).
 //! H-LSH draws the pairings and reads each level as blocks of base rows;
 //! the fold itself is the reference its tests check against.
@@ -54,35 +54,6 @@ pub fn select_columns(matrix: &SparseMatrix, ids: &[u32]) -> Result<SparseMatrix
         columns.push(matrix.column(j).to_vec());
     }
     SparseMatrix::from_columns(matrix.n_rows(), columns)
-}
-
-/// Extracts the sub-matrix of the given rows, renumbering rows `0..`.
-///
-/// Row ids must be strictly ascending. Used by H-LSH to materialize the
-/// sampled `r` rows of each run.
-///
-/// # Errors
-///
-/// Returns an error on out-of-range or unsorted ids.
-pub fn select_rows(matrix: &RowMajorMatrix, ids: &[u32]) -> Result<RowMajorMatrix> {
-    if !ids.windows(2).all(|w| w[0] < w[1]) {
-        return Err(MatrixError::Parse {
-            at: 0,
-            detail: "row selection must be strictly ascending".into(),
-        });
-    }
-    let mut rows = Vec::with_capacity(ids.len());
-    for &i in ids {
-        if i >= matrix.n_rows() {
-            return Err(MatrixError::IndexOutOfRange {
-                kind: "row",
-                index: i,
-                bound: matrix.n_rows(),
-            });
-        }
-        rows.push(matrix.row(i).to_vec());
-    }
-    RowMajorMatrix::from_rows(matrix.n_cols(), rows)
 }
 
 /// A random pairing of rows: `pairing[2t]` and `pairing[2t+1]` are merged
@@ -213,16 +184,6 @@ mod tests {
         assert_eq!(s.column(1), &[2, 3, 5]);
         assert!(select_columns(&m, &[4, 1]).is_err());
         assert!(select_columns(&m, &[9]).is_err());
-    }
-
-    #[test]
-    fn select_rows_renumbers() {
-        let m = matrix().transpose();
-        let s = select_rows(&m, &[0, 2]).unwrap();
-        assert_eq!(s.n_rows(), 2);
-        assert_eq!(s.row(0), m.row(0));
-        assert_eq!(s.row(1), m.row(2));
-        assert!(select_rows(&m, &[2, 0]).is_err());
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!   traffic dominates (the bench baselines land squarely here).
 //!
 //! Both compute identical counts, and identical `f64` similarities from
-//! them, so the dispatch never changes results — only speed. The
-//! `*_cooc` variants stay public for the cost-model fallback and for
-//! before/after benchmarking.
+//! them, so the dispatch never changes results — only speed. The two arms
+//! are private: callers go through the dispatched entry points, and
+//! [`ground_truth_uses_bitmap`] reports which arm a matrix gets. The
+//! bitmap arm's AND-popcount follows the process-wide kernel arm
+//! ([`crate::kernel`]), so `--kernel` runs it scalar or SIMD.
 
 use sfa_hash::bucket::{pack_pair, FastHashMap};
 
@@ -113,6 +115,7 @@ pub struct SimilarPair {
 /// Panics if `threshold <= 0`.
 #[must_use]
 pub fn exact_similar_pairs(matrix: &SparseMatrix, threshold: f64) -> Vec<SimilarPair> {
+    assert!(threshold > 0.0, "threshold must be positive");
     if ground_truth_uses_bitmap(matrix) {
         exact_similar_pairs_bitmap(matrix, threshold)
     } else {
@@ -121,8 +124,9 @@ pub fn exact_similar_pairs(matrix: &SparseMatrix, threshold: f64) -> Vec<Similar
 }
 
 /// Descending-similarity-then-ascending-ids order shared by every
-/// `exact_similar_pairs*` variant, so all paths emit identical vectors.
-fn sort_similar_pairs(out: &mut [SimilarPair]) {
+/// exact all-pairs method (these arms and
+/// [`triangle`](crate::triangle)), so all paths emit identical vectors.
+pub(crate) fn sort_similar_pairs(out: &mut [SimilarPair]) {
     out.sort_by(|a, b| {
         b.similarity
             .partial_cmp(&a.similarity)
@@ -134,13 +138,7 @@ fn sort_similar_pairs(out: &mut [SimilarPair]) {
 
 /// [`exact_similar_pairs`] via row-wise co-occurrence hashmap counting
 /// (the pre-bitmap brute force; cheaper only for very sparse rows).
-///
-/// # Panics
-///
-/// Panics if `threshold <= 0`.
-#[must_use]
-pub fn exact_similar_pairs_cooc(matrix: &SparseMatrix, threshold: f64) -> Vec<SimilarPair> {
-    assert!(threshold > 0.0, "threshold must be positive");
+fn exact_similar_pairs_cooc(matrix: &SparseMatrix, threshold: f64) -> Vec<SimilarPair> {
     let row_major = matrix.transpose();
     let counts = co_occurrence_counts(&row_major);
     let sizes = matrix.column_counts();
@@ -163,13 +161,7 @@ pub fn exact_similar_pairs_cooc(matrix: &SparseMatrix, threshold: f64) -> Vec<Si
 
 /// [`exact_similar_pairs`] via the blocked bitmap all-pairs driver
 /// ([`BitMatrix::for_each_cooccurring_pair`]).
-///
-/// # Panics
-///
-/// Panics if `threshold <= 0`.
-#[must_use]
-pub fn exact_similar_pairs_bitmap(matrix: &SparseMatrix, threshold: f64) -> Vec<SimilarPair> {
-    assert!(threshold > 0.0, "threshold must be positive");
+fn exact_similar_pairs_bitmap(matrix: &SparseMatrix, threshold: f64) -> Vec<SimilarPair> {
     let bits = BitMatrix::from_csc(matrix);
     let sizes = matrix.column_counts();
     let mut out = Vec::new();
@@ -188,83 +180,18 @@ pub fn exact_similar_pairs_bitmap(matrix: &SparseMatrix, threshold: f64) -> Vec<
     out
 }
 
-/// [`exact_similar_pairs`] via all-pairs scalar sorted-merge intersection —
-/// the pre-PR kernel, kept as the before/after reference the bench
-/// baseline times against the bitmap driver.
-///
-/// # Panics
-///
-/// Panics if `threshold <= 0`.
-#[must_use]
-pub fn exact_similar_pairs_merge(matrix: &SparseMatrix, threshold: f64) -> Vec<SimilarPair> {
-    assert!(threshold > 0.0, "threshold must be positive");
-    let sizes = matrix.column_counts();
-    let mut out = Vec::new();
-    for i in 0..matrix.n_cols() {
-        for j in (i + 1)..matrix.n_cols() {
-            let co = crate::column::intersection_size(matrix.column(i), matrix.column(j));
-            if co == 0 {
-                continue;
-            }
-            let union = sizes[i as usize] + sizes[j as usize] - co;
-            let s = co as f64 / union as f64;
-            if s >= threshold {
-                out.push(SimilarPair {
-                    i,
-                    j,
-                    similarity: s,
-                });
-            }
-        }
-    }
-    sort_similar_pairs(&mut out);
-    out
-}
-
-/// [`exact_similar_pairs`] via roaring-style hybrid containers
-/// ([`crate::container::HybridColumns`]): each column chunk sits in its
-/// smallest representation and every pair dispatches to the cheapest
-/// container-vs-container kernel. Identical output to every other
-/// variant; wins when the columns compress well (sparse or clustered),
-/// where the dense bitmap driver would mostly AND zero words.
-///
-/// # Panics
-///
-/// Panics if `threshold <= 0`.
-#[must_use]
-pub fn exact_similar_pairs_hybrid(matrix: &SparseMatrix, threshold: f64) -> Vec<SimilarPair> {
-    assert!(threshold > 0.0, "threshold must be positive");
-    let hybrid = crate::container::HybridColumns::from_csc(matrix);
-    let sizes = matrix.column_counts();
-    let mut out = Vec::new();
-    for i in 0..matrix.n_cols() {
-        for j in (i + 1)..matrix.n_cols() {
-            let co = hybrid.intersection_size(i as usize, j as usize);
-            if co == 0 {
-                continue;
-            }
-            let union = sizes[i as usize] + sizes[j as usize] - co;
-            let s = co as f64 / union as f64;
-            if s >= threshold {
-                out.push(SimilarPair {
-                    i,
-                    j,
-                    similarity: s,
-                });
-            }
-        }
-    }
-    sort_similar_pairs(&mut out);
-    out
-}
-
 /// Histogram over `[0, 1]` of the exact similarities of all co-occurring
 /// column pairs (pairs with similarity exactly 0 are not counted).
 ///
 /// `counts[b]` holds pairs with `S ∈ [b/bins, (b+1)/bins)`; `S = 1` lands
 /// in the last bin. This regenerates the Fig. 3 similarity distribution.
+///
+/// # Panics
+///
+/// Panics if `bins == 0`.
 #[must_use]
 pub fn similarity_histogram(matrix: &SparseMatrix, bins: usize) -> Vec<u64> {
+    assert!(bins > 0, "need at least one bin");
     if ground_truth_uses_bitmap(matrix) {
         similarity_histogram_bitmap(matrix, bins)
     } else {
@@ -273,9 +200,7 @@ pub fn similarity_histogram(matrix: &SparseMatrix, bins: usize) -> Vec<u64> {
 }
 
 /// [`similarity_histogram`] via row-wise co-occurrence counting.
-#[must_use]
-pub fn similarity_histogram_cooc(matrix: &SparseMatrix, bins: usize) -> Vec<u64> {
-    assert!(bins > 0, "need at least one bin");
+fn similarity_histogram_cooc(matrix: &SparseMatrix, bins: usize) -> Vec<u64> {
     let row_major = matrix.transpose();
     let counts = co_occurrence_counts(&row_major);
     let sizes = matrix.column_counts();
@@ -291,9 +216,7 @@ pub fn similarity_histogram_cooc(matrix: &SparseMatrix, bins: usize) -> Vec<u64>
 }
 
 /// [`similarity_histogram`] via the blocked bitmap all-pairs driver.
-#[must_use]
-pub fn similarity_histogram_bitmap(matrix: &SparseMatrix, bins: usize) -> Vec<u64> {
-    assert!(bins > 0, "need at least one bin");
+fn similarity_histogram_bitmap(matrix: &SparseMatrix, bins: usize) -> Vec<u64> {
     let bits = BitMatrix::from_csc(matrix);
     let sizes = matrix.column_counts();
     let mut hist = vec![0u64; bins];
@@ -318,8 +241,7 @@ pub fn average_similarity(matrix: &SparseMatrix) -> f64 {
 }
 
 /// [`average_similarity`] via row-wise co-occurrence counting.
-#[must_use]
-pub fn average_similarity_cooc(matrix: &SparseMatrix) -> f64 {
+fn average_similarity_cooc(matrix: &SparseMatrix) -> f64 {
     let m = matrix.n_cols() as f64;
     if m == 0.0 {
         return 0.0;
@@ -345,8 +267,7 @@ pub fn average_similarity_cooc(matrix: &SparseMatrix) -> f64 {
 /// the floating-point accumulation order differs, so the two can disagree
 /// in the final ulps (both paths were already order-dependent — the
 /// hashmap iterates in arbitrary order).
-#[must_use]
-pub fn average_similarity_bitmap(matrix: &SparseMatrix) -> f64 {
+fn average_similarity_bitmap(matrix: &SparseMatrix) -> f64 {
     let m = f64::from(matrix.n_cols());
     if m == 0.0 {
         return 0.0;
@@ -480,8 +401,8 @@ mod tests {
         assert_eq!(average_similarity(&m), 0.0);
     }
 
-    /// A deterministic mid-density matrix exercising all three brute
-    /// forces on a non-trivial pair population.
+    /// A deterministic mid-density matrix exercising both arms and the
+    /// dense reference on a non-trivial pair population.
     fn patterned(n_rows: u32, n_cols: u32) -> SparseMatrix {
         let cols = (0..n_cols)
             .map(|j| {
@@ -502,15 +423,11 @@ mod tests {
     #[test]
     fn all_exact_pair_variants_agree() {
         for m in [example1(), patterned(130, 40)] {
-            let cooc = exact_similar_pairs_cooc(&m, 0.05);
-            let bitmap = exact_similar_pairs_bitmap(&m, 0.05);
-            let merge = exact_similar_pairs_merge(&m, 0.05);
-            let hybrid = exact_similar_pairs_hybrid(&m, 0.05);
-            let auto = exact_similar_pairs(&m, 0.05);
-            assert_eq!(cooc, bitmap);
-            assert_eq!(cooc, merge);
-            assert_eq!(cooc, hybrid);
-            assert_eq!(cooc, auto);
+            // §5.1's reference: the paper's dense all-pairs counters.
+            let reference = crate::triangle::exact_similar_pairs_dense(&m, 0.05);
+            assert_eq!(exact_similar_pairs_cooc(&m, 0.05), reference);
+            assert_eq!(exact_similar_pairs_bitmap(&m, 0.05), reference);
+            assert_eq!(exact_similar_pairs(&m, 0.05), reference);
         }
     }
 

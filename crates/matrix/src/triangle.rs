@@ -128,13 +128,7 @@ pub fn exact_similar_pairs_dense(matrix: &SparseMatrix, threshold: f64) -> Vec<S
             });
         }
     }
-    out.sort_by(|a, b| {
-        b.similarity
-            .partial_cmp(&a.similarity)
-            .expect("similarities are finite")
-            .then(a.i.cmp(&b.i))
-            .then(a.j.cmp(&b.j))
-    });
+    crate::stats::sort_similar_pairs(&mut out);
     out
 }
 

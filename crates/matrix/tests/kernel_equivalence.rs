@@ -2,20 +2,21 @@
 //!
 //! The sorted two-pointer merge ([`column::intersection_size`]) is the
 //! reference implementation; every faster kernel — galloping search, the
-//! adaptive dispatcher, the u32 auto dispatcher with its bitmap arm, the
-//! blocked [`BitMatrix`] all-pairs driver, the hybrid
+//! adaptive dispatcher (on `u32` row ids and on the `u64` K-MH sketches),
+//! the u32 auto dispatcher with its bitmap arm, the [`BitMatrix`]
+//! AND-popcount and its blocked all-pairs driver, the hybrid
 //! (array/bitmap/run) containers, and the runtime-dispatched SIMD word
-//! kernels — must return exactly the same integer counts on every input,
+//! kernel — must return exactly the same integer counts on every input,
 //! including the adversarially skewed shapes the dispatcher uses to pick
 //! a kernel and every pairwise container-type combination.
 
 use proptest::prelude::*;
 
-use sfa_matrix::bitmap::{intersection_size_scratch, BitColumn, BitMatrix};
+use sfa_matrix::bitmap::{intersection_size_scratch, intersection_size_words, BitMatrix};
 use sfa_matrix::column::{
     intersection_size, intersection_size_adaptive, intersection_size_auto, intersection_size_gallop,
 };
-use sfa_matrix::{kernel, HybridColumn, MatrixBuilder};
+use sfa_matrix::{kernel, HybridColumn, MatrixBuilder, SparseMatrix};
 
 fn row_set(bound: u32, max_len: usize) -> impl Strategy<Value = Vec<u32>> {
     prop::collection::btree_set(0..bound, 0..=max_len)
@@ -63,11 +64,10 @@ fn shaped_rows() -> impl Strategy<Value = Vec<u32>> {
     })
 }
 
-/// Sorted distinct `u64` values for the sorted-set SIMD merge, spread
-/// over a narrow range so intersections are non-trivial.
-fn sorted_u64s(max_len: usize) -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::btree_set(0u64..4_096, 0..=max_len)
-        .prop_map(|s| s.into_iter().collect::<Vec<u64>>())
+/// Sorted distinct `u64` values shaped like K-MH sketches, spread over a
+/// narrow range so intersections are non-trivial.
+fn sorted_u64s(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::btree_set(0u64..4_096, len).prop_map(|s| s.into_iter().collect::<Vec<u64>>())
 }
 
 /// A pair of columns where one side is forced to be far longer than the
@@ -110,14 +110,14 @@ proptest! {
         a in row_set(300, 150),
         b in row_set(300, 150),
     ) {
-        let ca = BitColumn::from_rows(300, &a);
-        let cb = BitColumn::from_rows(300, &b);
         let expected = intersection_size(&a, &b);
-        prop_assert_eq!(ca.intersection_size(&cb), expected);
-        let union = a.len() + b.len() - expected;
-        prop_assert_eq!(ca.union_size(&cb), union);
-        let want_jaccard = if union == 0 { 0.0 } else { expected as f64 / union as f64 };
-        prop_assert!((ca.jaccard(&cb) - want_jaccard).abs() < 1e-12);
+        let pair = SparseMatrix::from_columns(300, vec![a, b]).unwrap();
+        let bits = BitMatrix::from_csc(&pair);
+        prop_assert_eq!(bits.intersection_size(0, 1), expected);
+        prop_assert_eq!(
+            intersection_size_words(bits.column_words(1), bits.column_words(0)),
+            expected
+        );
     }
 
     #[test]
@@ -130,8 +130,6 @@ proptest! {
         let expected = intersection_size(&a, &b);
         prop_assert_eq!(ca.intersection_size(&cb), expected);
         prop_assert_eq!(cb.intersection_size(&ca), expected, "container order asymmetry");
-        let union = a.len() + b.len() - expected;
-        prop_assert_eq!(ca.union_size(&cb), union);
         prop_assert_eq!(
             HybridColumn::payload_bytes_for_rows(&a),
             ca.heap_bytes(),
@@ -144,29 +142,29 @@ proptest! {
         a in prop::collection::vec(any::<u64>(), 0..=300),
         b in prop::collection::vec(any::<u64>(), 0..=300),
     ) {
-        // Lengths differ, so the AND truncates and the OR counts the
-        // tail; >64-word inputs reach the Harley–Seal main loop.
-        let and_expected = kernel::and_popcount_scalar(&a, &b);
-        let or_expected = kernel::or_popcount_scalar(&a, &b);
-        prop_assert_eq!(kernel::and_popcount(&a, &b), and_expected);
-        prop_assert_eq!(kernel::or_popcount(&a, &b), or_expected);
+        // Lengths differ, so the AND truncates; >64-word inputs reach the
+        // Harley–Seal main loop.
+        let expected = kernel::and_popcount_scalar(&a, &b);
+        prop_assert_eq!(kernel::and_popcount(&a, &b), expected);
         if let Some(simd) = kernel::and_popcount_simd(&a, &b) {
-            prop_assert_eq!(simd, and_expected, "SIMD AND diverged from scalar");
-        }
-        if let Some(simd) = kernel::or_popcount_simd(&a, &b) {
-            prop_assert_eq!(simd, or_expected, "SIMD OR diverged from scalar");
+            prop_assert_eq!(simd, expected, "SIMD AND diverged from scalar");
         }
     }
 
     #[test]
-    fn simd_sorted_merge_matches_scalar(
-        a in sorted_u64s(400),
-        b in sorted_u64s(400),
+    fn sorted_u64_adaptive_matches_merge(
+        balanced_a in sorted_u64s(64..=400),
+        balanced_b in sorted_u64s(64..=400),
+        small in sorted_u64s(1..=3),
+        large in sorted_u64s(48..=600),
     ) {
-        let expected = kernel::intersect_sorted_u64_scalar(&a, &b);
-        prop_assert_eq!(kernel::intersect_sorted_u64(&a, &b), expected);
-        if let Some(simd) = kernel::intersect_sorted_u64_simd(&a, &b) {
-            prop_assert_eq!(simd, expected, "SIMD block merge diverged from scalar");
+        // K-MH sketch overlap: a skew under `GALLOP_SKEW_CUTOFF` (at most
+        // 400/64) takes the merge, one at or past it (at least 48/3) the
+        // galloping search.
+        for (a, b) in [(&balanced_a, &balanced_b), (&small, &large)] {
+            let expected = intersection_size(a, b);
+            prop_assert_eq!(intersection_size_adaptive(a, b), expected);
+            prop_assert_eq!(intersection_size_adaptive(b, a), expected);
         }
     }
 
@@ -243,16 +241,11 @@ fn every_container_type_pairing_matches_merge() {
                 expected,
                 "{na} ∩ {nb} diverged from the merge kernel"
             );
-            assert_eq!(
-                ca.union_size(&cb),
-                a.len() + b.len() - expected,
-                "{na} ∪ {nb} diverged"
-            );
         }
     }
 }
 
-/// The dispatched entry points agree with the forced-scalar arm on a
+/// The dispatched AND-popcount agrees with the forced-scalar arm on a
 /// deterministic workload, whatever arm the host CPU selects. The
 /// per-arm functions make this race-free: nothing here mutates the
 /// process-wide dispatch cache.
@@ -264,35 +257,34 @@ fn dispatched_kernels_agree_with_forced_scalar_arm() {
     let b: Vec<u64> = (0..777u64)
         .map(|i| (i + 3).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
         .collect();
-    assert_eq!(
-        kernel::and_popcount(&a, &b),
-        kernel::and_popcount_scalar(&a, &b)
-    );
-    assert_eq!(
-        kernel::or_popcount(&a, &b),
-        kernel::or_popcount_scalar(&a, &b)
-    );
+    let expected = kernel::and_popcount_scalar(&a, &b);
+    assert_eq!(kernel::and_popcount(&a, &b), expected);
+    // On hosts with a SIMD arm the explicit SIMD entry point must agree
+    // too; on scalar-only hosts it returns None and the dispatcher above
+    // already proved the fallback.
+    if kernel::simd_arm().is_some() {
+        assert_eq!(kernel::and_popcount_simd(&a, &b), Some(expected));
+    }
+}
+
+/// Fixed K-MH-shaped sketch pairs on both sides of `GALLOP_SKEW_CUTOFF`
+/// (16): balanced lengths take the merge, skews of 16 and more the
+/// galloping search.
+#[test]
+fn sorted_u64_adaptive_matches_merge_on_fixed_sketches() {
     let sa: Vec<u64> = (0..2_000u64).map(|i| i * 7).collect();
     let sb: Vec<u64> = (0..2_000u64).map(|i| i * 3 + 1).collect();
-    assert_eq!(
-        kernel::intersect_sorted_u64(&sa, &sb),
-        kernel::intersect_sorted_u64_scalar(&sa, &sb)
-    );
-    // On hosts with a SIMD arm the explicit SIMD entry points must agree
-    // too; on scalar-only hosts they return None and the dispatcher
-    // above already proved the fallback.
-    if kernel::simd_arm().is_some() {
-        assert_eq!(
-            kernel::and_popcount_simd(&a, &b),
-            Some(kernel::and_popcount_scalar(&a, &b))
-        );
-        assert_eq!(
-            kernel::or_popcount_simd(&a, &b),
-            Some(kernel::or_popcount_scalar(&a, &b))
-        );
-        assert_eq!(
-            kernel::intersect_sorted_u64_simd(&sa, &sb),
-            Some(kernel::intersect_sorted_u64_scalar(&sa, &sb))
-        );
+    for (a, b) in [
+        (&sa[..], &sb[..]),    // skew 1
+        (&sa[..126], &sb[..]), // skew 15
+        (&sa[..125], &sb[..]), // skew 16, the cutoff
+        (&sa[..40], &sb[..]),  // skew 50
+        (&sa[..0], &sb[..]),   // an empty sketch
+        (&sa[..], &sa[..]),    // identical sketches
+    ] {
+        let expected = intersection_size(a, b);
+        assert_eq!(intersection_size_adaptive(a, b), expected);
+        assert_eq!(intersection_size_adaptive(b, a), expected);
     }
+    assert_eq!(intersection_size_adaptive(&sa, &sa), sa.len());
 }

@@ -12,14 +12,14 @@
 //! [`compute_bottom_k`](crate::kmh::compute_bottom_k); the batch functions
 //! are thin wrappers over them.
 //!
-//! Both builders run their inner loops through the dispatched phase-1
-//! kernels in [`crate::kernel`]: `MhBuilder` keeps its signatures in a
+//! `MhBuilder` runs its inner loop through the dispatched min-merge
+//! kernel in [`crate::kernel`]: it keeps its signatures in a
 //! *column-major* work buffer so a row's `k`-wide hash vector min-merges
 //! into each touched column as one contiguous SIMD pass (the public
 //! [`SignatureMatrix`] stays row-major; the layouts meet at
-//! [`finish`](MhBuilder::finish)/[`current`](MhBuilder::current)), and
-//! `KmhBuilder` pre-filters each row's hash against a flat vector of
-//! per-column admission thresholds before touching any tracker.
+//! [`finish`](MhBuilder::finish)/[`current`](MhBuilder::current)).
+//! `KmhBuilder` compares each row's hash with a flat vector of per-column
+//! admission thresholds before touching any tracker.
 
 use sfa_hash::topk::BottomK;
 use sfa_hash::{HashFamily, RowHasher};
@@ -165,14 +165,10 @@ pub struct KmhBuilder {
     trackers: Vec<BottomK>,
     /// `thresholds[j]` mirrors `trackers[j].threshold()`: the saturated
     /// tracker's max, or `u64::MAX` while it still has room. Kept flat so
-    /// a row's admission tests gather into one contiguous sieve pass.
+    /// a rejected admission test reads one word, not a tracker.
     thresholds: Vec<u64>,
     counts: Vec<u32>,
     rows_seen: u64,
-    /// Per-row scratch: the touched columns' thresholds, then the sieve's
-    /// surviving indices. Retained across rows to avoid reallocating.
-    sieve_thresholds: Vec<u64>,
-    sieve_admitted: Vec<u32>,
 }
 
 impl KmhBuilder {
@@ -187,8 +183,6 @@ impl KmhBuilder {
             thresholds: vec![u64::MAX; m],
             counts: vec![0; m],
             rows_seen: 0,
-            sieve_thresholds: Vec::new(),
-            sieve_admitted: Vec::new(),
         }
     }
 
@@ -219,8 +213,6 @@ impl KmhBuilder {
             thresholds,
             counts: columns.map(|j| sigs.column_count(j)).collect(),
             rows_seen,
-            sieve_thresholds: Vec::new(),
-            sieve_admitted: Vec::new(),
         }
     }
 
@@ -258,30 +250,29 @@ impl KmhBuilder {
     /// Folds one row into the sketches.
     ///
     /// A row without a 1 is counted in [`rows_seen`](Self::rows_seen) but
-    /// never hashed. Otherwise the row hash is first sieved against the
-    /// touched columns' admission thresholds in one batched kernel pass;
-    /// only surviving columns pay a tracker probe, so saturated sketches
-    /// cost one compare per nonzero.
+    /// never hashed. Otherwise the row hash is compared with each touched
+    /// column's admission threshold, and only a column it does not exceed
+    /// pays a tracker probe, so saturated sketches cost one compare per
+    /// nonzero.
     pub fn push_row(&mut self, row_id: u32, cols: &[u32]) {
         self.rows_seen += 1;
         if cols.is_empty() {
             return;
         }
         let h = self.hasher.hash_row(row_id);
-        self.sieve_thresholds.clear();
-        self.sieve_thresholds
-            .extend(cols.iter().map(|&c| self.thresholds[c as usize]));
-        self.sieve_admitted.clear();
-        kernel::sieve_le(h, &self.sieve_thresholds, &mut self.sieve_admitted);
-        for &i in &self.sieve_admitted {
-            let col = cols[i as usize] as usize;
-            let t = &mut self.trackers[col];
-            if t.insert(h) {
-                self.thresholds[col] = t.threshold();
-            }
-        }
         for &col in cols {
-            self.counts[col as usize] += 1;
+            let col = col as usize;
+            self.counts[col] += 1;
+            // `<=`, not `<`: an unsaturated tracker's threshold is
+            // `u64::MAX` and must admit every hash (`u64::MAX` included),
+            // and a hash equal to a saturated tracker's max must still
+            // reach the tracker, whose set semantics decide.
+            if h <= self.thresholds[col] {
+                let t = &mut self.trackers[col];
+                if t.insert(h) {
+                    self.thresholds[col] = t.threshold();
+                }
+            }
         }
     }
 
@@ -457,8 +448,8 @@ mod tests {
 
     #[test]
     fn kmh_thresholds_track_trackers_exactly() {
-        // The sieve is only correct if the flat threshold vector never
-        // lags the trackers; check the invariant along a long stream.
+        // The admission test is only correct if the flat threshold vector
+        // never lags the trackers; check the invariant along a long stream.
         let rows: Vec<Vec<u32>> = (0..200u32).map(|i| vec![i % 3, 3 + (i % 2)]).collect();
         let mut b = KmhBuilder::new(4, 5, 11);
         for (id, cols) in rows.iter().enumerate() {

@@ -271,19 +271,6 @@ impl CandidateStream<'_, '_> {
     }
 }
 
-/// Deduplicates candidates by pair id, keeping the highest estimate, and
-/// returns them sorted by `(i, j)`.
-#[must_use]
-pub fn dedup_candidates(mut candidates: Vec<CandidatePair>) -> Vec<CandidatePair> {
-    candidates.sort_by(|a, b| {
-        (a.i, a.j)
-            .cmp(&(b.i, b.j))
-            .then(b.estimate.partial_cmp(&a.estimate).expect("finite"))
-    });
-    candidates.dedup_by_key(|c| (c.i, c.j));
-    candidates
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,31 +285,5 @@ mod tests {
     #[should_panic(expected = "self-pair")]
     fn self_pair_panics() {
         let _ = CandidatePair::new(3, 3, 1.0);
-    }
-
-    #[test]
-    fn dedup_keeps_best_estimate() {
-        let v = vec![
-            CandidatePair::new(0, 1, 0.3),
-            CandidatePair::new(1, 0, 0.9),
-            CandidatePair::new(2, 3, 0.5),
-        ];
-        let d = dedup_candidates(v);
-        assert_eq!(d.len(), 2);
-        assert_eq!(d[0].ids(), (0, 1));
-        assert!((d[0].estimate - 0.9).abs() < 1e-12);
-        assert_eq!(d[1].ids(), (2, 3));
-    }
-
-    #[test]
-    fn dedup_sorts_output() {
-        let v = vec![
-            CandidatePair::new(5, 6, 0.1),
-            CandidatePair::new(0, 9, 0.1),
-            CandidatePair::new(0, 2, 0.1),
-        ];
-        let d = dedup_candidates(v);
-        let ids: Vec<(u32, u32)> = d.iter().map(CandidatePair::ids).collect();
-        assert_eq!(ids, vec![(0, 2), (0, 9), (5, 6)]);
     }
 }

@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD kernels for the phase-1 signature scan.
+//! The runtime-dispatched SIMD kernel of MH's phase-1 signature scan.
 //!
 //! Phase 1 (§3) is "assign random hash values to the rows, keep the
 //! per-column minimum": for every 1-entry of the table, the row's `k`-wide
@@ -13,18 +13,13 @@
 //! `SFA_KERNEL` pin phase 1 and phase 3 together and `dispatch_arm` in
 //! the metrics describes both.
 //!
-//! Two kernels:
-//!
-//! * [`min_merge_u64`] — `dst[i] = min(dst[i], src[i])` over unsigned
-//!   64-bit lanes. AVX2 has no unsigned 64-bit min, so the AVX2 arm uses
-//!   the sign-flip trick: XOR both operands with `2^63`, compare with the
-//!   *signed* `vpcmpgtq`, and blend. NEON compares natively (`vcgtq_u64`)
-//!   and selects with `vbslq_u64`.
-//! * [`sieve_le`] — the batched K-MH sieve: given one row hash `h` and
-//!   the gathered per-column admission thresholds, emit the indices whose
-//!   threshold `h` does not exceed. Columns rejected here are never
-//!   touched again, so a saturated bottom-k set costs one compare per
-//!   nonzero instead of a tracker probe.
+//! The kernel is [`min_merge_u64`]: `dst[i] = min(dst[i], src[i])` over
+//! unsigned 64-bit lanes. AVX2 has no unsigned 64-bit min, so the AVX2
+//! arm uses the sign-flip trick: XOR both operands with `2^63`, compare
+//! with the *signed* `vpcmpgtq`, and blend. NEON compares natively
+//! (`vcgtq_u64`) and selects with `vbslq_u64`. K-MH's phase 1 has no
+//! kernel here: its one admission compare per nonzero is a plain loop in
+//! [`KmhBuilder::push_row`](crate::builder::KmhBuilder::push_row).
 //!
 //! Every arm returns exactly the same bytes; `tests/signature_kernels.rs`
 //! pins scalar-vs-SIMD agreement and CI re-runs the suites under
@@ -67,55 +62,19 @@ pub fn min_merge_u64_simd(dst: &mut [u64], src: &[u64]) -> bool {
     }
 }
 
-/// The batched K-MH sieve: pushes every index `i` with
-/// `h <= thresholds[i]` onto `admitted`.
-///
-/// The predicate is `<=`, not `<`, deliberately: an unsaturated tracker's
-/// threshold is `u64::MAX` and must admit *everything* (including a row
-/// hash that is itself `u64::MAX`), and a hash equal to a saturated
-/// tracker's max must still reach the tracker so its duplicate/set
-/// semantics stay the single source of truth. The sieve only guarantees
-/// it never drops a hash the tracker would admit.
-pub fn sieve_le(h: u64, thresholds: &[u64], admitted: &mut Vec<u32>) {
-    match arm() {
-        KernelArm::Scalar => sieve_le_scalar(h, thresholds, admitted),
-        KernelArm::Avx2 | KernelArm::Neon => simd_sieve_le(h, thresholds, admitted),
-    }
-}
-
-/// Scalar arm of [`sieve_le`].
-pub fn sieve_le_scalar(h: u64, thresholds: &[u64], admitted: &mut Vec<u32>) {
-    for (i, &t) in thresholds.iter().enumerate() {
-        if h <= t {
-            admitted.push(i as u32);
-        }
-    }
-}
-
-/// Forced-SIMD arm of [`sieve_le`]; `false` (leaving `admitted` untouched)
-/// when the CPU has no SIMD arm.
-pub fn sieve_le_simd(h: u64, thresholds: &[u64], admitted: &mut Vec<u32>) -> bool {
-    if simd_arm().is_some() {
-        simd_sieve_le(h, thresholds, admitted);
-        true
-    } else {
-        false
-    }
-}
-
 // ---------------------------------------------------------------------------
 // AVX2 arm (x86-64).
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! Sign-flip unsigned-min and the broadcast-compare sieve. Every function is `unsafe` with
+    //! Sign-flip unsigned-min. Every function is `unsafe` with
     //! `#[target_feature(enable = "avx2")]`; callers in the parent module
     //! only reach these after runtime detection reports AVX2.
 
     use std::arch::x86_64::{
-        _mm256_blendv_epi8, _mm256_castsi256_pd, _mm256_cmpgt_epi64, _mm256_loadu_si256,
-        _mm256_movemask_pd, _mm256_set1_epi64x, _mm256_storeu_si256, _mm256_xor_si256,
+        _mm256_blendv_epi8, _mm256_cmpgt_epi64, _mm256_loadu_si256, _mm256_set1_epi64x,
+        _mm256_storeu_si256, _mm256_xor_si256,
     };
 
     /// The unsigned-compare bias: XOR with `2^63` maps unsigned order
@@ -149,38 +108,6 @@ mod avx2 {
             }
         }
     }
-
-    /// Broadcast-compare sieve: 4 thresholds per `vpcmpgtq`, indices
-    /// recovered from the movemask.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (checked by the dispatcher).
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sieve_le(h: u64, thresholds: &[u64], admitted: &mut Vec<u32>) {
-        let n = thresholds.len();
-        let bias = _mm256_set1_epi64x(SIGN);
-        let hb = _mm256_xor_si256(_mm256_set1_epi64x(h as i64), bias);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: the guard leaves >= 4 readable words past `i`.
-            let t = _mm256_loadu_si256(thresholds.as_ptr().add(i).cast());
-            // h > t unsigned per lane; the *complement* is h <= t.
-            let gt = _mm256_cmpgt_epi64(hb, _mm256_xor_si256(t, bias));
-            let mut keep = !(_mm256_movemask_pd(_mm256_castsi256_pd(gt)) as u32) & 0xF;
-            while keep != 0 {
-                let lane = keep.trailing_zeros();
-                admitted.push(i as u32 + lane);
-                keep &= keep - 1;
-            }
-            i += 4;
-        }
-        for (w, &t) in thresholds.iter().enumerate().skip(i) {
-            if h <= t {
-                admitted.push(w as u32);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -190,7 +117,7 @@ mod avx2 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    use std::arch::aarch64::{vbslq_u64, vcgtq_u64, vdupq_n_u64, vld1q_u64, vst1q_u64};
+    use std::arch::aarch64::{vbslq_u64, vcgtq_u64, vld1q_u64, vst1q_u64};
 
     /// # Safety
     ///
@@ -215,36 +142,6 @@ mod neon {
             }
         }
     }
-
-    /// Broadcast-compare sieve, 2 thresholds per compare.
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON (checked by the dispatcher).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn sieve_le(h: u64, thresholds: &[u64], admitted: &mut Vec<u32>) {
-        use std::arch::aarch64::vgetq_lane_u64;
-        let n = thresholds.len();
-        let hb = vdupq_n_u64(h);
-        let mut i = 0usize;
-        while i + 2 <= n {
-            // SAFETY: the guard leaves >= 2 readable words past `i`.
-            let t = vld1q_u64(thresholds.as_ptr().add(i));
-            let gt = vcgtq_u64(hb, t); // h > t per lane; keep the rest
-            if vgetq_lane_u64::<0>(gt) == 0 {
-                admitted.push(i as u32);
-            }
-            if vgetq_lane_u64::<1>(gt) == 0 {
-                admitted.push(i as u32 + 1);
-            }
-            i += 2;
-        }
-        for (w, &t) in thresholds.iter().enumerate().skip(i) {
-            if h <= t {
-                admitted.push(w as u32);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -266,23 +163,6 @@ fn simd_min_merge(dst: &mut [u64], src: &[u64]) {
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 fn simd_min_merge(dst: &mut [u64], src: &[u64]) {
     min_merge_u64_scalar(dst, src);
-}
-
-#[cfg(target_arch = "x86_64")]
-fn simd_sieve_le(h: u64, thresholds: &[u64], admitted: &mut Vec<u32>) {
-    // SAFETY: only reached when `simd_arm()` reported AVX2.
-    unsafe { avx2::sieve_le(h, thresholds, admitted) }
-}
-
-#[cfg(target_arch = "aarch64")]
-fn simd_sieve_le(h: u64, thresholds: &[u64], admitted: &mut Vec<u32>) {
-    // SAFETY: only reached when `simd_arm()` reported NEON.
-    unsafe { neon::sieve_le(h, thresholds, admitted) }
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn simd_sieve_le(h: u64, thresholds: &[u64], admitted: &mut Vec<u32>) {
-    sieve_le_scalar(h, thresholds, admitted);
 }
 
 #[cfg(test)]
@@ -333,36 +213,6 @@ mod tests {
             scalar,
             vec![0, 5, 1 << 63, (1 << 63) - 1, u64::MAX, 3, 2, 2]
         );
-    }
-
-    #[test]
-    fn sieve_matches_scalar_and_is_le() {
-        for n in [0, 1, 2, 3, 4, 5, 8, 9, 31, 64] {
-            let thresholds = words(77 + n as u64, n)
-                .into_iter()
-                .map(|w| if w % 5 == 0 { u64::MAX } else { w })
-                .collect::<Vec<_>>();
-            for h in [0u64, 1, 1 << 63, u64::MAX - 1, u64::MAX] {
-                let mut want = Vec::new();
-                sieve_le_scalar(h, &thresholds, &mut want);
-                let mut got = Vec::new();
-                if sieve_le_simd(h, &thresholds, &mut got) {
-                    assert_eq!(got, want, "h={h} n={n}");
-                }
-                let mut dispatched = Vec::new();
-                sieve_le(h, &thresholds, &mut dispatched);
-                assert_eq!(dispatched, want, "h={h} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn sieve_max_hash_passes_max_threshold() {
-        // The freak case the `<=` predicate exists for: an unsaturated
-        // tracker (threshold u64::MAX) must admit a hash of u64::MAX.
-        let mut admitted = Vec::new();
-        sieve_le(u64::MAX, &[u64::MAX, 0, u64::MAX], &mut admitted);
-        assert_eq!(admitted, vec![0, 2]);
     }
 
     #[test]

@@ -73,14 +73,13 @@ impl BottomKSignatures {
     }
 
     /// `|SIG_i ∩ SIG_j|` — shared sketch values. Signatures are ascending
-    /// `u64` slices, so this is the dispatched sorted-set kernel
-    /// ([`sfa_matrix::kernel::intersect_sorted_u64`]): an AVX2
-    /// block-compare merge for balanced sketches, falling back to the
-    /// size-adaptive merge/gallop kernel when one column is sparser than
-    /// `k` (skewed lengths) or SIMD is unavailable.
+    /// `u64` slices, so this is the size-adaptive sorted-set count
+    /// ([`sfa_matrix::column::intersection_size_adaptive`]): a linear
+    /// merge for balanced sketches, a galloping search when one column is
+    /// much sparser than `k`.
     #[must_use]
     pub fn intersection_size(&self, i: u32, j: u32) -> usize {
-        sfa_matrix::kernel::intersect_sorted_u64(self.signature(i), self.signature(j))
+        sfa_matrix::column::intersection_size_adaptive(self.signature(i), self.signature(j))
     }
 
     /// The Theorem 2 unbiased similarity estimator:

@@ -30,9 +30,9 @@
 //! * [`explicit`] — the textbook explicit-permutation formulation,
 //!   reproducing the paper's Example 1 exactly and serving as a
 //!   differential oracle for the hashed implementation.
-//! * [`kernel`] — runtime-dispatched SIMD min-merge and sieve kernels the
-//!   builders' inner loops run through; arm selection is shared with the
-//!   phase-3 kernels in `sfa_matrix::kernel`.
+//! * [`kernel`] — the runtime-dispatched SIMD min-merge kernel MH's
+//!   builder runs through; arm selection is shared with the phase-3
+//!   kernels in `sfa_matrix::kernel`.
 
 pub mod builder;
 pub mod candidates;

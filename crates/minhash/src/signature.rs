@@ -21,17 +21,6 @@ pub struct SignatureMatrix {
 }
 
 impl SignatureMatrix {
-    /// Creates a matrix filled with [`EMPTY_SIGNATURE`], ready for
-    /// min-merging.
-    #[must_use]
-    pub fn new_empty(k: usize, m: usize) -> Self {
-        Self {
-            k,
-            m,
-            values: vec![EMPTY_SIGNATURE; k * m],
-        }
-    }
-
     /// Wraps raw values (row-major, length `k·m`).
     ///
     /// # Panics
@@ -190,9 +179,8 @@ mod tests {
     }
 
     #[test]
-    fn new_empty_is_all_sentinel() {
-        let s = SignatureMatrix::new_empty(2, 3);
-        assert!((0..2).all(|l| (0..3).all(|j| s.get(l, j as u32) == EMPTY_SIGNATURE)));
+    fn all_sentinel_columns_never_agree() {
+        let s = SignatureMatrix::from_values(2, 3, vec![EMPTY_SIGNATURE; 6]);
         assert_eq!(s.agreement_count(0, 1), 0);
         assert_eq!(s.s_hat(0, 1), 0.0);
     }

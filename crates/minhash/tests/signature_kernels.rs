@@ -1,19 +1,20 @@
 //! Property-based equivalence of the phase-1 signature kernels.
 //!
-//! The scalar min-merge/sieve loops are the semantic floor; the SIMD
-//! arms (sign-flip AVX2 min, broadcast sieve) must produce exactly the same bytes on every input — including
-//! values straddling `2^63`, the `u64::MAX` empty-signature sentinel,
-//! and vector-width remainder tails. On top of the per-kernel checks,
-//! whole signature builds (MH, 32-bit MH, K-MH) over randomly shaped
-//! matrices, many of them mostly empty, are pinned byte-identical across
-//! the forced `scalar` and `simd` dispatch arms — the end-to-end
-//! guarantee `--kernel` documents. The builders skip rows without a 1,
-//! so the last tests pin that a skipped row still counts as seen and
-//! that a checkpoint resume across a run of empty rows changes nothing.
+//! The scalar min-merge loop is the semantic floor; the SIMD arm
+//! (sign-flip AVX2 min) must produce exactly the same bytes on every
+//! input — including values straddling `2^63`, the `u64::MAX`
+//! empty-signature sentinel, and vector-width remainder tails. On top of
+//! that kernel check, whole signature builds (MH, 32-bit MH, K-MH) over
+//! randomly shaped matrices, many of them mostly empty, are pinned
+//! byte-identical across the forced `scalar` and `simd` dispatch arms —
+//! the end-to-end guarantee `--kernel` documents. The builders skip rows
+//! without a 1, so the last tests pin that a skipped row still counts as
+//! seen and that a checkpoint resume across a run of empty rows changes
+//! nothing.
 //!
 //! CI re-runs this suite under `SFA_KERNEL=scalar`, which cannot change
 //! any outcome here (the per-arm entry points bypass the dispatch cache,
-//! and the end-to-end test forces both arms itself) but pins the
+//! and the whole-build test forces both arms itself) but pins the
 //! portable floor on hosts whose auto arm is SIMD.
 
 use proptest::prelude::*;
@@ -21,9 +22,7 @@ use proptest::prelude::*;
 use sfa_matrix::kernel::{force, simd_arm, KernelChoice};
 use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
 use sfa_minhash::builder::{KmhBuilder, MhBuilder};
-use sfa_minhash::kernel::{
-    min_merge_u64_scalar, min_merge_u64_simd, sieve_le_scalar, sieve_le_simd,
-};
+use sfa_minhash::kernel::{min_merge_u64_scalar, min_merge_u64_simd};
 use sfa_minhash::mh::compute_signatures_32;
 use sfa_minhash::{compute_bottom_k, compute_signatures};
 
@@ -66,19 +65,6 @@ proptest! {
         min_merge_u64_scalar(&mut scalar, &src);
         if min_merge_u64_simd(&mut simd, &src) {
             prop_assert_eq!(simd, scalar, "SIMD min-merge diverged");
-        }
-    }
-
-    #[test]
-    fn sieve_simd_matches_scalar(
-        h in any::<u64>(),
-        thresholds in prop::collection::vec(any::<u64>(), 0..=300),
-    ) {
-        let mut want = Vec::new();
-        sieve_le_scalar(h, &thresholds, &mut want);
-        let mut got = Vec::new();
-        if sieve_le_simd(h, &thresholds, &mut got) {
-            prop_assert_eq!(got, want, "SIMD sieve diverged");
         }
     }
 

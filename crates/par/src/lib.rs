@@ -184,32 +184,13 @@ impl ThreadPool {
 
     /// Whether a round of `estimated_ops` elementary operations is worth
     /// dispatching to the pool at all (see [`SERIAL_CUTOFF`]). Callers
-    /// that can estimate their work use this (or the `*_bounded`
-    /// variants) to fall back to the caller thread on small inputs,
-    /// where epoch/condvar hand-off costs more than the work itself.
+    /// that can estimate their work use this (or
+    /// [`par_fold_bounded`](Self::par_fold_bounded)) to fall back to the
+    /// caller thread on small inputs, where epoch/condvar hand-off costs
+    /// more than the work itself.
     #[inline]
     pub fn worth_parallel(&self, estimated_ops: u64) -> bool {
         self.threads > 1 && estimated_ops >= SERIAL_CUTOFF
-    }
-
-    /// [`par_for`](Self::par_for) with a serial fallback: runs entirely
-    /// on the caller thread when `estimated_ops` is below
-    /// [`SERIAL_CUTOFF`]. Identical iteration semantics either way.
-    pub fn par_for_bounded<F: Fn(Range<usize>) + Sync>(
-        &self,
-        n_items: usize,
-        chunk: usize,
-        estimated_ops: u64,
-        f: F,
-    ) {
-        assert!(chunk > 0, "chunk size must be positive");
-        if !self.worth_parallel(estimated_ops) {
-            if n_items > 0 {
-                f(0..n_items);
-            }
-            return;
-        }
-        self.par_for(n_items, chunk, f);
     }
 
     /// [`par_fold`](Self::par_fold) with a serial fallback: folds on the
@@ -499,20 +480,9 @@ mod tests {
     }
 
     #[test]
-    fn bounded_variants_match_unbounded_results() {
+    fn bounded_fold_matches_unbounded_results() {
         let pool = ThreadPool::new(4);
         for ops in [0u64, SERIAL_CUTOFF, u64::MAX] {
-            let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-            pool.par_for_bounded(100, 7, ops, |range| {
-                for i in range {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "ops {ops}"
-            );
-
             let locals = pool.par_fold_bounded(
                 1000,
                 13,
@@ -529,7 +499,6 @@ mod tests {
         // Serial path still returns one init on an empty range.
         let locals = pool.par_fold_bounded(0, 8, 0, |_| 41u32, |_, _| unreachable!());
         assert_eq!(locals, vec![41]);
-        pool.par_for_bounded(0, 8, 0, |_| unreachable!());
     }
 
     #[test]

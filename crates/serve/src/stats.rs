@@ -72,12 +72,6 @@ impl ServerStats {
         self.snapshot_swaps.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Requests answered so far (live gauge for `HEALTH`).
-    #[must_use]
-    pub fn answered_so_far(&self) -> u64 {
-        self.answered.load(Ordering::Relaxed)
-    }
-
     /// The `p`-th percentile latency in microseconds, from the histogram
     /// (upper bucket bound, so p50/p99 are conservative).
     fn percentile_micros(&self, counts: &[u64; LATENCY_BUCKETS], p: f64) -> u64 {
