@@ -55,7 +55,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use sfa_hash::hash64_with_seed;
 use sfa_matrix::{MatrixError, Result};
@@ -188,7 +188,6 @@ impl WriteFaultConfig {
 }
 
 /// A fault plan plus the per-process write-op counter it consumes.
-#[derive(Debug)]
 struct FaultPlan {
     config: WriteFaultConfig,
     ops: AtomicU64,
@@ -325,53 +324,6 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<u64> {
     write_atomic_with(env_plan(), path, bytes)
 }
 
-/// A directory whose writes follow the crash-consistency discipline, with
-/// an optional *local* fault plan that overrides the process-wide
-/// `SFA_WRITE_FAULTS` plan — the handle tests and the chaos harness use
-/// to inject faults without touching process state.
-#[derive(Debug, Clone)]
-pub struct DurableDir {
-    dir: PathBuf,
-    plan: Option<Arc<FaultPlan>>,
-}
-
-impl DurableDir {
-    /// A durable handle on `dir` using the process-wide fault plan (none,
-    /// unless `SFA_WRITE_FAULTS` is set).
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            plan: None,
-        }
-    }
-
-    /// A durable handle with its own injection plan.
-    pub fn with_faults(dir: impl Into<PathBuf>, config: WriteFaultConfig) -> Self {
-        Self {
-            dir: dir.into(),
-            plan: Some(Arc::new(FaultPlan::new(config))),
-        }
-    }
-
-    /// The directory this handle writes into.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Atomically writes `name` inside the directory; see [`write_atomic`].
-    ///
-    /// # Errors
-    ///
-    /// Any IO failure, real or injected.
-    pub fn write_atomic(&self, name: &str, bytes: &[u8]) -> Result<u64> {
-        match &self.plan {
-            Some(plan) => write_atomic_with(Some(plan), &self.dir.join(name), bytes),
-            None => write_atomic_with(env_plan(), &self.dir.join(name), bytes),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // manifest
 
@@ -494,12 +446,20 @@ mod tests {
         )
     }
 
+    /// A plan whose only faults are `faults`, at the given write ops.
+    fn plan(faults: Vec<(u64, WriteFault)>) -> FaultPlan {
+        FaultPlan::new(WriteFaultConfig {
+            fault_at_ops: faults,
+            ..WriteFaultConfig::default()
+        })
+    }
+
     #[test]
     fn clean_write_replaces_atomically_and_leaves_no_tmp() {
         let d = dir("clean-write");
-        let dd = DurableDir::new(&d);
-        dd.write_atomic("out.bin", b"first").expect("write");
-        dd.write_atomic("out.bin", b"second").expect("rewrite");
+        let out = d.join("out.bin");
+        write_atomic_with(None, &out, b"first").expect("write");
+        write_atomic_with(None, &out, b"second").expect("rewrite");
         assert_eq!(std::fs::read(d.join("out.bin")).unwrap(), b"second");
         assert!(!d.join("out.bin.tmp").exists());
         let _ = std::fs::remove_dir_all(&d);
@@ -551,17 +511,10 @@ mod tests {
     fn enospc_and_short_write_leave_truncated_tmp_and_keep_destination() {
         for fault in [WriteFault::Enospc, WriteFault::ShortWrite] {
             let d = dir(&format!("tmp-fault-{fault:?}"));
-            let dd = DurableDir::with_faults(
-                &d,
-                WriteFaultConfig {
-                    fault_at_ops: vec![(1, fault)],
-                    ..WriteFaultConfig::default()
-                },
-            );
-            dd.write_atomic("out.bin", b"previous contents")
-                .expect("op 0 clean");
-            let err = dd
-                .write_atomic("out.bin", b"new contents that never land")
+            let plan = plan(vec![(1, fault)]);
+            let out = d.join("out.bin");
+            write_atomic_with(Some(&plan), &out, b"previous contents").expect("op 0 clean");
+            let err = write_atomic_with(Some(&plan), &out, b"new contents that never land")
                 .expect_err("op 1 faults");
             assert!(err.to_string().contains("injected"), "{err}");
             assert_eq!(
@@ -578,14 +531,8 @@ mod tests {
     #[test]
     fn torn_rename_leaves_complete_tmp_and_untouched_destination() {
         let d = dir("torn-rename");
-        let dd = DurableDir::with_faults(
-            &d,
-            WriteFaultConfig {
-                fault_at_ops: vec![(0, WriteFault::TornRename)],
-                ..WriteFaultConfig::default()
-            },
-        );
-        dd.write_atomic("out.bin", b"payload").expect_err("faults");
+        let plan = plan(vec![(0, WriteFault::TornRename)]);
+        write_atomic_with(Some(&plan), &d.join("out.bin"), b"payload").expect_err("faults");
         assert!(!d.join("out.bin").exists());
         assert_eq!(std::fs::read(d.join("out.bin.tmp")).unwrap(), b"payload");
         let _ = std::fs::remove_dir_all(&d);
@@ -594,15 +541,8 @@ mod tests {
     #[test]
     fn lost_data_tears_the_destination() {
         let d = dir("lost-data");
-        let dd = DurableDir::with_faults(
-            &d,
-            WriteFaultConfig {
-                fault_at_ops: vec![(0, WriteFault::LostData)],
-                ..WriteFaultConfig::default()
-            },
-        );
-        dd.write_atomic("out.bin", b"0123456789")
-            .expect_err("faults");
+        let plan = plan(vec![(0, WriteFault::LostData)]);
+        write_atomic_with(Some(&plan), &d.join("out.bin"), b"0123456789").expect_err("faults");
         assert_eq!(
             std::fs::read(d.join("out.bin")).unwrap(),
             b"01234",

@@ -66,7 +66,7 @@ pub mod verify;
 
 pub use checkpoint::CheckpointSpec;
 pub use config::{PipelineConfig, Scheme};
-pub use durable::{DurableDir, RecoveredDir, WriteFault, WriteFaultConfig};
+pub use durable::{RecoveredDir, WriteFault, WriteFaultConfig};
 pub use metrics::{
     MetricsDocument, MiningMetrics, PassMetrics, Phase1Metrics, RecoveryMetrics, ServingMetrics,
     ShardingMetrics, StageCount, VerifyMetrics, METRICS_SCHEMA_VERSION,

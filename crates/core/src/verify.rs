@@ -7,18 +7,24 @@
 //! the union via `|C_i ∪ C_j| = |C_i| + |C_j| − |C_i ∩ C_j|`.
 //!
 //! One counting pass serves every pipeline mode. It reads its rows either
-//! from a [`RowStream`] ([`verify_candidates_resumable`]) or from the row
-//! slices of a table already in memory (`verify_table_resumable`, which the
-//! pipeline's resident runs and [`crate::streaming::StreamingMiner`] use);
-//! both feed the same block counter and the same final assembly, so they
-//! agree on every pair, count and probe.
+//! from a [`RowStream`] ([`verify_candidates_resumable`]) or from the CSR
+//! arrays of a table already in memory ([`verify_table_resumable`], which
+//! the pipeline's resident runs and [`crate::streaming::StreamingMiner`]
+//! use); both feed the same block counter and the same final assembly, so
+//! they agree on every pair, count and probe.
 //!
 //! Cost model of a pass: one step per 1-entry (its column count, and a bit
 //! in its column's block line if the column belongs to a candidate), plus
 //! one 64-byte AND-popcount per candidate per 512-row block in which the
-//! candidate's smaller column holds a 1. The reported probe count is Σ over
-//! 1-entries of the candidates the entry's column belongs to — a fixed
-//! function of the table and the candidate list.
+//! candidate's smaller column holds a 1. A stream also costs a step per
+//! row; a resident table does not, so its empty rows are free. The
+//! AND-popcounts run on the host's `popcnt` or AVX-512 VPOPCNTDQ
+//! instructions unless the kernel arm is scalar (see `FlushArm`). The
+//! reported probe count is Σ over 1-entries of the candidates the entry's
+//! column belongs to — a fixed function of the table and the candidate
+//! list.
+
+use std::ops::Range;
 
 use sfa_matrix::{MatrixError, Result, RowMajorMatrix, RowStream, SparseMatrix};
 use sfa_minhash::CandidatePair;
@@ -34,6 +40,51 @@ const BLOCK_ROWS: u64 = 512;
 #[derive(Clone, Copy, Default)]
 #[repr(align(64))]
 struct Line([u64; 8]);
+
+/// The instructions a [`BlockCounter`] flush popcounts its lines with. All
+/// three arms compile one loop body, so they count exactly the same bits.
+#[derive(Clone, Copy, Debug)]
+enum FlushArm {
+    /// `u64::count_ones` as the baseline target compiles it (a software
+    /// popcount on baseline x86-64).
+    Portable,
+    /// The same loop compiled for the `popcnt` instruction.
+    Popcnt,
+    /// The same loop compiled for AVX-512 VPOPCNTDQ, where one line is one
+    /// 512-bit register.
+    Avx512,
+}
+
+impl FlushArm {
+    /// Whether this CPU runs the arm.
+    fn supported(self) -> bool {
+        match self {
+            Self::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Self::Popcnt => std::arch::is_x86_feature_detected!("popcnt"),
+            #[cfg(target_arch = "x86_64")]
+            Self::Avx512 => {
+                std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            Self::Popcnt | Self::Avx512 => false,
+        }
+    }
+
+    /// The portable loop when the process-wide kernel arm is scalar
+    /// (`--kernel scalar`, `SFA_KERNEL=scalar`), otherwise the best arm
+    /// this CPU runs.
+    fn select() -> Self {
+        if sfa_matrix::kernel::arm() == sfa_matrix::kernel::KernelArm::Scalar {
+            return Self::Portable;
+        }
+        [Self::Avx512, Self::Popcnt]
+            .into_iter()
+            .find(|arm| arm.supported())
+            .unwrap_or(Self::Portable)
+    }
+}
 
 /// Phase 3's intersection counter: rows are folded into [`BLOCK_ROWS`]-row
 /// blocks of per-column bit lines, and each candidate's intersection grows
@@ -53,6 +104,10 @@ struct BlockCounter {
     lines: Vec<Line>,
     /// Slots with a bit set in the current block, each once.
     seen: Vec<u32>,
+    /// Per slot: whether the slot is in `seen`.
+    in_seen: Vec<bool>,
+    /// Chosen once, when the counter is built.
+    arm: FlushArm,
 }
 
 impl BlockCounter {
@@ -94,29 +149,67 @@ impl BlockCounter {
             forward,
             lines: vec![Line::default(); slots],
             seen: Vec::new(),
+            in_seen: vec![false; slots],
+            arm: FlushArm::select(),
         }
     }
 
-    /// Records a 1 in `col` at row `row` of the current block; returns the
-    /// number of candidates `col` belongs to (the entry's probe charge).
+    /// The slot of `col`, if a candidate touches it.
     #[inline]
-    fn set(&mut self, col: u32, row: u64) -> u64 {
+    fn slot(&self, col: u32) -> Option<usize> {
         let s = self.slot_of[col as usize];
-        if s == u32::MAX {
-            return 0;
-        }
-        let line = &mut self.lines[s as usize].0;
-        if line.iter().all(|&w| w == 0) {
-            self.seen.push(s);
+        (s != u32::MAX).then_some(s as usize)
+    }
+
+    /// Records a 1 in slot `s` at row `row` of the current block; returns
+    /// the number of candidates the slot's column belongs to (the entry's
+    /// probe charge).
+    #[inline]
+    fn set(&mut self, s: usize, row: u64) -> u64 {
+        if !self.in_seen[s] {
+            self.in_seen[s] = true;
+            self.seen.push(s as u32);
         }
         let bit = row % BLOCK_ROWS;
-        line[(bit / 64) as usize] |= 1 << (bit % 64);
-        u64::from(self.degree[s as usize])
+        self.lines[s].0[(bit / 64) as usize] |= 1 << (bit % 64);
+        u64::from(self.degree[s])
     }
 
     /// Adds the current block's intersections into `intersections` and
-    /// clears the block.
+    /// clears the block, on the counter's [`FlushArm`].
     fn flush(&mut self, intersections: &mut [u32]) {
+        match self.arm {
+            // SAFETY: `FlushArm::select` picks an x86 arm only when
+            // `supported` reports its features on this CPU, and so must
+            // anything else that sets `arm`.
+            #[cfg(target_arch = "x86_64")]
+            FlushArm::Avx512 => unsafe { self.flush_avx512(intersections) },
+            #[cfg(target_arch = "x86_64")]
+            FlushArm::Popcnt => unsafe { self.flush_popcnt(intersections) },
+            _ => self.flush_lines(intersections),
+        }
+    }
+
+    /// [`Self::flush_lines`] compiled for `popcnt`; to be called only where
+    /// [`FlushArm::Popcnt`] is supported.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt")]
+    fn flush_popcnt(&mut self, intersections: &mut [u32]) {
+        self.flush_lines(intersections);
+    }
+
+    /// [`Self::flush_lines`] compiled for AVX-512 VPOPCNTDQ; to be called
+    /// only where [`FlushArm::Avx512`] is supported.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
+    fn flush_avx512(&mut self, intersections: &mut [u32]) {
+        self.flush_lines(intersections);
+    }
+
+    /// The one flush body: inlined into each arm, so each compiles it for
+    /// its own target features.
+    #[inline(always)]
+    fn flush_lines(&mut self, intersections: &mut [u32]) {
         for &s in &self.seen {
             let s = s as usize;
             let bits = &self.lines[s].0;
@@ -131,6 +224,7 @@ impl BlockCounter {
         }
         for &s in &self.seen {
             self.lines[s as usize] = Line::default();
+            self.in_seen[s as usize] = false;
         }
         self.seen.clear();
     }
@@ -282,10 +376,12 @@ pub fn verify_candidates_resumable<S: RowStream>(
     )
 }
 
-/// [`verify_candidates_resumable`] over the row slices of a table already
-/// in memory: the same counters, checkpoints and output as a pass over a
-/// stream of `table`, without copying a row. `cancel` is polled once per
-/// 512-row block.
+/// [`verify_candidates_resumable`] over a table already in memory: the
+/// same counters, checkpoints and output as a pass over a stream of
+/// `table`, without copying a row. Between two rows where the pass may
+/// flush, checkpoint or poll (each 512-row block end and each checkpoint
+/// row) it walks the rows' 1s back to back in the table's CSR arrays, so
+/// empty rows cost nothing. `cancel` is polled once per 512-row block.
 ///
 /// # Errors
 ///
@@ -294,7 +390,7 @@ pub fn verify_candidates_resumable<S: RowStream>(
 /// # Panics
 ///
 /// As [`verify_candidates_resumable`].
-pub(crate) fn verify_table_resumable(
+pub fn verify_table_resumable(
     table: &RowMajorMatrix,
     candidates: &[CandidatePair],
     resume: Option<VerifyProgress>,
@@ -314,6 +410,27 @@ pub(crate) fn verify_table_resumable(
     )
 }
 
+/// What a counting pass folds its 1-entries into.
+struct Tally {
+    counter: BlockCounter,
+    /// Per-column 1-counts.
+    column_counts: Vec<u32>,
+    /// Σ over the 1-entries folded in of their columns' candidate counts.
+    probes: u64,
+}
+
+impl Tally {
+    /// Folds in a 1 in `col`; `row` yields its row, asked for only when a
+    /// candidate touches `col`.
+    #[inline]
+    fn add(&mut self, col: u32, row: impl FnOnce() -> u64) {
+        self.column_counts[col as usize] += 1;
+        if let Some(s) = self.counter.slot(col) {
+            self.probes += self.counter.set(s, row());
+        }
+    }
+}
+
 /// Where a counting pass reads its rows.
 trait Rows {
     /// Whether cancellation is polled after every row; otherwise once per
@@ -323,8 +440,9 @@ trait Rows {
     /// Skips `count` rows; returns how many there were.
     fn skip(&mut self, count: u64) -> Result<u64>;
 
-    /// The next row's ascending column ids, or `None` at the end.
-    fn next_row(&mut self) -> Result<Option<&[u32]>>;
+    /// Folds rows `rows` (the next ones to read) into `tally`; returns how
+    /// many there were, fewer than asked at the end of the rows.
+    fn fold(&mut self, rows: Range<u64>, tally: &mut Tally) -> Result<u64>;
 }
 
 /// A stream's rows, read into one reused buffer.
@@ -340,8 +458,15 @@ impl<S: RowStream> Rows for Streamed<'_, S> {
         self.stream.skip_rows(count)
     }
 
-    fn next_row(&mut self) -> Result<Option<&[u32]>> {
-        Ok(self.stream.read_row(&mut self.buf)?.map(|_| &self.buf[..]))
+    fn fold(&mut self, rows: Range<u64>, tally: &mut Tally) -> Result<u64> {
+        let mut row = rows.start;
+        while row < rows.end && self.stream.read_row(&mut self.buf)?.is_some() {
+            for &col in &self.buf {
+                tally.add(col, || row);
+            }
+            row += 1;
+        }
+        Ok(row - rows.start)
     }
 }
 
@@ -360,12 +485,31 @@ impl Rows for Slices<'_> {
         Ok(skipped)
     }
 
-    fn next_row(&mut self) -> Result<Option<&[u32]>> {
-        if self.next == self.table.n_rows() {
-            return Ok(None);
+    /// Walks the rows' 1s back to back in the CSR column ids, not row by
+    /// row: on a sparse table most rows are empty, and a per-row loop
+    /// mispredicts on every row's length. The row pointers place a 1 in
+    /// its row only when a candidate touches its column.
+    fn fold(&mut self, rows: Range<u64>, tally: &mut Tally) -> Result<u64> {
+        debug_assert_eq!(rows.start, u64::from(self.next));
+        let (row_ptr, col_idx) = self.table.csr();
+        let start = self.next as usize;
+        let end = rows.end.min(u64::from(self.table.n_rows())) as usize;
+        let entries = row_ptr[start]..row_ptr[end];
+        // `row` holds entry `e` while `e < row_end`.
+        let (mut row, mut row_end) = (start, row_ptr[start]);
+        for (e, &col) in entries.clone().zip(&col_idx[entries]) {
+            tally.add(col, || {
+                if e >= row_end {
+                    while row_ptr[row + 1] <= e {
+                        row += 1;
+                    }
+                    row_end = row_ptr[row + 1];
+                }
+                row as u64
+            });
         }
-        self.next += 1;
-        Ok(Some(self.table.row(self.next - 1)))
+        self.next = end as u32;
+        Ok((end - start) as u64)
     }
 }
 
@@ -379,8 +523,7 @@ fn count_pass<R: Rows>(
     on_checkpoint: &mut dyn FnMut(&VerifyProgress) -> Result<()>,
     cancel: &CancelToken,
 ) -> Result<(Vec<VerifiedPair>, Vec<u32>, u64)> {
-    let mut counter = BlockCounter::new(m, candidates);
-    let (mut rows_done, mut intersections, mut column_counts, mut probes) = match resume {
+    let (mut rows_done, mut intersections, column_counts, probes) = match resume {
         Some(p) => {
             assert_eq!(
                 p.intersections.len(),
@@ -405,6 +548,11 @@ fn count_pass<R: Rows>(
         }
         None => (0, vec![0u32; candidates.len()], vec![0u32; m], 0u64),
     };
+    let mut tally = Tally {
+        counter: BlockCounter::new(m, candidates),
+        column_counts,
+        probes,
+    };
     // The next row count on the checkpoint cadence, kept instead of a
     // per-row division.
     let mut next_checkpoint = (rows_done / every_rows + 1).saturating_mul(every_rows);
@@ -413,34 +561,41 @@ fn count_pass<R: Rows>(
     } else {
         1
     });
-    while let Some(cols) = rows.next_row()? {
-        for &col in cols {
-            column_counts[col as usize] += 1;
-            probes += counter.set(col, rows_done);
+    loop {
+        // Fold up to the next row that may flush, poll or checkpoint: the
+        // next row of a stream, the next block end or checkpoint row of a
+        // resident table.
+        let stop = if R::POLL_EVERY_ROW {
+            rows_done + 1
+        } else {
+            ((rows_done / BLOCK_ROWS + 1) * BLOCK_ROWS).min(next_checkpoint)
+        };
+        rows_done += rows.fold(rows_done..stop, &mut tally)?;
+        if rows_done < stop {
+            break;
         }
-        rows_done += 1;
         let block_done = rows_done % BLOCK_ROWS == 0;
         let canceled = (R::POLL_EVERY_ROW || block_done) && cancel.is_canceled();
         let checkpoint = rows_done == next_checkpoint || canceled;
         if checkpoint || block_done {
-            counter.flush(&mut intersections);
+            tally.counter.flush(&mut intersections);
         }
         if checkpoint {
             next_checkpoint = next_checkpoint.saturating_add(every_rows);
             on_checkpoint(&VerifyProgress {
                 rows_done,
                 intersections: intersections.clone(),
-                column_counts: column_counts.clone(),
-                probes,
+                column_counts: tally.column_counts.clone(),
+                probes: tally.probes,
             })?;
         }
         if canceled {
             cancel.check()?;
         }
     }
-    counter.flush(&mut intersections);
-    let verified = assemble_verified(candidates, &intersections, &column_counts);
-    Ok((verified, column_counts, probes))
+    tally.counter.flush(&mut intersections);
+    let verified = assemble_verified(candidates, &intersections, &tally.column_counts);
+    Ok((verified, tally.column_counts, tally.probes))
 }
 
 /// Memory budget for the container verifier: the materialized hybrid
@@ -960,5 +1115,62 @@ mod tests {
         assert_eq!(verified[0].intersection, 0);
         assert_eq!(verified[0].similarity, 0.0);
         assert_eq!(verified[0].union, 2);
+    }
+
+    /// Two blocks of one counter's lines, flushed on `arm`: columns 0..12
+    /// hold random bits, 12..16 all ones, 16..20 nothing. Returns the
+    /// intersections after each block.
+    fn flushed_blocks(arm: FlushArm, candidates: &[CandidatePair]) -> Vec<Vec<u32>> {
+        use rand::{Rng, SeedableRng};
+        let mut counter = BlockCounter::new(20, candidates);
+        counter.arm = arm;
+        let mut intersections = vec![0u32; candidates.len()];
+        (0..2u64)
+            .map(|block| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(block);
+                for col in 0..16u32 {
+                    let density = rng.gen_range(0.01..0.99);
+                    let s = counter.slot(col).expect("every column is a candidate's");
+                    for row in block * BLOCK_ROWS..(block + 1) * BLOCK_ROWS {
+                        if col >= 12 || rng.gen_bool(density) {
+                            counter.set(s, row);
+                        }
+                    }
+                }
+                counter.flush(&mut intersections);
+                intersections.clone()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_flush_arm_counts_the_portable_intersections() {
+        // Column 0 shares its slot with a candidate per other column, and
+        // every kind of line meets every other kind.
+        let candidates: Vec<CandidatePair> = (1..20u32)
+            .map(|j| CandidatePair::new(0, j, 0.5))
+            .chain(
+                [(3, 7), (5, 12), (12, 13), (9, 17), (14, 18), (16, 19)]
+                    .map(|(i, j)| CandidatePair::new(i, j, 0.5)),
+            )
+            .collect();
+        let portable = flushed_blocks(FlushArm::Portable, &candidates);
+        // All ones against all ones: the whole block, once per block.
+        assert_eq!(portable[1][candidates.len() - 4], 2 * BLOCK_ROWS as u32);
+        // Against an empty line: nothing.
+        for (c, inter) in candidates.iter().zip(&portable[1]) {
+            if c.i >= 16 || c.j >= 16 {
+                assert_eq!(*inter, 0, "({}, {})", c.i, c.j);
+            }
+        }
+        let mut skipped = Vec::new();
+        for arm in [FlushArm::Popcnt, FlushArm::Avx512] {
+            if arm.supported() {
+                assert_eq!(flushed_blocks(arm, &candidates), portable, "{arm:?}");
+            } else {
+                skipped.push(arm);
+            }
+        }
+        println!("flush arms this CPU does not run, skipped: {skipped:?}");
     }
 }

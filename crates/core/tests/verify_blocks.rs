@@ -1,12 +1,15 @@
-//! The streamed phase-3 verifier counts intersections in 512-row blocks.
-//! These tests pin it against a brute-force column oracle on tables whose
-//! row counts straddle block edges, and check that checkpoints, resumes
-//! and cancellations that fall inside a block see exactly the rows folded
-//! in so far.
+//! The phase-3 verifier counts intersections in 512-row blocks, over a
+//! stream or over a resident table's rows. These tests pin it against a
+//! brute-force column oracle on tables whose row counts straddle block
+//! edges, and check that checkpoints, resumes and cancellations that fall
+//! inside a block see exactly the rows folded in so far.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use sfa_core::verify::{verify_candidates_resumable, verify_candidates_with_stats, VerifyProgress};
+use sfa_core::verify::{
+    verify_candidates_resumable, verify_candidates_with_stats, verify_table_resumable,
+    VerifyProgress,
+};
 use sfa_core::{CancelToken, VerifiedPair};
 use sfa_matrix::{MemoryRowStream, Result, RowMajorMatrix, RowStream};
 use sfa_minhash::CandidatePair;
@@ -239,5 +242,106 @@ fn a_cancel_inside_a_block_flushes_its_exact_prefix() {
             &CancelToken::default(),
         );
         assert_eq!(resumed.unwrap(), full, "resumed after a cancel at {after}");
+    }
+}
+
+/// A table whose 1s come in bursts of up to 40 rows between runs of up to
+/// 700 empty rows, so empty runs span block ends and checkpoint rows.
+fn bursty_table(n_rows: u32, seed: u64) -> RowMajorMatrix {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rows: Vec<Vec<u32>> = Vec::new();
+    while rows.len() < n_rows as usize {
+        let empty = rng.gen_range(0..700usize);
+        rows.extend(std::iter::repeat_with(Vec::new).take(empty));
+        for _ in 0..rng.gen_range(1..40usize) {
+            rows.push((0..N_COLS).filter(|_| rng.gen_bool(0.3)).collect());
+        }
+    }
+    rows.truncate(n_rows as usize);
+    RowMajorMatrix::from_rows(N_COLS, rows).unwrap()
+}
+
+/// [`pass_with_checkpoints`] over the table's resident rows.
+fn resident_pass_with_checkpoints(
+    m: &RowMajorMatrix,
+    candidates: &[CandidatePair],
+    resume: Option<VerifyProgress>,
+    every_rows: u64,
+) -> (Pass, Vec<VerifyProgress>) {
+    let mut checkpoints = Vec::new();
+    let out = verify_table_resumable(
+        m,
+        candidates,
+        resume,
+        every_rows,
+        &mut |p| {
+            checkpoints.push(p.clone());
+            Ok(())
+        },
+        &CancelToken::default(),
+    );
+    (out, checkpoints)
+}
+
+#[test]
+fn empty_row_runs_across_block_ends_and_checkpoints_count_alike_resident_and_streamed() {
+    const N_ROWS: u32 = 3000;
+    for seed in [3u64, 4, 5] {
+        let m = bursty_table(N_ROWS, seed);
+        let spans_a_block_end = (1..=N_ROWS / 512)
+            .any(|k| (k * 512 - 2..k * 512 + 2).all(|r| r >= N_ROWS || m.row_count(r) == 0));
+        assert!(
+            spans_a_block_end,
+            "seed {seed}: no empty run crosses a block end"
+        );
+        let candidates = candidates(seed);
+        let full =
+            verify_candidates_with_stats(&mut MemoryRowStream::new(&m), &candidates).unwrap();
+        let expected = oracle(&m, N_ROWS, &candidates);
+        assert_eq!(full.1, expected.column_counts);
+        assert_eq!(full.2, expected.probes);
+        for p in &full.0 {
+            let idx = candidates
+                .iter()
+                .position(|c| (c.i, c.j) == (p.i, p.j))
+                .unwrap();
+            assert_eq!(p.intersection, expected.intersections[idx]);
+        }
+        for every_rows in [7u64, 300, 700] {
+            let (resident, checkpoints) =
+                resident_pass_with_checkpoints(&m, &candidates, None, every_rows);
+            assert_eq!(resident.unwrap(), full, "seed {seed}, every {every_rows}");
+            let (streamed, streamed_checkpoints) = pass_with_checkpoints(
+                &mut MemoryRowStream::new(&m),
+                &candidates,
+                None,
+                every_rows,
+                &CancelToken::default(),
+            );
+            assert_eq!(streamed.unwrap(), full);
+            assert_eq!(
+                checkpoints, streamed_checkpoints,
+                "seed {seed}, every {every_rows}"
+            );
+            let frontiers: Vec<u64> = checkpoints.iter().map(|p| p.rows_done).collect();
+            let cadence: Vec<u64> = (1..=u64::from(N_ROWS) / every_rows)
+                .map(|k| k * every_rows)
+                .collect();
+            assert_eq!(frontiers, cadence, "seed {seed}, every {every_rows}");
+            for p in &checkpoints {
+                assert_eq!(*p, oracle(&m, p.rows_done as u32, &candidates));
+                let (resumed, _) =
+                    resident_pass_with_checkpoints(&m, &candidates, Some(p.clone()), every_rows);
+                assert_eq!(resumed.unwrap(), full, "resident resume at {}", p.rows_done);
+                let (resumed, _) = pass_with_checkpoints(
+                    &mut MemoryRowStream::new(&m),
+                    &candidates,
+                    Some(p.clone()),
+                    every_rows,
+                    &CancelToken::default(),
+                );
+                assert_eq!(resumed.unwrap(), full, "streamed resume at {}", p.rows_done);
+            }
+        }
     }
 }

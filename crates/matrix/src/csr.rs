@@ -161,6 +161,14 @@ impl RowMajorMatrix {
         &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]]
     }
 
+    /// The CSR arrays `(row_ptr, col_idx)`: row `i`'s column ids are
+    /// `col_idx[row_ptr[i]..row_ptr[i + 1]]`, so the 1s of a run of rows
+    /// sit back to back in `col_idx`.
+    #[must_use]
+    pub fn csr(&self) -> (&[usize], &[u32]) {
+        (&self.row_ptr, &self.col_idx)
+    }
+
     /// Number of 1s in row `i`.
     #[must_use]
     pub fn row_count(&self, i: u32) -> usize {

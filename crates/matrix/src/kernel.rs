@@ -1,9 +1,9 @@
 //! Runtime-dispatched SIMD counting kernel.
 //!
-//! Every bitmap count in the pipeline bottoms out in one word kernel,
-//! AND-popcount (`|a ∩ b|` over bitmaps). This module owns the *arm
-//! selection* for it, and for the phase-1 min-merge in
-//! `sfa_minhash::kernel`: one of
+//! The bitmap counts of the exact-similarity and container code bottom
+//! out in one word kernel, AND-popcount (`|a ∩ b|` over bitmaps). This
+//! module owns the *arm selection* for it, and for the phase-1 min-merge
+//! in `sfa_minhash::kernel`: one of
 //!
 //! * **scalar** — an unrolled 4-accumulator popcount loop, the
 //!   portable floor that every other arm must match bit-for-bit;
@@ -16,6 +16,17 @@
 //! CLI flag via [`force`], or CPU feature detection
 //! (`is_x86_feature_detected!`) — and cached in an atomic, so the hot
 //! loops pay a single relaxed load, not a detection test per call.
+//!
+//! Phase 3's block counter (`sfa_core::verify`) does not call
+//! [`and_popcount`]: its flush ANDs and popcounts one 8-word line per
+//! candidate per 512-row block, too short for the Harley–Seal loop and
+//! its per-call dispatch. It compiles its own loop three times — plain,
+//! for `popcnt`, and for AVX-512 VPOPCNTDQ — and reads [`arm`] once per
+//! pass: [`KernelArm::Scalar`] keeps the plain loop, any other arm takes
+//! the best of the two that `is_x86_feature_detected!` reports. So
+//! `--kernel scalar` and `SFA_KERNEL=scalar` pin phase 3 to portable
+//! code too. The flush arms are not [`KernelArm`] variants: metrics'
+//! `dispatch_arm` still names the word kernel's arm.
 //!
 //! Every arm returns *exactly* the same counts: SIMD only reorders the
 //! adds of a popcount, it never approximates. The

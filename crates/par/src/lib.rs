@@ -120,11 +120,6 @@ impl ThreadPool {
         }
     }
 
-    /// Creates a pool sized from [`std::thread::available_parallelism`].
-    pub fn auto() -> Self {
-        Self::new(0)
-    }
-
     /// Total parallelism: background workers plus the calling thread.
     #[inline]
     pub fn threads(&self) -> usize {
@@ -369,9 +364,12 @@ mod tests {
 
     #[test]
     fn auto_pool_has_at_least_one_thread() {
-        let pool = ThreadPool::auto();
+        let pool = ThreadPool::new(0);
         assert!(pool.threads() >= 1);
-        assert_eq!(ThreadPool::new(0).threads(), pool.threads());
+        assert_eq!(
+            pool.threads(),
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        );
     }
 
     #[test]
