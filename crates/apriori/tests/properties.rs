@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use sfa_apriori::{apriori_similar_pairs, frequent_itemsets, generate_rules};
+use sfa_apriori::{apriori_similar_pairs, frequent_itemsets, generate_rules, FrequentItemset};
 use sfa_matrix::RowMajorMatrix;
 
 fn row_set(bound: u32, max_len: usize) -> impl Strategy<Value = Vec<u32>> {
@@ -57,6 +57,29 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn levels_one_and_two_equal_brute_force_supports(m in small_matrix(), min in 1u32..4) {
+        // The whole output up to pairs, in order: singletons, then pairs,
+        // each ascending.
+        let (sets, summaries) = frequent_itemsets(&m, min, 2);
+        let n = m.n_cols();
+        let frequent = |items: Vec<u32>| {
+            let support = brute_support(&m, &items);
+            (support >= min).then_some(FrequentItemset { items, support })
+        };
+        let singles: Vec<FrequentItemset> = (0..n).filter_map(|a| frequent(vec![a])).collect();
+        let pairs: Vec<FrequentItemset> = (0..n)
+            .flat_map(|a| ((a + 1)..n).map(move |b| vec![a, b]))
+            .filter_map(frequent)
+            .collect();
+        prop_assert_eq!(summaries[0].frequent, singles.len());
+        if !singles.is_empty() {
+            prop_assert_eq!(summaries[1].frequent, pairs.len());
+        }
+        let want: Vec<FrequentItemset> = singles.into_iter().chain(pairs).collect();
+        prop_assert_eq!(sets, want);
     }
 
     #[test]

@@ -165,6 +165,7 @@ pub fn mine_confidence_rules<S: RowStream>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
     use sfa_minhash::compute_signatures;
 
@@ -231,6 +232,49 @@ mod tests {
             cands.iter().any(|c| c.ids() == (0, 1)),
             "nested pair missed: {cands:?}"
         );
+    }
+
+    proptest! {
+        #[test]
+        fn candidates_match_brute_force(
+            (k, m, values) in (0usize..12, 1usize..9).prop_flat_map(|(k, m)| {
+                prop::collection::vec(0u64..6, k * m).prop_map(move |v| (k, m, v))
+            }),
+            column_counts in prop::collection::vec(0u32..12, 8),
+            conf_threshold in 0.0f64..1.0,
+            delta in 0.0f64..0.5,
+        ) {
+            // Value 5 stands for an empty column's sentinel.
+            let values = values
+                .into_iter()
+                .map(|v| if v == 5 { EMPTY_SIGNATURE } else { v })
+                .collect();
+            let sigs = SignatureMatrix::from_values(k, m, values);
+            let counts = &column_counts[..m];
+            // Every pair agreeing on at least one row, `Ŝ = agree / k`,
+            // either §6 test, in `(i, j)` order.
+            let mut want = Vec::new();
+            for i in 0..m as u32 {
+                for j in (i + 1)..m as u32 {
+                    let agree = sigs.agreement_count(i, j);
+                    let (ci, cj) = (counts[i as usize], counts[j as usize]);
+                    if agree == 0 || ci == 0 || cj == 0 {
+                        continue;
+                    }
+                    let s_hat = agree as f64 / k as f64;
+                    let ratio = f64::from(ci.min(cj)) / f64::from(ci.max(cj));
+                    if s_hat >= (1.0 - delta) * conf_threshold
+                        || (s_hat - ratio).abs() <= delta * ratio
+                    {
+                        want.push(CandidatePair::new(i, j, s_hat));
+                    }
+                }
+            }
+            prop_assert_eq!(
+                confidence_candidates(&sigs, counts, conf_threshold, delta),
+                want
+            );
+        }
     }
 
     #[test]

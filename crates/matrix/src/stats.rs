@@ -333,6 +333,7 @@ pub fn density_stats(matrix: &SparseMatrix) -> DensityStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn example1() -> SparseMatrix {
         SparseMatrix::from_columns(4, vec![vec![0, 1], vec![0, 1, 2], vec![2, 3]]).unwrap()
@@ -420,37 +421,104 @@ mod tests {
         SparseMatrix::from_columns(n_rows, cols).unwrap()
     }
 
-    #[test]
-    fn all_exact_pair_variants_agree() {
-        for m in [example1(), patterned(130, 40)] {
-            // §5.1's reference: the paper's dense all-pairs counters.
-            let reference = crate::triangle::exact_similar_pairs_dense(&m, 0.05);
-            assert_eq!(exact_similar_pairs_cooc(&m, 0.05), reference);
-            assert_eq!(exact_similar_pairs_bitmap(&m, 0.05), reference);
-            assert_eq!(exact_similar_pairs(&m, 0.05), reference);
+    /// Random tables with empty rows and columns, down to a single
+    /// column, at densities from one entry per column to half full; a
+    /// column copies its left neighbour one time in four.
+    fn random_table() -> impl Strategy<Value = SparseMatrix> {
+        (1u32..150, 1usize..30, 0u32..4).prop_flat_map(|(n_rows, n_cols, sparsity)| {
+            let max_len = (n_rows >> (2 * sparsity)).max(1) as usize;
+            prop::collection::vec(
+                (prop::collection::btree_set(0..n_rows, 0..=max_len), 0u8..4),
+                n_cols,
+            )
+            .prop_map(move |drawn| {
+                let mut cols: Vec<Vec<u32>> = Vec::new();
+                for (rows, pick) in drawn {
+                    let col = match cols.last() {
+                        Some(prev) if pick == 0 => prev.clone(),
+                        _ => rows.into_iter().collect(),
+                    };
+                    cols.push(col);
+                }
+                SparseMatrix::from_columns(n_rows, cols).unwrap()
+            })
+        })
+    }
+
+    /// §5.1's reference: the paper's dense all-pairs counters, down to
+    /// the smallest positive similarity.
+    fn dense_pairs(m: &SparseMatrix) -> Vec<SimilarPair> {
+        crate::triangle::exact_similar_pairs_dense(m, f64::MIN_POSITIVE)
+    }
+
+    fn dense_histogram(m: &SparseMatrix, bins: usize) -> Vec<u64> {
+        let mut hist = vec![0; bins];
+        for p in dense_pairs(m) {
+            hist[((p.similarity * bins as f64) as usize).min(bins - 1)] += 1;
+        }
+        hist
+    }
+
+    fn dense_average(m: &SparseMatrix) -> f64 {
+        let n = f64::from(m.n_cols());
+        let pairs: f64 = dense_pairs(m).iter().map(|p| 2.0 * p.similarity).sum();
+        let diagonal = m.column_counts().iter().filter(|&&s| s > 0).count() as f64;
+        (pairs + diagonal) / (n * n)
+    }
+
+    fn assert_pair_arms_match(m: &SparseMatrix, threshold: f64) {
+        let reference = crate::triangle::exact_similar_pairs_dense(m, threshold);
+        assert_eq!(exact_similar_pairs_cooc(m, threshold), reference);
+        assert_eq!(exact_similar_pairs_bitmap(m, threshold), reference);
+        assert_eq!(exact_similar_pairs(m, threshold), reference);
+    }
+
+    fn assert_histogram_arms_match(m: &SparseMatrix, bins: usize) {
+        let reference = dense_histogram(m, bins);
+        assert_eq!(similarity_histogram_cooc(m, bins), reference);
+        assert_eq!(similarity_histogram_bitmap(m, bins), reference);
+        assert_eq!(similarity_histogram(m, bins), reference);
+    }
+
+    fn assert_average_arms_match(m: &SparseMatrix) {
+        let reference = dense_average(m);
+        for (arm, got) in [
+            ("cooc", average_similarity_cooc(m)),
+            ("bitmap", average_similarity_bitmap(m)),
+            ("dispatched", average_similarity(m)),
+        ] {
+            assert!(
+                (got - reference).abs() < 1e-12,
+                "{arm} {got} vs dense {reference}"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn all_exact_pair_variants_agree(m in random_table(), t in 1u32..20) {
+            assert_pair_arms_match(&m, f64::from(t) / 20.0);
+            assert_pair_arms_match(&m, f64::MIN_POSITIVE);
+        }
+
+        #[test]
+        fn histogram_variants_agree(m in random_table(), bins in 1usize..24) {
+            assert_histogram_arms_match(&m, bins);
+        }
+
+        #[test]
+        fn average_similarity_variants_agree(m in random_table()) {
+            assert_average_arms_match(&m);
         }
     }
 
     #[test]
-    fn histogram_variants_agree() {
-        for m in [example1(), patterned(130, 40)] {
-            assert_eq!(
-                similarity_histogram_cooc(&m, 16),
-                similarity_histogram_bitmap(&m, 16)
-            );
-            assert_eq!(
-                similarity_histogram(&m, 16),
-                similarity_histogram_cooc(&m, 16)
-            );
-        }
-    }
-
-    #[test]
-    fn average_similarity_variants_agree() {
-        for m in [example1(), patterned(130, 40)] {
-            let a = average_similarity_cooc(&m);
-            let b = average_similarity_bitmap(&m);
-            assert!((a - b).abs() < 1e-12, "cooc {a} vs bitmap {b}");
+    fn fixed_tables_match_the_dense_reference() {
+        // The last table holds more than 32k entries.
+        for m in [example1(), patterned(130, 40), patterned(1200, 80)] {
+            assert_pair_arms_match(&m, 0.05);
+            assert_histogram_arms_match(&m, 16);
+            assert_average_arms_match(&m);
         }
     }
 
