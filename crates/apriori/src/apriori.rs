@@ -1,7 +1,9 @@
 //! The level-wise a priori algorithm.
 
 use sfa_hash::bucket::FastHashSet;
+use sfa_hash::{BucketIndex, PairWalker};
 use sfa_matrix::RowMajorMatrix;
+use sfa_par::ThreadPool;
 
 /// A frequent itemset: ascending item (column) ids and its support count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,38 +78,38 @@ pub fn frequent_itemsets(
     });
 
     // Level 2 is special-cased: joining L1 with itself would materialize
-    // O(|L1|²) candidate vectors before counting; instead count co-occurring
-    // frequent pairs directly per transaction (the standard triangular
-    // counting optimization of Agrawal & Srikant).
+    // O(|L1|²) candidate vectors before counting. Instead every
+    // transaction, projected onto the frequent items, is one bucket of a
+    // single table keyed by its row, and the §3.1 walk counts each
+    // frequent item's later partners in reusable counters — the pairs
+    // come out in `(i, j)` order with their supports, and no table of
+    // pair counts is built.
     if max_k >= 2 && !current.is_empty() {
-        let frequent_item: Vec<bool> = {
-            let mut v = vec![false; counts.len()];
-            for f in &current {
-                v[f.items[0] as usize] = true;
-            }
-            v
-        };
+        let mut frequent_item = vec![false; counts.len()];
+        for f in &current {
+            frequent_item[f.items[0] as usize] = true;
+        }
         let n_l1 = current.len();
-        let mut pair_counts = sfa_hash::PairCounter::new();
-        let mut projection = Vec::new();
-        for (_, row) in matrix.rows() {
-            projection.clear();
-            projection.extend(row.iter().copied().filter(|&c| frequent_item[c as usize]));
-            for (a, &ci) in projection.iter().enumerate() {
-                for &cj in &projection[a + 1..] {
-                    pair_counts.increment(ci, cj);
+        let index = BucketIndex::build(counts.len(), 1, false, &ThreadPool::new(1), || {
+            |_: usize, out: &mut Vec<(u64, u32)>| {
+                for (r, row) in matrix.rows() {
+                    let frequent = row.iter().filter(|&&c| frequent_item[c as usize]);
+                    out.extend(frequent.map(|&c| (u64::from(r), c)));
                 }
             }
+        });
+        let mut level2 = Vec::new();
+        let mut walker = PairWalker::new(&index);
+        for i in 0..counts.len() as u32 {
+            walker.column(i, |j, support| {
+                if support >= min_support {
+                    level2.push(FrequentItemset {
+                        items: vec![i, j],
+                        support,
+                    });
+                }
+            });
         }
-        let mut level2: Vec<FrequentItemset> = pair_counts
-            .iter()
-            .filter(|&(_, _, c)| c >= min_support)
-            .map(|(i, j, c)| FrequentItemset {
-                items: vec![i, j],
-                support: c,
-            })
-            .collect();
-        level2.sort_by(|a, b| a.items.cmp(&b.items));
         summaries.push(LevelSummary {
             k: 2,
             candidates: n_l1 * (n_l1 - 1) / 2,

@@ -14,8 +14,9 @@
 //! `S ≈ |C_i| / |C_j|`.
 
 use sfa_matrix::{Result, RowStream};
-use sfa_minhash::hashcount::mh_agreement_counts;
+use sfa_minhash::hashcount::mh_generator;
 use sfa_minhash::{CandidatePair, SignatureMatrix, EMPTY_SIGNATURE};
+use sfa_par::ThreadPool;
 
 use crate::verify::verify_candidates;
 
@@ -81,23 +82,23 @@ pub fn confidence_candidates(
     conf_threshold: f64,
     delta: f64,
 ) -> Vec<CandidatePair> {
-    let counts = mh_agreement_counts(sigs);
-    let mut out = Vec::new();
-    for (i, j, agree) in counts.iter() {
-        let s_hat = f64::from(agree) / sigs.k() as f64;
-        let (ci, cj) = (column_counts[i as usize], column_counts[j as usize]);
-        if ci == 0 || cj == 0 {
-            continue;
-        }
-        let ratio = f64::from(ci.min(cj)) / f64::from(ci.max(cj));
-        let by_similarity = s_hat >= (1.0 - delta) * conf_threshold;
-        let by_ratio = (s_hat - ratio).abs() <= delta * ratio && s_hat > 0.0;
-        if by_similarity || by_ratio {
-            out.push(CandidatePair::new(i, j, s_hat));
-        }
-    }
-    out.sort_by_key(CandidatePair::ids);
-    out
+    // At s* = 0 the agreement cutoff floors at one row: every pair that
+    // agrees anywhere, with `Ŝ = agree / k`, in `(i, j)` order.
+    let pool = ThreadPool::new(1);
+    let (agreeing, _) = mh_generator(sigs, 0.0, 0.0, &pool).generate(&pool);
+    agreeing
+        .into_iter()
+        .filter(|c| {
+            let (ci, cj) = (column_counts[c.i as usize], column_counts[c.j as usize]);
+            if ci == 0 || cj == 0 {
+                return false;
+            }
+            let ratio = f64::from(ci.min(cj)) / f64::from(ci.max(cj));
+            let by_similarity = c.estimate >= (1.0 - delta) * conf_threshold;
+            let by_ratio = (c.estimate - ratio).abs() <= delta * ratio;
+            by_similarity || by_ratio
+        })
+        .collect()
 }
 
 /// Full §6 driver: signature pass → confidence candidates → exact
@@ -117,12 +118,9 @@ pub fn mine_confidence_rules<S: RowStream>(
     delta: f64,
 ) -> Result<Vec<HighConfidenceRule>> {
     let sigs = sfa_minhash::compute_signatures(stream, k, seed)?;
-    // Exact column counts come free from a count pass during verification;
-    // for candidate generation we use the signature-pass counts which we
-    // recover by one cheap extra scan of the stream... the stream has been
-    // consumed, so reset and count in the verification pass instead: use
-    // the agreement-based candidates first with estimated counts from
-    // signatures is impossible — so count columns via one reset pass here.
+    // The ratio test needs every column's exact size, which the
+    // signatures do not carry, before any candidate exists: count the
+    // columns in a second scan, then verify the candidates in a third.
     stream.reset()?;
     let mut column_counts = vec![0u32; sigs.m()];
     let mut buf = Vec::new();

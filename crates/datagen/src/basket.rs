@@ -214,7 +214,7 @@ mod tests {
                     items: vec![j as u32],
                 })
                 .collect();
-            let mut pair_counts = sfa_hash::PairCounter::new();
+            let mut pair_counts = std::collections::HashMap::new();
             for (_, row) in m.rows() {
                 let frequent: Vec<u32> = row
                     .iter()
@@ -223,15 +223,15 @@ mod tests {
                     .collect();
                 for (a, &ci) in frequent.iter().enumerate() {
                     for &cj in &frequent[a + 1..] {
-                        pair_counts.increment(ci, cj);
+                        *pair_counts.entry((ci, cj)).or_insert(0) += 1;
                     }
                 }
             }
             out.extend(
                 pair_counts
-                    .iter()
-                    .filter(|&(_, _, c)| c >= min_support)
-                    .map(|(i, j, _)| ItemSet { items: vec![i, j] }),
+                    .into_iter()
+                    .filter(|&(_, c)| c >= min_support)
+                    .map(|((i, j), _)| ItemSet { items: vec![i, j] }),
             );
             (out, ())
         }

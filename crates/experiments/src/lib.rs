@@ -32,7 +32,7 @@ use std::time::Instant;
 use sfa_core::{Pipeline, PipelineConfig, Scheme};
 use sfa_datagen::{NewsConfig, NewsData, WeblogConfig, WeblogData};
 use sfa_matrix::stats::SimilarPair;
-use sfa_matrix::{MemoryRowStream, RowMajorMatrix, SparseMatrix};
+use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
 
 /// Root seed shared by all experiments so re-runs match bit-for-bit.
 pub const EXPERIMENT_SEED: u64 = 20000214; // ICDE 2000 conference date
@@ -184,12 +184,6 @@ pub fn s_curve_cells(found: &[(u32, u32, f64)], truth: &[SimilarPair], bins: usi
         .iter()
         .map(|b| b.ratio().map_or_else(|| "-".into(), |r| format!("{r:.2}")))
         .collect()
-}
-
-/// Exact ground truth for a column-major matrix above a threshold.
-#[must_use]
-pub fn ground_truth(matrix: &SparseMatrix, threshold: f64) -> Vec<SimilarPair> {
-    sfa_matrix::stats::exact_similar_pairs(matrix, threshold)
 }
 
 /// One row of a parameter-sweep panel: the configuration label, phase

@@ -23,7 +23,7 @@ use std::ops::Range;
 
 use sfa_par::ThreadPool;
 
-use crate::bucket::{PairCounter, SparseCounters};
+use crate::bucket::SparseCounters;
 
 /// Fibonacci hashing constant (2^64 / φ, forced odd): the grouping step
 /// indexes its table by the high bits of `key · FIB_MUL`, which depend on
@@ -386,18 +386,6 @@ impl BucketIndex {
         done.sort_unstable_by_key(|&(p, _)| p);
         done.into_iter().map(|(_, acc)| acc).collect()
     }
-
-    /// Every co-bucketed pair's count as a [`PairCounter`] — the form the
-    /// `*_counts` analysis helpers return.
-    #[must_use]
-    pub fn pair_counts(&self) -> PairCounter {
-        let mut counter = PairCounter::new();
-        let mut walker = PairWalker::new(self);
-        for i in 0..self.m as u32 {
-            walker.column(i, |j, count| counter.add(i, j, count));
-        }
-        counter
-    }
 }
 
 /// The sequential counter loop over a [`BucketIndex`]: one dense
@@ -472,6 +460,24 @@ mod tests {
         )
     }
 
+    /// Every co-bucketed pair's count, walked in `(i, j)` order.
+    fn walk(idx: &BucketIndex) -> Vec<(u32, u32, u32)> {
+        let mut walker = PairWalker::new(idx);
+        let mut out = Vec::new();
+        for i in 0..idx.m() as u32 {
+            walker.column(i, |j, count| out.push((i, j, count)));
+        }
+        out
+    }
+
+    /// The count of one pair `i < j` in a walk's output (0 if absent).
+    fn count(walked: &[(u32, u32, u32)], i: u32, j: u32) -> u32 {
+        walked
+            .iter()
+            .find(|&&(a, b, _)| (a, b) == (i, j))
+            .map_or(0, |&(_, _, c)| c)
+    }
+
     fn brute_force() -> Vec<(u32, u32, u32)> {
         let mut out = Vec::new();
         for i in 0..6u32 {
@@ -495,12 +501,7 @@ mod tests {
     fn walk_matches_brute_force_in_pair_order() {
         for threads in [1, 2, 4] {
             let idx = index(true, threads);
-            let mut walked = Vec::new();
-            let mut walker = PairWalker::new(&idx);
-            for i in 0..6 {
-                walker.column(i, |j, c| walked.push((i, j, c)));
-            }
-            assert_eq!(walked, brute_force(), "threads {threads}");
+            assert_eq!(walk(&idx), brute_force(), "threads {threads}");
             let parts = idx.par_walk(
                 &ThreadPool::new(threads),
                 Vec::new,
@@ -536,12 +537,12 @@ mod tests {
                 out.extend(cols.into_iter().map(|c| (u64::from(c / 3) << 40, c)));
             }
         });
-        let counts = idx.pair_counts();
-        assert_eq!(counts.get(0, 1), 2);
-        assert_eq!(counts.get(0, 2), 2);
-        assert_eq!(counts.get(2, 3), 0);
-        assert_eq!(counts.get(997, 998), 2);
-        assert_eq!(counts.get(998, 999), 0);
+        let counts = walk(&idx);
+        assert_eq!(count(&counts, 0, 1), 2);
+        assert_eq!(count(&counts, 0, 2), 2);
+        assert_eq!(count(&counts, 2, 3), 0);
+        assert_eq!(count(&counts, 997, 998), 2);
+        assert_eq!(count(&counts, 998, 999), 0);
         assert_eq!(idx.histogram()[3], 2 * 333);
         assert_eq!(idx.histogram()[1], 2);
     }
@@ -560,9 +561,9 @@ mod tests {
         assert_eq!(idx.histogram()[3], u64::from(n / 3));
         assert_eq!(idx.histogram().len(), 4, "singletons are not counted");
         assert_eq!(idx.increments(), 3 * u64::from(n / 3));
-        let counts = idx.pair_counts();
-        assert_eq!(counts.get(0, 2), 1);
-        assert_eq!(counts.get(2, 3), 0);
+        let counts = walk(&idx);
+        assert_eq!(count(&counts, 0, 2), 1);
+        assert_eq!(count(&counts, 2, 3), 0);
         assert_eq!(counts.len(), 3 * (n as usize / 3));
     }
 
@@ -584,7 +585,7 @@ mod tests {
         let expected = seq
             .par_walk(&ThreadPool::new(1), Vec::new, collect)
             .concat();
-        assert_eq!(expected.len(), seq.pair_counts().len());
+        assert_eq!(expected, walk(&seq));
         for threads in [2, 4] {
             let par = build(threads);
             assert_eq!(par.histogram(), seq.histogram());
@@ -615,6 +616,6 @@ mod tests {
         });
         assert!(idx.histogram().is_empty());
         assert_eq!(idx.increments(), 0);
-        assert!(idx.pair_counts().is_empty());
+        assert!(walk(&idx).is_empty());
     }
 }

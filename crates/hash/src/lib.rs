@@ -13,9 +13,9 @@
 //! * [`topk`] — a bounded bottom-k tracker (max-heap + membership set) used
 //!   by the K-MH scheme to retain the `k` smallest row hashes per column
 //!   in `O(log k)` per accepted update (paper, §3.2).
-//! * [`bucket`] — counters: reusable sparse counters implementing the
-//!   paper's "remember and reinitialize only counters that were
-//!   incremented" trick (§3.1), and a packed-pair counter.
+//! * [`bucket`] — reusable sparse counters implementing the paper's
+//!   "remember and reinitialize only counters that were incremented"
+//!   trick (§3.1), and the integer-keyed hash maps.
 //! * [`index`] — the phase-2 counting kernel every candidate generator
 //!   runs on: a bucket CSR with its column → partner inverse, walked one
 //!   focus column at a time.
@@ -29,9 +29,7 @@ pub mod mix;
 pub mod rng;
 pub mod topk;
 
-pub use bucket::{
-    CounterTable, FastHashMap, FastHashSet, FxBuildHasher, PairCounter, SparseCounters,
-};
+pub use bucket::{FastHashMap, FastHashSet, FxBuildHasher, SparseCounters};
 pub use family::{HashFamily, RowHasher};
 pub use index::{BucketIndex, PairWalker};
 pub use mix::{fmix32, fmix64, hash64_with_seed, splitmix64};

@@ -6,7 +6,7 @@
 //! similar columns will hash to the same bucket, we repeat the process
 //! l times."
 
-use sfa_hash::bucket::{pack_pair, FastHashSet, PairCounter};
+use sfa_hash::bucket::{pack_pair, FastHashSet};
 use sfa_hash::mix::{fmix64, splitmix64};
 use sfa_hash::{BucketIndex, PairWalker, SeedSequence};
 use sfa_minhash::{
@@ -147,17 +147,6 @@ pub fn mlsh_candidates(sigs: &SignatureMatrix, params: &MLshParams) -> Vec<Candi
     mlsh_candidates_with_stats(sigs, params).0
 }
 
-/// Per-pair collision counts across the `l` iterations.
-#[must_use]
-pub fn mlsh_collision_counts(sigs: &SignatureMatrix, params: &MLshParams) -> PairCounter {
-    band_index(
-        sigs,
-        &band_plans(params, sigs.k(), params.l),
-        &ThreadPool::new(1),
-    )
-    .pair_counts()
-}
-
 /// M-LSH's phase 2 ready to walk: one bucket table per band (the band
 /// plan is replayed sequentially from the seed stream, then the bands are
 /// grouped over `pool`) and the collision rule.
@@ -295,9 +284,11 @@ mod tests {
     fn collision_counts_bounded_by_l() {
         let s = sigs(40, 5);
         let params = MLshParams::banded(4, 10, 2);
-        let counts = mlsh_collision_counts(&s, &params);
-        for (_, _, c) in counts.iter() {
-            assert!(c <= 10);
+        // The estimate is collisions / l.
+        let cands = mlsh_candidates(&s, &params);
+        assert!(!cands.is_empty());
+        for c in &cands {
+            assert!(c.estimate > 0.0 && c.estimate <= 1.0, "{c:?}");
         }
     }
 
@@ -393,8 +384,10 @@ mod tests {
         for seed in 0..trials {
             let s = compute_signatures(&mut MemoryRowStream::new(&m), 2, seed).unwrap();
             let params = MLshParams::banded(2, 1, seed ^ 0xabc);
-            let counts = mlsh_collision_counts(&s, &params);
-            if counts.get(2, 3) > 0 {
+            if mlsh_candidates(&s, &params)
+                .iter()
+                .any(|c| c.ids() == (2, 3))
+            {
                 collisions += 1;
             }
         }

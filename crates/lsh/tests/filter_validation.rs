@@ -1,7 +1,7 @@
 //! Statistical validation: the analytic filter functions predict the
 //! *measured* collision rates of the M-LSH implementation.
 
-use sfa_lsh::mlsh::{mlsh_collision_counts, MLshParams};
+use sfa_lsh::mlsh::{mlsh_candidates, MLshParams};
 use sfa_lsh::{p_filter, q_filter};
 use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
 use sfa_minhash::compute_signatures;
@@ -28,8 +28,8 @@ fn empirical_collision_rate(
     let mut collisions = 0;
     for seed in 0..trials {
         let sigs = compute_signatures(&mut MemoryRowStream::new(m), k, seed * 7 + 1).unwrap();
-        let counts = mlsh_collision_counts(&sigs, &params_for(seed));
-        if counts.get(0, 1) > 0 {
+        let candidates = mlsh_candidates(&sigs, &params_for(seed));
+        if candidates.iter().any(|c| c.ids() == (0, 1)) {
             collisions += 1;
         }
     }

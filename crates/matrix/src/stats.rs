@@ -5,14 +5,16 @@
 //! in an offline fashion by a brute-force counting algorithm" (§5.1). Two
 //! brute forces are available, and each entry point picks per matrix:
 //!
-//! * **row-wise co-occurrence counting** — a hashmap update for every 1-pair
-//!   in every row, `O(Σ_rows r_i²)`; wins when rows are very sparse relative
-//!   to the column count;
+//! * **row-wise co-occurrence counting** — every row is one bucket of a
+//!   single-table [`BucketIndex`] keyed by its row id, and the §3.1 walk
+//!   counts each column's later partners in reusable counters: one
+//!   increment for every 1-pair in every row, `O(Σ_rows r_i²)`; wins when
+//!   rows are very sparse relative to the column count;
 //! * **blocked bitmap popcount** — materialize every column as a `u64`
 //!   row-bitmap ([`crate::bitmap::BitMatrix`]) and AND-popcount all `m(m−1)/2`
 //!   pairs in cache-friendly column tiles, `O(m² · n/64)` branch-free word
-//!   ops; wins whenever the matrix has enough 1s per row that the hashmap
-//!   traffic dominates (the bench baselines land squarely here).
+//!   ops; wins whenever the matrix has enough 1s per row that the per-pair
+//!   increments dominate (the bench baselines land squarely here).
 //!
 //! Both compute identical counts, and identical `f64` similarities from
 //! them, so the dispatch never changes results — only speed. The two arms
@@ -21,18 +23,21 @@
 //! bitmap arm's AND-popcount follows the process-wide kernel arm
 //! ([`crate::kernel`]), so `--kernel` runs it scalar or SIMD.
 
-use sfa_hash::bucket::{pack_pair, FastHashMap};
+use sfa_hash::{BucketIndex, PairWalker};
+use sfa_par::ThreadPool;
 
 use crate::bitmap::{self, BitMatrix};
 use crate::csc::SparseMatrix;
-use crate::csr::RowMajorMatrix;
 
-/// Approximate cost, in bitmap word operations, of one hashmap
-/// co-occurrence update (hash + probe + RMW vs an AND+popcount on a word).
-/// Calibrated with `bench_kernels`; only the ratio matters, not the scale.
+/// Approximate cost, in bitmap word operations, of one co-occurrence
+/// update on the row arm. Calibrated with `bench_kernels` against the
+/// hash-map counter that arm used to run; the walk's dense counters are
+/// cheaper, so the constant now overstates the row arm's cost and keeps
+/// every matrix on the arm it got before. Only the ratio matters, not
+/// the scale.
 const COOC_UPDATE_COST_WORDS: u128 = 32;
 
-/// Total pairwise hashmap updates the co-occurrence path would perform:
+/// Total pairwise updates the co-occurrence path would perform:
 /// `Σ_rows r_i (r_i − 1) / 2`, computed in `O(|M| + n)` from CSC.
 fn cooc_update_count(matrix: &SparseMatrix) -> u128 {
     let mut row_counts = vec![0u64; matrix.n_rows() as usize];
@@ -52,8 +57,8 @@ fn cooc_update_count(matrix: &SparseMatrix) -> u128 {
 /// [`similarity_histogram`] and [`average_similarity`]).
 ///
 /// Compares the bitmap's `m(m−1)/2 · ⌈n/64⌉` word operations against the
-/// co-occurrence path's hashmap updates weighted by their measured
-/// per-update cost. Exposed so benches can report which path engaged.
+/// co-occurrence path's updates weighted by their calibrated per-update
+/// cost. Exposed so benches can report which path engaged.
 #[must_use]
 pub fn ground_truth_uses_bitmap(matrix: &SparseMatrix) -> bool {
     let m = u128::from(matrix.n_cols());
@@ -64,19 +69,52 @@ pub fn ground_truth_uses_bitmap(matrix: &SparseMatrix) -> bool {
     pair_words <= COOC_UPDATE_COST_WORDS * cooc_update_count(matrix)
 }
 
-/// Exact co-occurrence counts `|C_i ∩ C_j|` for every column pair that
-/// co-occurs in at least one row, keyed by [`pack_pair`]`(i, j)` with `i < j`.
-#[must_use]
-pub fn co_occurrence_counts(matrix: &RowMajorMatrix) -> FastHashMap<u64, u32> {
-    let mut counts = FastHashMap::default();
-    for (_, cols) in matrix.rows() {
-        for (a, &ci) in cols.iter().enumerate() {
-            for &cj in &cols[a + 1..] {
-                *counts.entry(pack_pair(ci, cj)).or_insert(0) += 1;
-            }
+/// The two brute forces behind every entry point.
+#[derive(Debug, Clone, Copy)]
+enum Arm {
+    /// Row-wise co-occurrence counting over the bucket walk.
+    Rows,
+    /// The blocked bitmap all-pairs driver.
+    Bitmap,
+}
+
+impl Arm {
+    /// The arm [`ground_truth_uses_bitmap`] picks for `matrix`.
+    fn of(matrix: &SparseMatrix) -> Self {
+        if ground_truth_uses_bitmap(matrix) {
+            Self::Bitmap
+        } else {
+            Self::Rows
         }
     }
-    counts
+}
+
+/// Calls `f(i, j, |C_i ∩ C_j|, |C_i ∪ C_j|)` for every column pair `i < j`
+/// sharing at least one row: in `(i, j)` order on the row arm, in the
+/// bitmap driver's tile order on the other.
+fn for_each_pair(matrix: &SparseMatrix, arm: Arm, mut f: impl FnMut(u32, u32, usize, usize)) {
+    let sizes = matrix.column_counts();
+    let mut visit = |i: u32, j: u32, co: usize| {
+        f(i, j, co, sizes[i as usize] + sizes[j as usize] - co);
+    };
+    match arm {
+        Arm::Rows => {
+            let m = matrix.n_cols() as usize;
+            let index = BucketIndex::build(m, 1, false, &ThreadPool::new(1), || {
+                |_: usize, out: &mut Vec<(u64, u32)>| {
+                    for (j, rows) in matrix.columns() {
+                        out.extend(rows.iter().map(|&r| (u64::from(r), j)));
+                    }
+                }
+            });
+            let mut walker = PairWalker::new(&index);
+            for i in 0..matrix.n_cols() {
+                walker.column(i, |j, co| visit(i, j, co as usize));
+            }
+        }
+        Arm::Bitmap => BitMatrix::from_csc(matrix)
+            .for_each_cooccurring_pair(|i, j, co| visit(i as u32, j as u32, co)),
+    }
 }
 
 /// A column pair with its exact similarity.
@@ -115,16 +153,24 @@ pub struct SimilarPair {
 /// Panics if `threshold <= 0`.
 #[must_use]
 pub fn exact_similar_pairs(matrix: &SparseMatrix, threshold: f64) -> Vec<SimilarPair> {
+    similar_pairs_on(matrix, Arm::of(matrix), threshold)
+}
+
+fn similar_pairs_on(matrix: &SparseMatrix, arm: Arm, threshold: f64) -> Vec<SimilarPair> {
     assert!(threshold > 0.0, "threshold must be positive");
-    if ground_truth_uses_bitmap(matrix) {
-        exact_similar_pairs_bitmap(matrix, threshold)
-    } else {
-        exact_similar_pairs_cooc(matrix, threshold)
-    }
+    let mut out = Vec::new();
+    for_each_pair(matrix, arm, |i, j, co, union| {
+        let similarity = co as f64 / union as f64;
+        if similarity >= threshold {
+            out.push(SimilarPair { i, j, similarity });
+        }
+    });
+    sort_similar_pairs(&mut out);
+    out
 }
 
 /// Descending-similarity-then-ascending-ids order shared by every
-/// exact all-pairs method (these arms and
+/// exact all-pairs method (both arms and
 /// [`triangle`](crate::triangle)), so all paths emit identical vectors.
 pub(crate) fn sort_similar_pairs(out: &mut [SimilarPair]) {
     out.sort_by(|a, b| {
@@ -134,50 +180,6 @@ pub(crate) fn sort_similar_pairs(out: &mut [SimilarPair]) {
             .then(a.i.cmp(&b.i))
             .then(a.j.cmp(&b.j))
     });
-}
-
-/// [`exact_similar_pairs`] via row-wise co-occurrence hashmap counting
-/// (the pre-bitmap brute force; cheaper only for very sparse rows).
-fn exact_similar_pairs_cooc(matrix: &SparseMatrix, threshold: f64) -> Vec<SimilarPair> {
-    let row_major = matrix.transpose();
-    let counts = co_occurrence_counts(&row_major);
-    let sizes = matrix.column_counts();
-    let mut out = Vec::new();
-    for (&key, &co) in &counts {
-        let (i, j) = sfa_hash::bucket::unpack_pair(key);
-        let union = sizes[i as usize] + sizes[j as usize] - co as usize;
-        let s = co as f64 / union as f64;
-        if s >= threshold {
-            out.push(SimilarPair {
-                i,
-                j,
-                similarity: s,
-            });
-        }
-    }
-    sort_similar_pairs(&mut out);
-    out
-}
-
-/// [`exact_similar_pairs`] via the blocked bitmap all-pairs driver
-/// ([`BitMatrix::for_each_cooccurring_pair`]).
-fn exact_similar_pairs_bitmap(matrix: &SparseMatrix, threshold: f64) -> Vec<SimilarPair> {
-    let bits = BitMatrix::from_csc(matrix);
-    let sizes = matrix.column_counts();
-    let mut out = Vec::new();
-    bits.for_each_cooccurring_pair(|i, j, co| {
-        let union = sizes[i] + sizes[j] - co;
-        let s = co as f64 / union as f64;
-        if s >= threshold {
-            out.push(SimilarPair {
-                i: i as u32,
-                j: j as u32,
-                similarity: s,
-            });
-        }
-    });
-    sort_similar_pairs(&mut out);
-    out
 }
 
 /// Histogram over `[0, 1]` of the exact similarities of all co-occurring
@@ -191,95 +193,43 @@ fn exact_similar_pairs_bitmap(matrix: &SparseMatrix, threshold: f64) -> Vec<Simi
 /// Panics if `bins == 0`.
 #[must_use]
 pub fn similarity_histogram(matrix: &SparseMatrix, bins: usize) -> Vec<u64> {
+    histogram_on(matrix, Arm::of(matrix), bins)
+}
+
+fn histogram_on(matrix: &SparseMatrix, arm: Arm, bins: usize) -> Vec<u64> {
     assert!(bins > 0, "need at least one bin");
-    if ground_truth_uses_bitmap(matrix) {
-        similarity_histogram_bitmap(matrix, bins)
-    } else {
-        similarity_histogram_cooc(matrix, bins)
-    }
-}
-
-/// [`similarity_histogram`] via row-wise co-occurrence counting.
-fn similarity_histogram_cooc(matrix: &SparseMatrix, bins: usize) -> Vec<u64> {
-    let row_major = matrix.transpose();
-    let counts = co_occurrence_counts(&row_major);
-    let sizes = matrix.column_counts();
     let mut hist = vec![0u64; bins];
-    for (&key, &co) in &counts {
-        let (i, j) = sfa_hash::bucket::unpack_pair(key);
-        let union = sizes[i as usize] + sizes[j as usize] - co as usize;
+    for_each_pair(matrix, arm, |_, _, co, union| {
         let s = co as f64 / union as f64;
-        let b = ((s * bins as f64) as usize).min(bins - 1);
-        hist[b] += 1;
-    }
-    hist
-}
-
-/// [`similarity_histogram`] via the blocked bitmap all-pairs driver.
-fn similarity_histogram_bitmap(matrix: &SparseMatrix, bins: usize) -> Vec<u64> {
-    let bits = BitMatrix::from_csc(matrix);
-    let sizes = matrix.column_counts();
-    let mut hist = vec![0u64; bins];
-    bits.for_each_cooccurring_pair(|i, j, co| {
-        let union = sizes[i] + sizes[j] - co;
-        let s = co as f64 / union as f64;
-        let b = ((s * bins as f64) as usize).min(bins - 1);
-        hist[b] += 1;
+        hist[((s * bins as f64) as usize).min(bins - 1)] += 1;
     });
     hist
 }
 
 /// The average pairwise similarity `S̄ = Σ_{i,j} S(c_i, c_j) / m²` from the
 /// §3.1 running-time analyses (sum over ordered pairs including `i = j`).
+///
+/// The arms sum the pairs in different orders, so they can disagree in
+/// the final ulps.
 #[must_use]
 pub fn average_similarity(matrix: &SparseMatrix) -> f64 {
-    if ground_truth_uses_bitmap(matrix) {
-        average_similarity_bitmap(matrix)
-    } else {
-        average_similarity_cooc(matrix)
-    }
+    average_on(matrix, Arm::of(matrix))
 }
 
-/// [`average_similarity`] via row-wise co-occurrence counting.
-fn average_similarity_cooc(matrix: &SparseMatrix) -> f64 {
-    let m = matrix.n_cols() as f64;
-    if m == 0.0 {
-        return 0.0;
-    }
-    let row_major = matrix.transpose();
-    let counts = co_occurrence_counts(&row_major);
-    let sizes = matrix.column_counts();
-    let mut total = 0.0;
-    for (&key, &co) in &counts {
-        let (i, j) = sfa_hash::bucket::unpack_pair(key);
-        let union = sizes[i as usize] + sizes[j as usize] - co as usize;
-        // Each unordered pair contributes twice to the ordered-pair sum.
-        total += 2.0 * co as f64 / union as f64;
-    }
-    // Diagonal: S(c, c) = 1 for nonempty columns.
-    total += sizes.iter().filter(|&&s| s > 0).count() as f64;
-    total / (m * m)
-}
-
-/// [`average_similarity`] via the blocked bitmap all-pairs driver.
-///
-/// The per-pair similarities are identical to the co-occurrence path; only
-/// the floating-point accumulation order differs, so the two can disagree
-/// in the final ulps (both paths were already order-dependent — the
-/// hashmap iterates in arbitrary order).
-fn average_similarity_bitmap(matrix: &SparseMatrix) -> f64 {
+fn average_on(matrix: &SparseMatrix, arm: Arm) -> f64 {
     let m = f64::from(matrix.n_cols());
     if m == 0.0 {
         return 0.0;
     }
-    let bits = BitMatrix::from_csc(matrix);
-    let sizes = matrix.column_counts();
+    // Each unordered pair contributes twice to the ordered-pair sum.
     let mut total = 0.0;
-    bits.for_each_cooccurring_pair(|i, j, co| {
-        let union = sizes[i] + sizes[j] - co;
+    for_each_pair(matrix, arm, |_, _, co, union| {
         total += 2.0 * co as f64 / union as f64;
     });
-    total += sizes.iter().filter(|&&s| s > 0).count() as f64;
+    // Diagonal: S(c, c) = 1 for nonempty columns.
+    total += (0..matrix.n_cols())
+        .filter(|&j| matrix.column_count(j) > 0)
+        .count() as f64;
     total / (m * m)
 }
 
@@ -340,12 +290,12 @@ mod tests {
     }
 
     #[test]
-    fn co_occurrence_matches_column_intersections() {
-        let m = example1();
-        let counts = co_occurrence_counts(&m.transpose());
-        assert_eq!(counts.get(&pack_pair(0, 1)).copied(), Some(2));
-        assert_eq!(counts.get(&pack_pair(1, 2)).copied(), Some(1));
-        assert_eq!(counts.get(&pack_pair(0, 2)), None);
+    fn row_arm_walks_intersections_and_unions_in_pair_order() {
+        let mut seen = Vec::new();
+        for_each_pair(&example1(), Arm::Rows, |i, j, co, union| {
+            seen.push((i, j, co, union));
+        });
+        assert_eq!(seen, vec![(0, 1, 2, 3), (1, 2, 1, 4)]);
     }
 
     #[test]
@@ -468,23 +418,23 @@ mod tests {
 
     fn assert_pair_arms_match(m: &SparseMatrix, threshold: f64) {
         let reference = crate::triangle::exact_similar_pairs_dense(m, threshold);
-        assert_eq!(exact_similar_pairs_cooc(m, threshold), reference);
-        assert_eq!(exact_similar_pairs_bitmap(m, threshold), reference);
+        assert_eq!(similar_pairs_on(m, Arm::Rows, threshold), reference);
+        assert_eq!(similar_pairs_on(m, Arm::Bitmap, threshold), reference);
         assert_eq!(exact_similar_pairs(m, threshold), reference);
     }
 
     fn assert_histogram_arms_match(m: &SparseMatrix, bins: usize) {
         let reference = dense_histogram(m, bins);
-        assert_eq!(similarity_histogram_cooc(m, bins), reference);
-        assert_eq!(similarity_histogram_bitmap(m, bins), reference);
+        assert_eq!(histogram_on(m, Arm::Rows, bins), reference);
+        assert_eq!(histogram_on(m, Arm::Bitmap, bins), reference);
         assert_eq!(similarity_histogram(m, bins), reference);
     }
 
     fn assert_average_arms_match(m: &SparseMatrix) {
         let reference = dense_average(m);
         for (arm, got) in [
-            ("cooc", average_similarity_cooc(m)),
-            ("bitmap", average_similarity_bitmap(m)),
+            ("rows", average_on(m, Arm::Rows)),
+            ("bitmap", average_on(m, Arm::Bitmap)),
             ("dispatched", average_similarity(m)),
         ] {
             assert!(

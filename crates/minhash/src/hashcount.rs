@@ -12,7 +12,7 @@
 //! focus column's later partners are counted in reusable counters, so no
 //! table of pair counts is ever built.
 
-use sfa_hash::{BucketIndex, PairCounter};
+use sfa_hash::BucketIndex;
 use sfa_par::ThreadPool;
 
 use crate::candidates::{CandidateGen, CandidateGenStats, CandidatePair, PairRule};
@@ -48,13 +48,6 @@ pub(crate) fn agreement_rule(sigs: &SignatureMatrix, s_star: f64, delta: f64) ->
         threshold: agreement_threshold(sigs.k(), s_star, delta) as u32,
         k: sigs.k(),
     }
-}
-
-/// Counts, for every column pair, the number of `M̂` rows on which the two
-/// columns agree.
-#[must_use]
-pub fn mh_agreement_counts(sigs: &SignatureMatrix) -> PairCounter {
-    signature_row_index(sigs, true, &ThreadPool::new(1)).pair_counts()
 }
 
 /// MH candidate generation: pairs agreeing on at least
@@ -118,13 +111,6 @@ fn kmh_index(sigs: &BottomKSignatures, pool: &ThreadPool) -> BucketIndex {
     })
 }
 
-/// Counts `|SIG_i ∩ SIG_j|` for every column pair sharing at least one
-/// sketch value — the K-MH flavour of Hash-Count.
-#[must_use]
-pub fn kmh_overlap_counts(sigs: &BottomKSignatures) -> PairCounter {
-    kmh_index(sigs, &ThreadPool::new(1)).pair_counts()
-}
-
 /// K-MH candidate generation (§3.2's two-stage plan):
 ///
 /// 1. compute the sketch overlaps with Hash-Count (`O(k S̄ m²)`),
@@ -185,6 +171,8 @@ pub fn kmh_candidates_with_stats_pool(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sfa_hash::PairWalker;
     use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
 
     /// Matrix with one highly similar pair (0, 1), a partial pair (2, 3),
@@ -203,22 +191,6 @@ mod tests {
             vec![4],
         ];
         RowMajorMatrix::from_rows(5, rows).unwrap()
-    }
-
-    #[test]
-    fn mh_agreement_counts_match_direct() {
-        let m = matrix();
-        let sigs = crate::mh::compute_signatures(&mut MemoryRowStream::new(&m), 64, 3).unwrap();
-        let counts = mh_agreement_counts(&sigs);
-        for i in 0..5u32 {
-            for j in (i + 1)..5 {
-                assert_eq!(
-                    counts.get(i, j) as usize,
-                    sigs.agreement_count(i, j),
-                    "pair ({i}, {j})"
-                );
-            }
-        }
     }
 
     #[test]
@@ -265,19 +237,44 @@ mod tests {
         assert!(cands.iter().all(|c| c.ids() != (2, 3)), "{cands:?}");
     }
 
-    #[test]
-    fn kmh_overlap_counts_match_direct() {
-        let m = matrix();
-        let sigs = crate::kmh::compute_bottom_k(&mut MemoryRowStream::new(&m), 8, 3).unwrap();
-        let counts = kmh_overlap_counts(&sigs);
-        for i in 0..5u32 {
-            for j in (i + 1)..5 {
-                assert_eq!(
-                    counts.get(i, j) as usize,
-                    sigs.intersection_size(i, j),
-                    "pair ({i}, {j})"
-                );
+    fn row_set(bound: u32, max_len: usize) -> impl Strategy<Value = Vec<u32>> {
+        prop::collection::btree_set(0..bound, 0..=max_len)
+            .prop_map(|s| s.into_iter().collect::<Vec<u32>>())
+    }
+
+    fn small_matrix() -> impl Strategy<Value = RowMajorMatrix> {
+        (1u32..14, 2u32..8).prop_flat_map(|(n_rows, n_cols)| {
+            prop::collection::vec(row_set(n_cols, n_cols as usize), n_rows as usize)
+                .prop_map(move |rows| RowMajorMatrix::from_rows(n_cols, rows).unwrap())
+        })
+    }
+
+    proptest! {
+        /// A walk of the sketch-value index counts `|SIG_i ∩ SIG_j|` for
+        /// every pair sharing a value, and no other pair.
+        #[test]
+        fn kmh_index_counts_sketch_overlaps(
+            m in small_matrix(),
+            k in 1usize..8,
+            seed in any::<u64>(),
+        ) {
+            let sigs = crate::kmh::compute_bottom_k(&mut MemoryRowStream::new(&m), k, seed).unwrap();
+            let index = kmh_index(&sigs, &ThreadPool::new(1));
+            let mut walker = PairWalker::new(&index);
+            let mut walked = Vec::new();
+            for i in 0..m.n_cols() {
+                walker.column(i, |j, count| walked.push((i, j, count as usize)));
             }
+            let mut want = Vec::new();
+            for i in 0..m.n_cols() {
+                for j in (i + 1)..m.n_cols() {
+                    let overlap = sigs.intersection_size(i, j);
+                    if overlap > 0 {
+                        want.push((i, j, overlap));
+                    }
+                }
+            }
+            prop_assert_eq!(walked, want);
         }
     }
 

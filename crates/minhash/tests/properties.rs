@@ -8,10 +8,9 @@ use proptest::prelude::*;
 use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
 use sfa_minhash::estimate::{kmh_biased, kmh_overlap_threshold, kmh_unbiased, lemma1_bounds};
 use sfa_minhash::hashcount::{
-    kmh_candidates_with_stats_pool, kmh_overlap_counts, mh_agreement_counts,
-    mh_candidates_with_stats_pool,
+    kmh_candidates_with_stats_pool, mh_candidates_with_stats_pool, mh_generator,
 };
-use sfa_minhash::rowsort::{rowsort_agreement_counts, rowsort_candidates_with_stats_pool};
+use sfa_minhash::rowsort::{rowsort_candidates_with_stats_pool, rowsort_generator};
 use sfa_minhash::theory::agreement_threshold;
 use sfa_minhash::{
     compute_bottom_k, compute_signatures, BottomKSignatures, CandidatePair, KmhBuilder, MhBuilder,
@@ -220,30 +219,24 @@ proptest! {
 
     #[test]
     fn all_candidate_generators_agree_on_counts(m in small_matrix(), seed in any::<u64>()) {
-        let sigs = compute_signatures(&mut MemoryRowStream::new(&m), 16, seed).unwrap();
-        let by_hash = mh_agreement_counts(&sigs);
-        let by_sort = rowsort_agreement_counts(&sigs);
+        // At s* = 0 both generators admit every pair agreeing on at least
+        // one row, with `agree / k` as the estimate.
+        let k = 16;
+        let sigs = compute_signatures(&mut MemoryRowStream::new(&m), k, seed).unwrap();
+        let pool = ThreadPool::new(1);
+        let (by_hash, _) = mh_generator(&sigs, 0.0, 0.0, &pool).generate(&pool);
+        let (by_sort, _) = rowsort_generator(&sigs, 0.0, 0.0, &pool).generate(&pool);
+        let mut want = Vec::new();
         for i in 0..m.n_cols() {
             for j in (i + 1)..m.n_cols() {
-                prop_assert_eq!(by_hash.get(i, j), by_sort.get(i, j), "pair ({}, {})", i, j);
-                prop_assert_eq!(
-                    by_hash.get(i, j) as usize,
-                    sigs.agreement_count(i, j),
-                    "pair ({}, {})", i, j
-                );
+                let agree = sigs.agreement_count(i, j);
+                if agree > 0 {
+                    want.push(CandidatePair::new(i, j, agree as f64 / k as f64));
+                }
             }
         }
-    }
-
-    #[test]
-    fn kmh_overlap_counts_match_intersection(m in small_matrix(), seed in any::<u64>()) {
-        let sigs = compute_bottom_k(&mut MemoryRowStream::new(&m), 5, seed).unwrap();
-        let counts = kmh_overlap_counts(&sigs);
-        for i in 0..m.n_cols() {
-            for j in (i + 1)..m.n_cols() {
-                prop_assert_eq!(counts.get(i, j) as usize, sigs.intersection_size(i, j));
-            }
-        }
+        prop_assert_eq!(&by_hash, &want);
+        prop_assert_eq!(&by_sort, &want);
     }
 
     #[test]
