@@ -350,10 +350,7 @@ fn cmd_stats(args: &Args) -> Result<String, CliError> {
     let hist = crate::matrix::stats::similarity_histogram(&csc, bins);
     let mut out = format!(
         "densities: min {:.6}, mean {:.6}, max {:.6}, empty columns {}\n",
-        density.min,
-        density.max.min(1.0).max(density.min),
-        density.max,
-        density.empty_columns
+        density.min, density.mean, density.max, density.empty_columns
     );
     out.push_str("similarity histogram (co-occurring pairs only):\n");
     for (b, &count) in hist.iter().enumerate() {
@@ -911,6 +908,22 @@ mod tests {
         ]))
         .unwrap();
         assert!(stats.contains("similarity histogram"));
+        // The mean column density is nnz / (rows × cols), read off `info`'s
+        // "R rows x C cols, N ones".
+        let number_before = |text: &str, unit: &str| -> f64 {
+            let head = &text[..text.find(unit).unwrap()];
+            head.rsplit(' ').next().unwrap().parse().unwrap()
+        };
+        let (rows, cols, ones) = (
+            number_before(&info, " rows"),
+            number_before(&info, " cols"),
+            number_before(&info, " ones"),
+        );
+        let mean = number_before(&stats, ", max");
+        assert!(
+            (mean - ones / (rows * cols)).abs() < 1e-6,
+            "mean {mean} for {ones} ones in {rows} x {cols}: {stats}"
+        );
         std::fs::remove_file(&table).ok();
     }
 
