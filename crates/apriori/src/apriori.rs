@@ -78,17 +78,19 @@ pub fn frequent_itemsets(
     });
 
     // Level 2 is special-cased: joining L1 with itself would materialize
-    // O(|L1|²) candidate vectors before counting. Instead every
+    // O(|L1|²) candidate vectors before counting. Instead each
     // transaction, projected onto the frequent items, is one bucket of a
-    // single table keyed by its row, and the §3.1 walk counts each
-    // frequent item's later partners in reusable counters — the pairs
-    // come out in `(i, j)` order with their supports, and no table of
-    // pair counts is built.
+    // single table keyed by its row, and the §3.1 walk counts every
+    // frequent item's later partners in reusable counters: the pairs come
+    // out in `(i, j)` order, with no table of all pairs.
     if max_k >= 2 && !current.is_empty() {
-        let mut frequent_item = vec![false; counts.len()];
-        for f in &current {
-            frequent_item[f.items[0] as usize] = true;
-        }
+        let frequent_item: Vec<bool> = {
+            let mut v = vec![false; counts.len()];
+            for f in &current {
+                v[f.items[0] as usize] = true;
+            }
+            v
+        };
         let n_l1 = current.len();
         let index = BucketIndex::build(counts.len(), 1, false, &ThreadPool::new(1), || {
             |_: usize, out: &mut Vec<(u64, u32)>| {
