@@ -121,7 +121,7 @@ pub struct VerifyMetrics {
     pub false_positives_pruned: u64,
     /// Σ over 1-entries of the candidates the entry's column belongs to —
     /// the per-pair intersection work `|C_i| + |C_j|` summed over
-    /// candidates (0 on the in-memory path, which counts no probes).
+    /// candidates. Every run mode counts it, streamed and resident alike.
     pub intersection_work: u64,
 }
 

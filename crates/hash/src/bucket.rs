@@ -5,9 +5,10 @@
 //! **reusable counters**: "to avoid `O(m²)` counter initializations, we
 //! reuse the same `O(m)` counters … and remember and reinitialize only
 //! counters that were incremented at least once" — implemented as
-//! [`SparseCounters`]. Every column-pair count in the workspace runs
-//! through them, one focus column at a time, over the bucket index of
-//! [`crate::index`].
+//! [`SparseCounters`]. Phase 2 of every candidate generator, §6's
+//! candidates, Apriori's level 2 and the exact ground truth's row arm
+//! count column pairs through them, one focus column at a time, over the
+//! bucket index of [`crate::index`].
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -7,18 +7,17 @@
 //!
 //! [`TriangleCounter`] is that structure: a flat `m(m−1)/2` array of
 //! counters indexed by the strictly-upper-triangular pair `(i, j)`. For
-//! modest `m` it beats the hash-map co-occurrence counter of
-//! [`stats`](crate::stats) by avoiding hashing entirely; for the paper's
-//! 13 000 columns it needs ≈ 338 MB, which is exactly the "fits in main
-//! memory" regime the paper describes.
+//! the paper's 13 000 columns it needs ≈ 338 MB, which is exactly the
+//! "fits in main memory" regime the paper describes.
 //!
 //! The library's default ground-truth entry point,
 //! [`stats::exact_similar_pairs`](crate::stats::exact_similar_pairs),
-//! dispatches by a cost model between the hash-map counter and the
-//! blocked AND-popcount driver of [`bitmap`](crate::bitmap); this dense
-//! counter remains as the paper-faithful reference and the better choice
-//! when rows are streamed rather than resident
-//! ([`exact_similar_pairs_dense`] takes a [`RowMajorMatrix`]).
+//! dispatches by a cost model between the bucket-index row walk, whose
+//! memory is linear in the 1-entries, and the blocked AND-popcount driver
+//! of [`bitmap`](crate::bitmap); this dense counter remains as the
+//! paper-faithful reference the tests compare both against, and it
+//! counts rows as they come ([`TriangleCounter::from_matrix`] takes a
+//! [`RowMajorMatrix`]).
 
 use crate::csc::SparseMatrix;
 use crate::csr::RowMajorMatrix;
