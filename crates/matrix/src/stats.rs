@@ -70,7 +70,6 @@ pub fn ground_truth_uses_bitmap(matrix: &SparseMatrix) -> bool {
 }
 
 /// The two brute forces behind every entry point.
-#[derive(Debug, Clone, Copy)]
 enum Arm {
     /// Row-wise co-occurrence counting over the bucket walk.
     Rows,
