@@ -479,6 +479,126 @@ mod tests {
         clear(&spec).unwrap();
     }
 
+    /// `scheme` with each of its parameters changed on its own.
+    fn single_field_changes(scheme: Scheme) -> Vec<Scheme> {
+        match scheme {
+            Scheme::Mh { k, delta } => vec![
+                Scheme::Mh { k: k + 1, delta },
+                Scheme::Mh {
+                    k,
+                    delta: delta + 0.05,
+                },
+            ],
+            Scheme::MhRowSort { k, delta } => vec![
+                Scheme::MhRowSort { k: k + 1, delta },
+                Scheme::MhRowSort {
+                    k,
+                    delta: delta + 0.05,
+                },
+            ],
+            Scheme::Kmh { k, delta } => vec![
+                Scheme::Kmh { k: k + 1, delta },
+                Scheme::Kmh {
+                    k,
+                    delta: delta + 0.05,
+                },
+            ],
+            Scheme::MLsh { k, r, l, sampled } => vec![
+                Scheme::MLsh {
+                    k: k + 1,
+                    r,
+                    l,
+                    sampled,
+                },
+                Scheme::MLsh {
+                    k,
+                    r: r + 1,
+                    l,
+                    sampled,
+                },
+                Scheme::MLsh {
+                    k,
+                    r,
+                    l: l + 1,
+                    sampled,
+                },
+                Scheme::MLsh {
+                    k,
+                    r,
+                    l,
+                    sampled: !sampled,
+                },
+            ],
+            Scheme::HLsh {
+                r,
+                l,
+                t,
+                max_levels,
+            } => vec![
+                Scheme::HLsh {
+                    r: r + 1,
+                    l,
+                    t,
+                    max_levels,
+                },
+                Scheme::HLsh {
+                    r,
+                    l: l + 1,
+                    t,
+                    max_levels,
+                },
+                Scheme::HLsh {
+                    r,
+                    l,
+                    t: t + 1,
+                    max_levels,
+                },
+                Scheme::HLsh {
+                    r,
+                    l,
+                    t,
+                    max_levels: max_levels + 1,
+                },
+            ],
+        }
+    }
+
+    #[test]
+    fn fingerprint_covers_every_config_field() {
+        // A field the fingerprint missed would let a checkpoint resume
+        // into a run with a different configuration.
+        let fingerprint = |scheme, s_star, seed| {
+            RunKey::new(&PipelineConfig::new(scheme, s_star, seed), 100, 7).fingerprint
+        };
+        let schemes = [
+            Scheme::Mh { k: 64, delta: 0.2 },
+            Scheme::MhRowSort { k: 64, delta: 0.2 },
+            Scheme::Kmh { k: 64, delta: 0.2 },
+            Scheme::MLsh {
+                k: 100,
+                r: 5,
+                l: 20,
+                sampled: false,
+            },
+            Scheme::HLsh {
+                r: 8,
+                l: 4,
+                t: 4,
+                max_levels: 10,
+            },
+        ];
+        let mut seen = std::collections::HashSet::new();
+        for scheme in schemes {
+            let base = fingerprint(scheme, 0.7, 42);
+            assert!(seen.insert(base), "{scheme:?} shares a fingerprint");
+            for changed in single_field_changes(scheme) {
+                assert_ne!(fingerprint(changed, 0.7, 42), base, "{changed:?}");
+            }
+            assert_ne!(fingerprint(scheme, 0.75, 42), base, "{scheme:?} s*");
+            assert_ne!(fingerprint(scheme, 0.7, 43), base, "{scheme:?} seed");
+        }
+    }
+
     #[test]
     fn corrupt_checkpoint_is_ignored_not_fatal() {
         let spec = spec("corrupt");

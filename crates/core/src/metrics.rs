@@ -843,6 +843,66 @@ mod tests {
     }
 
     #[test]
+    fn document_text_is_pinned() {
+        // The written bytes are the format: key order, and `index_bytes`
+        // right after `signature_bytes`, with every optional block set.
+        let mut metrics = sample_metrics();
+        metrics.index_bytes = Some(4_096);
+        metrics.sharding = Some(ShardingMetrics {
+            memory_budget: 1 << 20,
+            shards: 4,
+            shard_restarts: 0,
+            generation_passes: 1,
+            verify_groups: 4,
+            spill_bytes: 12_345,
+            peak_tracked_bytes: 900_000,
+        });
+        metrics.serving = Some(sample_serving());
+        metrics.phase1 = Some(Phase1Metrics {
+            dispatch_arm: "avx2".to_owned(),
+            cache_hit: false,
+            cache_stored: true,
+        });
+        let doc = MetricsDocument::new(
+            PipelineConfig::new(Scheme::Mh { k: 64, delta: 0.2 }, 0.7, 7),
+            PhaseTimings {
+                signatures: Duration::from_millis(120),
+                candidates: Duration::from_micros(3500),
+                verify: Duration::new(1, 5),
+            },
+            metrics,
+        );
+        assert_eq!(
+            doc.to_json().to_string_compact(),
+            concat!(
+                r#"{"schema_version":8,"#,
+                r#""config":{"scheme":{"Mh":{"k":64,"delta":0.2}},"s_star":0.7,"seed":7},"#,
+                r#""timings":{"signatures":{"secs":0,"nanos":120000000},"#,
+                r#""candidates":{"secs":0,"nanos":3500000},"verify":{"secs":1,"nanos":5}},"#,
+                r#""metrics":{"scheme":"MH","threads":4,"#,
+                r#""signature_pass":{"rows_scanned":100,"nonzeros_scanned":450},"#,
+                r#""verify_pass":{"rows_scanned":100,"nonzeros_scanned":450},"#,
+                r#""signature_bytes":3584,"index_bytes":4096,"#,
+                r#""candidate_stages":[{"stage":"counter-increments","count":812},"#,
+                r#"{"stage":"threshold-admitted","count":2}],"#,
+                r#""candidates_generated":2,"bucket_histogram":[0,3,5,1],"#,
+                r#""verification":{"candidates_checked":2,"true_positives":1,"#,
+                r#""false_positives_pruned":1,"intersection_work":120},"#,
+                r#""recovery":{"transient_errors_retried":3,"rows_refetched":17,"#,
+                r#""checkpoints_written":2,"resumed_from_row":0,"files_quarantined":1,"#,
+                r#""tmp_files_removed":1},"#,
+                r#""sharding":{"memory_budget":1048576,"shards":4,"shard_restarts":0,"#,
+                r#""generation_passes":1,"verify_groups":4,"spill_bytes":12345,"#,
+                r#""peak_tracked_bytes":900000},"#,
+                r#""serving":{"accepted":120,"answered":100,"shed":15,"timed_out":5,"#,
+                r#""malformed":7,"ingested_rows":12,"snapshot_swaps":2,"uptime_secs":1.5,"#,
+                r#""qps":66.5,"p50_micros":180,"p99_micros":2400},"#,
+                r#""phase1":{"dispatch_arm":"avx2","cache_hit":false,"cache_stored":true}}}"#,
+            )
+        );
+    }
+
+    #[test]
     fn phase1_metrics_round_trip() {
         let mut metrics = sample_metrics();
         metrics.phase1 = Some(Phase1Metrics {
