@@ -1,6 +1,6 @@
 //! Pipeline configuration: scheme selection and parameters.
 
-use sfa_json::{FromJson, Json, JsonError, ToJson};
+use sfa_json::{Json, ToJson};
 
 /// Which signature/candidate scheme the pipeline runs, with its parameters.
 ///
@@ -105,43 +105,6 @@ impl ToJson for Scheme {
     }
 }
 
-impl FromJson for Scheme {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let fields = match json {
-            Json::Obj(fields) if fields.len() == 1 => fields,
-            _ => return Err(JsonError::expected("single-variant scheme object")),
-        };
-        let (tag, body) = &fields[0];
-        match tag.as_str() {
-            "Mh" => Ok(Self::Mh {
-                k: usize::from_json(body.req("k")?)?,
-                delta: f64::from_json(body.req("delta")?)?,
-            }),
-            "MhRowSort" => Ok(Self::MhRowSort {
-                k: usize::from_json(body.req("k")?)?,
-                delta: f64::from_json(body.req("delta")?)?,
-            }),
-            "Kmh" => Ok(Self::Kmh {
-                k: usize::from_json(body.req("k")?)?,
-                delta: f64::from_json(body.req("delta")?)?,
-            }),
-            "MLsh" => Ok(Self::MLsh {
-                k: usize::from_json(body.req("k")?)?,
-                r: usize::from_json(body.req("r")?)?,
-                l: usize::from_json(body.req("l")?)?,
-                sampled: bool::from_json(body.req("sampled")?)?,
-            }),
-            "HLsh" => Ok(Self::HLsh {
-                r: usize::from_json(body.req("r")?)?,
-                l: usize::from_json(body.req("l")?)?,
-                t: u32::from_json(body.req("t")?)?,
-                max_levels: usize::from_json(body.req("max_levels")?)?,
-            }),
-            other => Err(JsonError::new(format!("unknown scheme `{other}`"))),
-        }
-    }
-}
-
 /// Full pipeline configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
@@ -184,16 +147,6 @@ impl ToJson for PipelineConfig {
     }
 }
 
-impl FromJson for PipelineConfig {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            scheme: Scheme::from_json(json.req("scheme")?)?,
-            s_star: f64::from_json(json.req("s_star")?)?,
-            seed: u64::from_json(json.req("seed")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,32 +181,5 @@ mod tests {
     #[should_panic(expected = "similarity threshold")]
     fn rejects_zero_threshold() {
         let _ = PipelineConfig::new(Scheme::Mh { k: 10, delta: 0.1 }, 0.0, 1);
-    }
-
-    #[test]
-    fn json_roundtrip_every_scheme() {
-        let schemes = [
-            Scheme::Mh { k: 400, delta: 0.2 },
-            Scheme::MhRowSort { k: 400, delta: 0.2 },
-            Scheme::Kmh { k: 100, delta: 0.2 },
-            Scheme::MLsh {
-                k: 100,
-                r: 5,
-                l: 20,
-                sampled: true,
-            },
-            Scheme::HLsh {
-                r: 8,
-                l: 4,
-                t: 4,
-                max_levels: 10,
-            },
-        ];
-        for scheme in schemes {
-            let cfg = PipelineConfig::new(scheme, 0.7, u64::MAX - 1);
-            let json = cfg.to_json().to_string_compact();
-            let back: PipelineConfig = sfa_json::from_str(&json).unwrap();
-            assert_eq!(back, cfg, "{json}");
-        }
     }
 }

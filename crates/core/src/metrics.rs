@@ -12,7 +12,7 @@
 //! (see `docs/FORMATS.md` for the on-disk formats and `--metrics-json`
 //! in the CLI for the emitter).
 
-use sfa_json::{FromJson, Json, JsonError, ToJson};
+use sfa_json::{Json, ToJson};
 use sfa_matrix::PassScan;
 use sfa_minhash::CandidateGenStats;
 
@@ -23,11 +23,11 @@ use crate::report::PhaseTimings;
 /// is renamed, removed, or changes meaning (adding fields is compatible).
 ///
 /// Version history: 1 = initial document; 2 = adds `metrics.threads`
-/// (worker count of the run; absent in v1 documents, which parse as 1);
+/// (worker count of the run; a v1 document ran on one thread);
 /// 3 = adds the optional `metrics.sharding` object (budgeted out-of-core
 /// runs only; absent for in-memory runs and in older documents);
 /// 4 = adds `recovery.files_quarantined` and `recovery.tmp_files_removed`
-/// (startup-recovery sweep counters; absent keys parse as 0);
+/// (startup-recovery sweep counters; older documents swept nothing);
 /// 5 = adds the optional `metrics.serving` object (`sfa serve` runs only;
 /// absent for batch runs and in older documents);
 /// 6 = adds the optional `metrics.kernels` object (runs whose phase 3
@@ -40,12 +40,8 @@ use crate::report::PhaseTimings;
 /// and in older documents);
 /// 8 = drops `metrics.kernels`: no pipeline path runs the container
 /// verifier any more, and every run's phase 3 counts its probes into
-/// `verification.intersection_work` (v6/v7 documents that carry the
-/// object still parse; it is ignored).
+/// `verification.intersection_work`.
 pub const METRICS_SCHEMA_VERSION: u32 = 8;
-
-/// Oldest document version [`MetricsDocument::from_json`] still accepts.
-pub const METRICS_SCHEMA_MIN_VERSION: u32 = 1;
 
 /// Scan volume of one streaming pass over the table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -73,15 +69,6 @@ impl ToJson for PassMetrics {
     }
 }
 
-impl FromJson for PassMetrics {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            rows_scanned: u64::from_json(json.req("rows_scanned")?)?,
-            nonzeros_scanned: u64::from_json(json.req("nonzeros_scanned")?)?,
-        })
-    }
-}
-
 /// One named candidate-generation counter (see
 /// [`CandidateGenStats::stages`] for the per-scheme naming convention).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -97,15 +84,6 @@ impl ToJson for StageCount {
         Json::obj()
             .field("stage", self.stage.as_str())
             .field("count", self.count)
-    }
-}
-
-impl FromJson for StageCount {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            stage: String::from_json(json.req("stage")?)?,
-            count: u64::from_json(json.req("count")?)?,
-        })
     }
 }
 
@@ -132,17 +110,6 @@ impl ToJson for VerifyMetrics {
             .field("true_positives", self.true_positives)
             .field("false_positives_pruned", self.false_positives_pruned)
             .field("intersection_work", self.intersection_work)
-    }
-}
-
-impl FromJson for VerifyMetrics {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            candidates_checked: u64::from_json(json.req("candidates_checked")?)?,
-            true_positives: u64::from_json(json.req("true_positives")?)?,
-            false_positives_pruned: u64::from_json(json.req("false_positives_pruned")?)?,
-            intersection_work: u64::from_json(json.req("intersection_work")?)?,
-        })
     }
 }
 
@@ -183,23 +150,6 @@ impl ToJson for RecoveryMetrics {
     }
 }
 
-impl FromJson for RecoveryMetrics {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        // The quarantine counters arrived in schema v4; absent keys (older
-        // documents) parse as zero, matching "nothing was quarantined".
-        let opt =
-            |key: &str| -> Result<u64, JsonError> { json.get(key).map_or(Ok(0), u64::from_json) };
-        Ok(Self {
-            transient_errors_retried: u64::from_json(json.req("transient_errors_retried")?)?,
-            rows_refetched: u64::from_json(json.req("rows_refetched")?)?,
-            checkpoints_written: u64::from_json(json.req("checkpoints_written")?)?,
-            resumed_from_row: u64::from_json(json.req("resumed_from_row")?)?,
-            files_quarantined: opt("files_quarantined")?,
-            tmp_files_removed: opt("tmp_files_removed")?,
-        })
-    }
-}
-
 /// Out-of-core accounting for a budgeted run
 /// ([`Pipeline::run_sharded`](crate::Pipeline::run_sharded)): how the
 /// candidate walk was cut into chunks, what was spilled, and the peak of
@@ -236,20 +186,6 @@ impl ToJson for ShardingMetrics {
             .field("verify_groups", self.verify_groups)
             .field("spill_bytes", self.spill_bytes)
             .field("peak_tracked_bytes", self.peak_tracked_bytes)
-    }
-}
-
-impl FromJson for ShardingMetrics {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            memory_budget: u64::from_json(json.req("memory_budget")?)?,
-            shards: u64::from_json(json.req("shards")?)?,
-            shard_restarts: u64::from_json(json.req("shard_restarts")?)?,
-            generation_passes: u64::from_json(json.req("generation_passes")?)?,
-            verify_groups: u64::from_json(json.req("verify_groups")?)?,
-            spill_bytes: u64::from_json(json.req("spill_bytes")?)?,
-            peak_tracked_bytes: u64::from_json(json.req("peak_tracked_bytes")?)?,
-        })
     }
 }
 
@@ -307,24 +243,6 @@ impl ToJson for ServingMetrics {
     }
 }
 
-impl FromJson for ServingMetrics {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            accepted: u64::from_json(json.req("accepted")?)?,
-            answered: u64::from_json(json.req("answered")?)?,
-            shed: u64::from_json(json.req("shed")?)?,
-            timed_out: u64::from_json(json.req("timed_out")?)?,
-            malformed: u64::from_json(json.req("malformed")?)?,
-            ingested_rows: u64::from_json(json.req("ingested_rows")?)?,
-            snapshot_swaps: u64::from_json(json.req("snapshot_swaps")?)?,
-            uptime_secs: f64::from_json(json.req("uptime_secs")?)?,
-            qps: f64::from_json(json.req("qps")?)?,
-            p50_micros: u64::from_json(json.req("p50_micros")?)?,
-            p99_micros: u64::from_json(json.req("p99_micros")?)?,
-        })
-    }
-}
-
 impl ServingMetrics {
     /// Whether the accounting balances: every accepted request ended in
     /// exactly one of answered / shed / timed out.
@@ -364,23 +282,13 @@ impl ToJson for Phase1Metrics {
     }
 }
 
-impl FromJson for Phase1Metrics {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            dispatch_arm: String::from_json(json.req("dispatch_arm")?)?,
-            cache_hit: bool::from_json(json.req("cache_hit")?)?,
-            cache_stored: bool::from_json(json.req("cache_stored")?)?,
-        })
-    }
-}
-
 /// Structured counters for one pipeline run, phase by phase.
 ///
 /// # Examples
 ///
 /// ```
 /// use sfa_core::metrics::MiningMetrics;
-/// use sfa_json::ToJson;
+/// use sfa_json::{Json, ToJson};
 ///
 /// let mut metrics = MiningMetrics::default();
 /// metrics.scheme = "MH".to_owned();
@@ -389,9 +297,11 @@ impl FromJson for Phase1Metrics {
 /// metrics.signature_bytes = 400 * 500 * 8;
 /// metrics.verification.true_positives = 7;
 ///
-/// let json = metrics.to_json().to_string_compact();
-/// let back: MiningMetrics = sfa_json::from_str(&json).unwrap();
-/// assert_eq!(back, metrics);
+/// let text = metrics.to_json().to_string_compact();
+/// let doc = Json::parse(&text).unwrap();
+/// assert_eq!(doc.get("scheme").and_then(Json::as_str), Some("MH"));
+/// let verification = doc.get("verification").unwrap();
+/// assert_eq!(verification.get("true_positives").and_then(Json::as_u64), Some(7));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct MiningMetrics {
@@ -517,57 +427,6 @@ impl ToJson for MiningMetrics {
     }
 }
 
-impl FromJson for MiningMetrics {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            scheme: String::from_json(json.req("scheme")?)?,
-            // Schema-v1 documents predate the parallel layer; absence
-            // means a sequential run.
-            threads: json
-                .get("threads")
-                .map(u64::from_json)
-                .transpose()?
-                .unwrap_or(1),
-            signature_pass: PassMetrics::from_json(json.req("signature_pass")?)?,
-            verify_pass: PassMetrics::from_json(json.req("verify_pass")?)?,
-            signature_bytes: u64::from_json(json.req("signature_bytes")?)?,
-            // Only budgeted runs emit the key; absence means an in-memory
-            // run (and covers every older document).
-            index_bytes: json.get("index_bytes").map(u64::from_json).transpose()?,
-            candidate_stages: Vec::<StageCount>::from_json(json.req("candidate_stages")?)?,
-            candidates_generated: u64::from_json(json.req("candidates_generated")?)?,
-            bucket_histogram: Vec::<u64>::from_json(json.req("bucket_histogram")?)?,
-            verification: VerifyMetrics::from_json(json.req("verification")?)?,
-            // Documents written before the recovery counters existed omit
-            // the key; absence means an undisturbed run (schema-compatible
-            // field addition, so no version bump).
-            recovery: json
-                .get("recovery")
-                .map(RecoveryMetrics::from_json)
-                .transpose()?
-                .unwrap_or_default(),
-            // Only budgeted sharded runs emit the key; absence means an
-            // in-memory run (and covers all pre-v3 documents).
-            sharding: json
-                .get("sharding")
-                .map(ShardingMetrics::from_json)
-                .transpose()?,
-            // Only `sfa serve` emits the key; absence means a batch run
-            // (and covers all pre-v5 documents).
-            serving: json
-                .get("serving")
-                .map(ServingMetrics::from_json)
-                .transpose()?,
-            // Only sketch-building runs emit the key; absence covers
-            // H-LSH runs and all pre-v7 documents.
-            phase1: json
-                .get("phase1")
-                .map(Phase1Metrics::from_json)
-                .transpose()?,
-        })
-    }
-}
-
 /// The schema-stable document `sfa mine --metrics-json` writes: the
 /// configuration, phase timings, and [`MiningMetrics`] of one run under a
 /// [`METRICS_SCHEMA_VERSION`] tag.
@@ -603,24 +462,6 @@ impl ToJson for MetricsDocument {
             .field("config", self.config)
             .field("timings", self.timings)
             .field("metrics", &self.metrics)
-    }
-}
-
-impl FromJson for MetricsDocument {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let schema_version = u32::from_json(json.req("schema_version")?)?;
-        if !(METRICS_SCHEMA_MIN_VERSION..=METRICS_SCHEMA_VERSION).contains(&schema_version) {
-            return Err(JsonError::new(format!(
-                "unsupported metrics schema version {schema_version} \
-                 (supported: {METRICS_SCHEMA_MIN_VERSION}..={METRICS_SCHEMA_VERSION})"
-            )));
-        }
-        Ok(Self {
-            schema_version,
-            config: PipelineConfig::from_json(json.req("config")?)?,
-            timings: PhaseTimings::from_json(json.req("timings")?)?,
-            metrics: MiningMetrics::from_json(json.req("metrics")?)?,
-        })
     }
 }
 
@@ -689,49 +530,6 @@ mod tests {
             qps: 66.5,
             p50_micros: 180,
             p99_micros: 2_400,
-        }
-    }
-
-    #[test]
-    fn metrics_json_roundtrip() {
-        let metrics = sample_metrics();
-        let json = metrics.to_json().to_string_compact();
-        let back: MiningMetrics = sfa_json::from_str(&json).unwrap();
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
-    fn document_roundtrip_every_scheme() {
-        let schemes = [
-            Scheme::Mh { k: 400, delta: 0.2 },
-            Scheme::MhRowSort { k: 400, delta: 0.2 },
-            Scheme::Kmh { k: 100, delta: 0.2 },
-            Scheme::MLsh {
-                k: 100,
-                r: 5,
-                l: 20,
-                sampled: false,
-            },
-            Scheme::HLsh {
-                r: 8,
-                l: 4,
-                t: 4,
-                max_levels: 10,
-            },
-        ];
-        for scheme in schemes {
-            let config = PipelineConfig::new(scheme, 0.7, 99);
-            let timings = PhaseTimings {
-                signatures: Duration::from_millis(120),
-                candidates: Duration::from_micros(3500),
-                verify: Duration::from_millis(80),
-            };
-            let mut metrics = sample_metrics();
-            metrics.scheme = scheme.name().to_owned();
-            let doc = MetricsDocument::new(config, timings, metrics);
-            let json = sfa_json::to_string_pretty(&doc);
-            let back: MetricsDocument = sfa_json::from_str(&json).unwrap();
-            assert_eq!(back, doc, "{json}");
         }
     }
 
@@ -903,92 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn phase1_metrics_round_trip() {
-        let mut metrics = sample_metrics();
-        metrics.phase1 = Some(Phase1Metrics {
-            dispatch_arm: "scalar".to_owned(),
-            cache_hit: false,
-            cache_stored: true,
-        });
-        let json = metrics.to_json().to_string_compact();
-        let back: MiningMetrics = sfa_json::from_str(&json).unwrap();
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
-    fn documents_without_phase1_key_still_parse() {
-        // Pre-v7 documents carry no `phase1` key; it must parse as None,
-        // not error.
-        let metrics = sample_metrics();
-        let json = metrics.to_json();
-        assert!(json.get("phase1").is_none());
-        let back = MiningMetrics::from_json(&json).unwrap();
-        assert_eq!(back.phase1, None);
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
-    fn v7_documents_with_a_kernels_object_still_parse() {
-        // Schema v6 and v7 threaded runs wrote a `metrics.kernels` object;
-        // v8 dropped it, and older documents must still parse with the
-        // object ignored.
-        let metrics = sample_metrics();
-        let doc = MetricsDocument {
-            schema_version: 7,
-            ..MetricsDocument::new(
-                PipelineConfig::new(Scheme::Mh { k: 4, delta: 0.2 }, 0.5, 1),
-                PhaseTimings::default(),
-                metrics.clone(),
-            )
-        };
-        let kernels = Json::obj()
-            .field("dispatch_arm", "avx2")
-            .field("used_containers", true)
-            .field("array_containers", 40u64)
-            .field("bitmap_containers", 3u64)
-            .field("run_containers", 7u64)
-            .field("container_bytes", 120_000u64)
-            .field("raw_bitmap_bytes", 2_000_000u64);
-        let json = match doc.to_json() {
-            Json::Obj(fields) => Json::Obj(
-                fields
-                    .into_iter()
-                    .map(|(k, v)| match (k.as_str(), v) {
-                        ("metrics", m) => (k, m.field("kernels", kernels.clone())),
-                        (_, v) => (k, v),
-                    })
-                    .collect(),
-            ),
-            other => other,
-        };
-        assert!(json.get("metrics").unwrap().get("kernels").is_some());
-        let back = MetricsDocument::from_json(&json).unwrap();
-        assert_eq!(back.schema_version, 7);
-        assert_eq!(back.metrics, metrics);
-    }
-
-    #[test]
-    fn serving_metrics_round_trip() {
-        let mut metrics = sample_metrics();
-        metrics.serving = Some(sample_serving());
-        let json = metrics.to_json().to_string_compact();
-        let back: MiningMetrics = sfa_json::from_str(&json).unwrap();
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
-    fn documents_without_serving_key_parse_as_batch() {
-        // Pre-v5 documents (and v5 batch runs) carry no `serving` key; it
-        // must parse as None, not error.
-        let metrics = sample_metrics();
-        let json = metrics.to_json();
-        assert!(json.get("serving").is_none());
-        let back = MiningMetrics::from_json(&json).unwrap();
-        assert_eq!(back.serving, None);
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
     fn serving_balance_invariant() {
         let mut s = sample_serving();
         assert!(s.balances(), "100 + 15 + 5 == 120");
@@ -997,120 +709,6 @@ mod tests {
         s.shed -= 1;
         s.malformed = s.answered + 1;
         assert!(!s.balances(), "malformed exceeds answered");
-    }
-
-    #[test]
-    fn sharding_metrics_round_trip() {
-        let mut metrics = sample_metrics();
-        metrics.sharding = Some(ShardingMetrics {
-            memory_budget: 1 << 20,
-            shards: 4,
-            shard_restarts: 0,
-            generation_passes: 1,
-            verify_groups: 4,
-            spill_bytes: 12_345,
-            peak_tracked_bytes: 900_000,
-        });
-        metrics.index_bytes = Some(4_096);
-        let json = metrics.to_json().to_string_compact();
-        assert!(json.contains("\"signature_bytes\":3584,\"index_bytes\":4096"));
-        let back: MiningMetrics = sfa_json::from_str(&json).unwrap();
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
-    fn documents_without_sharding_key_parse_as_in_memory() {
-        // Schema-v2 documents (and v3 in-memory runs) carry no `sharding`
-        // key; it must parse as None, not error.
-        let metrics = sample_metrics();
-        let json = metrics.to_json();
-        assert!(json.get("sharding").is_none());
-        let back = MiningMetrics::from_json(&json).unwrap();
-        assert_eq!(back.sharding, None);
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
-    fn documents_without_recovery_key_still_parse() {
-        // Metrics JSON written before the recovery counters existed: the
-        // key is absent and must default to all-zero, not error.
-        let mut metrics = sample_metrics();
-        metrics.recovery = RecoveryMetrics::default();
-        let json = metrics.to_json();
-        let legacy = match json {
-            Json::Obj(fields) => Json::Obj(
-                fields
-                    .into_iter()
-                    .filter(|(k, _)| k != "recovery")
-                    .collect(),
-            ),
-            other => other,
-        };
-        assert!(legacy.get("recovery").is_none());
-        let back = MiningMetrics::from_json(&legacy).unwrap();
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
-    fn documents_without_threads_key_parse_as_sequential() {
-        // Schema-v1 metrics predate the parallel layer: no `threads` key,
-        // parsed as a single-threaded run.
-        let mut metrics = sample_metrics();
-        metrics.threads = 1;
-        let json = metrics.to_json();
-        let legacy = match json {
-            Json::Obj(fields) => {
-                Json::Obj(fields.into_iter().filter(|(k, _)| k != "threads").collect())
-            }
-            other => other,
-        };
-        assert!(legacy.get("threads").is_none());
-        let back = MiningMetrics::from_json(&legacy).unwrap();
-        assert_eq!(back, metrics);
-    }
-
-    #[test]
-    fn schema_v1_documents_still_parse() {
-        let doc = MetricsDocument::new(
-            PipelineConfig::new(Scheme::Mh { k: 8, delta: 0.2 }, 0.5, 1),
-            PhaseTimings::default(),
-            sample_metrics(),
-        );
-        let mut json = doc.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::U64(u64::from(METRICS_SCHEMA_MIN_VERSION));
-        }
-        let back = MetricsDocument::from_json(&json).unwrap();
-        assert_eq!(back.schema_version, METRICS_SCHEMA_MIN_VERSION);
-        assert_eq!(back.metrics, doc.metrics);
-    }
-
-    #[test]
-    fn rejects_schema_version_zero() {
-        let doc = MetricsDocument::new(
-            PipelineConfig::new(Scheme::Mh { k: 8, delta: 0.2 }, 0.5, 1),
-            PhaseTimings::default(),
-            sample_metrics(),
-        );
-        let mut json = doc.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::U64(0);
-        }
-        assert!(MetricsDocument::from_json(&json).is_err());
-    }
-
-    #[test]
-    fn rejects_future_schema_version() {
-        let doc = MetricsDocument::new(
-            PipelineConfig::new(Scheme::Mh { k: 8, delta: 0.2 }, 0.5, 1),
-            PhaseTimings::default(),
-            sample_metrics(),
-        );
-        let mut json = doc.to_json();
-        if let Json::Obj(fields) = &mut json {
-            fields[0].1 = Json::U64(u64::from(METRICS_SCHEMA_VERSION) + 1);
-        }
-        assert!(MetricsDocument::from_json(&json).is_err());
     }
 
     #[test]

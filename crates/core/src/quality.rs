@@ -8,7 +8,6 @@
 //! the right of a cutoff corresponds to the number of false negatives."
 
 use sfa_hash::bucket::{pack_pair, FastHashSet};
-use sfa_json::{FromJson, Json, JsonError, ToJson};
 use sfa_matrix::stats::SimilarPair;
 
 /// One bin of the S-curve.
@@ -29,27 +28,6 @@ impl SCurveBin {
     #[must_use]
     pub fn ratio(&self) -> Option<f64> {
         (self.real > 0).then(|| self.found as f64 / self.real as f64)
-    }
-}
-
-impl ToJson for SCurveBin {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("low", self.low)
-            .field("high", self.high)
-            .field("real", self.real)
-            .field("found", self.found)
-    }
-}
-
-impl FromJson for SCurveBin {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            low: f64::from_json(json.req("low")?)?,
-            high: f64::from_json(json.req("high")?)?,
-            real: u64::from_json(json.req("real")?)?,
-            found: u64::from_json(json.req("found")?)?,
-        })
     }
 }
 
@@ -112,31 +90,6 @@ impl QualityReport {
         } else {
             2.0 * p * r / (p + r)
         }
-    }
-}
-
-impl ToJson for QualityReport {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("cutoff", self.cutoff)
-            .field("real_above", self.real_above)
-            .field("true_positives", self.true_positives)
-            .field("false_negatives", self.false_negatives)
-            .field("false_positives", self.false_positives)
-            .field("s_curve", &self.s_curve[..])
-    }
-}
-
-impl FromJson for QualityReport {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            cutoff: f64::from_json(json.req("cutoff")?)?,
-            real_above: u64::from_json(json.req("real_above")?)?,
-            true_positives: u64::from_json(json.req("true_positives")?)?,
-            false_negatives: u64::from_json(json.req("false_negatives")?)?,
-            false_positives: u64::from_json(json.req("false_positives")?)?,
-            s_curve: Vec::<SCurveBin>::from_json(json.req("s_curve")?)?,
-        })
     }
 }
 
@@ -301,15 +254,6 @@ mod tests {
         let q = evaluate_quality(&[], &[], 5, 0.5);
         assert_eq!(q.recall(), 1.0);
         assert_eq!(q.false_negatives, 0);
-    }
-
-    #[test]
-    fn quality_report_json_roundtrip() {
-        let found = vec![(0, 1, 0.95), (2, 3, 0.85), (6, 7, 0.15)];
-        let q = evaluate_quality(&found, &truth(), 10, 0.8);
-        let json = sfa_json::to_string_pretty(&q);
-        let back: QualityReport = sfa_json::from_str(&json).unwrap();
-        assert_eq!(back, q);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use sfa_json::{FromJson, Json, JsonError, ToJson};
+use sfa_json::{Json, ToJson};
 
 use crate::config::PipelineConfig;
 use crate::metrics::{MetricsDocument, MiningMetrics};
@@ -32,31 +32,6 @@ impl VerifiedPair {
     #[must_use]
     pub fn jaccard(&self) -> f64 {
         self.similarity
-    }
-}
-
-impl ToJson for VerifiedPair {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("i", self.i)
-            .field("j", self.j)
-            .field("intersection", self.intersection)
-            .field("union", self.union)
-            .field("similarity", self.similarity)
-            .field("estimate", self.estimate)
-    }
-}
-
-impl FromJson for VerifiedPair {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            i: u32::from_json(json.req("i")?)?,
-            j: u32::from_json(json.req("j")?)?,
-            intersection: u32::from_json(json.req("intersection")?)?,
-            union: u32::from_json(json.req("union")?)?,
-            similarity: f64::from_json(json.req("similarity")?)?,
-            estimate: f64::from_json(json.req("estimate")?)?,
-        })
     }
 }
 
@@ -99,16 +74,6 @@ impl ToJson for PhaseTimings {
             .field("signatures", self.signatures)
             .field("candidates", self.candidates)
             .field("verify", self.verify)
-    }
-}
-
-impl FromJson for PhaseTimings {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            signatures: Duration::from_json(json.req("signatures")?)?,
-            candidates: Duration::from_json(json.req("candidates")?)?,
-            verify: Duration::from_json(json.req("verify")?)?,
-        })
     }
 }
 
@@ -205,29 +170,6 @@ impl MiningResult {
     }
 }
 
-impl ToJson for MiningResult {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("config", self.config)
-            .field("verified", &self.verified[..])
-            .field("column_counts", &self.column_counts[..])
-            .field("timings", self.timings)
-            .field("metrics", &self.metrics)
-    }
-}
-
-impl FromJson for MiningResult {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            config: PipelineConfig::from_json(json.req("config")?)?,
-            verified: Vec::<VerifiedPair>::from_json(json.req("verified")?)?,
-            column_counts: Vec::<u32>::from_json(json.req("column_counts")?)?,
-            timings: PhaseTimings::from_json(json.req("timings")?)?,
-            metrics: MiningMetrics::from_json(json.req("metrics")?)?,
-        })
-    }
-}
-
 impl std::fmt::Display for MiningResult {
     /// A one-paragraph human-readable summary.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -311,16 +253,6 @@ mod tests {
         assert!(text.contains("MH at s* = 0.5"));
         assert!(text.contains("2 candidates -> 1 pairs"));
         assert!(text.contains("1 candidate false positives"));
-    }
-
-    #[test]
-    fn result_json_roundtrip() {
-        let mut r = result();
-        r.metrics.scheme = "MH".to_owned();
-        r.metrics.candidates_generated = 2;
-        let json = sfa_json::to_string_pretty(&r);
-        let back: MiningResult = sfa_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]

@@ -1,24 +1,25 @@
 //! Zero-dependency JSON support for the `sfa` workspace.
 //!
-//! The build environment cannot fetch `serde`/`serde_json`, so structured
-//! documents (mining metrics, quality reports, persisted configs) go
-//! through this small crate instead:
+//! The build environment cannot fetch `serde`/`serde_json`, so the
+//! documents `sfa` writes (mining metrics, `BENCH_pipeline.json`) go
+//! through this small crate instead. It is output-first: types convert
+//! into [`Json`], and nothing converts back; a reader walks a parsed
+//! [`Json`] tree by key.
 //!
 //! * [`Json`] — an owned JSON value. Objects preserve insertion order so
 //!   emitted documents are schema-stable (field order is part of the
 //!   schema contract for `BENCH_pipeline.json` and `--metrics-json`).
-//! * [`ToJson`] / [`FromJson`] — conversion traits playing the role of
-//!   `Serialize` / `Deserialize`; implemented manually per type.
-//! * [`Json::parse`] / [`Json::to_string_pretty`] — a strict RFC 8259
-//!   parser and a serializer.
+//! * [`ToJson`] — the conversion trait playing the role of `Serialize`;
+//!   implemented manually per type.
+//! * [`Json::to_string_pretty`] / [`Json::parse`] — a serializer and a
+//!   strict RFC 8259 parser.
 //!
-//! Integers are kept exact: [`Json::U64`] and [`Json::I64`] survive a
-//! round-trip bit-for-bit (a plain f64 would corrupt 64-bit seeds and
+//! Integers are kept exact: [`Json::U64`] and [`Json::I64`] are written
+//! and parsed bit-for-bit (a plain f64 would corrupt 64-bit seeds and
 //! large counters above 2^53).
 
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 mod parse;
@@ -75,15 +76,6 @@ impl Json {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// Looks up a required field, reporting its name on failure.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error naming the missing `key`.
-    pub fn req(&self, key: &str) -> Result<&Json, JsonError> {
-        self.get(key).ok_or_else(|| JsonError::missing_field(key))
     }
 
     /// The value as `bool`, if it is one.
@@ -178,56 +170,10 @@ impl fmt::Display for Json {
     }
 }
 
-/// Error produced when converting a [`Json`] value into a Rust type.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    message: String,
-}
-
-impl JsonError {
-    /// An error with a custom message.
-    #[must_use]
-    pub fn new(message: impl Into<String>) -> Self {
-        Self {
-            message: message.into(),
-        }
-    }
-
-    /// "missing field `key`".
-    #[must_use]
-    pub fn missing_field(key: &str) -> Self {
-        Self::new(format!("missing field `{key}`"))
-    }
-
-    /// "expected `what`".
-    #[must_use]
-    pub fn expected(what: &str) -> Self {
-        Self::new(format!("expected {what}"))
-    }
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
 /// Conversion into [`Json`]; plays the role of `serde::Serialize`.
 pub trait ToJson {
     /// Converts `self` into a JSON value.
     fn to_json(&self) -> Json;
-}
-
-/// Conversion from [`Json`]; plays the role of `serde::Deserialize`.
-pub trait FromJson: Sized {
-    /// Reconstructs `Self` from a JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] describing the first mismatch.
-    fn from_json(json: &Json) -> Result<Self, JsonError>;
 }
 
 impl<T: ToJson + ?Sized> ToJson for &T {
@@ -242,21 +188,9 @@ impl ToJson for Json {
     }
 }
 
-impl FromJson for Json {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(json.clone())
-    }
-}
-
 impl ToJson for bool {
     fn to_json(&self) -> Json {
         Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_bool().ok_or_else(|| JsonError::expected("bool"))
     }
 }
 
@@ -267,17 +201,10 @@ macro_rules! impl_unsigned {
                 Json::U64(u64::from(*self))
             }
         }
-
-        impl FromJson for $t {
-            fn from_json(json: &Json) -> Result<Self, JsonError> {
-                let n = json.as_u64().ok_or_else(|| JsonError::expected("unsigned integer"))?;
-                <$t>::try_from(n).map_err(|_| JsonError::expected(stringify!($t)))
-            }
-        }
     )*};
 }
 
-impl_unsigned!(u8, u16, u32, u64);
+impl_unsigned!(u32, u64);
 
 impl ToJson for usize {
     fn to_json(&self) -> Json {
@@ -285,40 +212,9 @@ impl ToJson for usize {
     }
 }
 
-impl FromJson for usize {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let n = json
-            .as_u64()
-            .ok_or_else(|| JsonError::expected("unsigned integer"))?;
-        usize::try_from(n).map_err(|_| JsonError::expected("usize"))
-    }
-}
-
-impl ToJson for i64 {
-    fn to_json(&self) -> Json {
-        if *self >= 0 {
-            Json::U64(*self as u64)
-        } else {
-            Json::I64(*self)
-        }
-    }
-}
-
-impl FromJson for i64 {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_i64().ok_or_else(|| JsonError::expected("integer"))
-    }
-}
-
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
         Json::F64(*self)
-    }
-}
-
-impl FromJson for f64 {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_f64().ok_or_else(|| JsonError::expected("number"))
     }
 }
 
@@ -334,27 +230,9 @@ impl ToJson for String {
     }
 }
 
-impl FromJson for String {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| JsonError::expected("string"))
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        json.as_arr()
-            .ok_or_else(|| JsonError::expected("array"))?
-            .iter()
-            .map(T::from_json)
-            .collect()
     }
 }
 
@@ -373,41 +251,6 @@ impl<T: ToJson> ToJson for Option<T> {
     }
 }
 
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json {
-            Json::Null => Ok(None),
-            other => T::from_json(other).map(Some),
-        }
-    }
-}
-
-impl<K: ToString + Ord, V: ToJson> ToJson for BTreeMap<K, V> {
-    fn to_json(&self) -> Json {
-        Json::Obj(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_json()))
-                .collect(),
-        )
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let items = json.as_arr().ok_or_else(|| JsonError::expected("array"))?;
-        if items.len() != 2 {
-            return Err(JsonError::expected("2-element array"));
-        }
-        Ok((A::from_json(&items[0])?, B::from_json(&items[1])?))
-    }
-}
-
 impl ToJson for std::time::Duration {
     /// Exact encoding as `{"secs": u64, "nanos": u32}` — an f64 of seconds
     /// would lose sub-microsecond precision on long runs.
@@ -418,27 +261,9 @@ impl ToJson for std::time::Duration {
     }
 }
 
-impl FromJson for std::time::Duration {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let secs = u64::from_json(json.req("secs")?)?;
-        let nanos = u32::from_json(json.req("nanos")?)?;
-        Ok(std::time::Duration::new(secs, nanos))
-    }
-}
-
 /// Serializes any [`ToJson`] value as a pretty document.
 pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
     value.to_json().to_string_pretty()
-}
-
-/// Parses a document and converts it, like `serde_json::from_str`.
-///
-/// # Errors
-///
-/// Returns the parse or conversion error message.
-pub fn from_str<T: FromJson>(input: &str) -> Result<T, JsonError> {
-    let json = Json::parse(input).map_err(|e| JsonError::new(e.to_string()))?;
-    T::from_json(&json)
 }
 
 #[cfg(test)]
@@ -456,7 +281,6 @@ mod tests {
         assert_eq!(doc.get("k").unwrap().as_u64(), Some(400));
         assert_eq!(doc.get("ok").unwrap().as_bool(), Some(true));
         assert!(doc.get("missing").is_none());
-        assert!(doc.req("missing").is_err());
     }
 
     #[test]
@@ -466,16 +290,18 @@ mod tests {
             assert_eq!(Json::parse(&text).unwrap().as_u64(), Some(n));
         }
         for n in [-1i64, i64::MIN] {
-            let text = n.to_json().to_string_compact();
+            let text = Json::I64(n).to_string_compact();
             assert_eq!(Json::parse(&text).unwrap().as_i64(), Some(n));
         }
     }
 
     #[test]
-    fn duration_round_trips() {
+    fn duration_is_written_exactly() {
         let d = std::time::Duration::new(3, 141_592_653);
-        let back = std::time::Duration::from_json(&d.to_json()).unwrap();
-        assert_eq!(d, back);
+        assert_eq!(
+            d.to_json().to_string_compact(),
+            r#"{"secs":3,"nanos":141592653}"#
+        );
     }
 
     #[test]
@@ -494,11 +320,8 @@ mod tests {
 
     #[test]
     fn options_and_vecs() {
-        let v: Vec<u32> = vec![1, 2, 3];
-        let json = v.to_json();
-        assert_eq!(Vec::<u32>::from_json(&json).unwrap(), v);
-        assert_eq!(Option::<u32>::from_json(&Json::Null).unwrap(), None);
-        assert_eq!(Option::<u32>::from_json(&Json::U64(4)).unwrap(), Some(4));
+        assert_eq!(vec![1u32, 2, 3].to_json().to_string_compact(), "[1,2,3]");
+        assert_eq!(Some(4u32).to_json(), Json::U64(4));
         assert_eq!(None::<u32>.to_json(), Json::Null);
     }
 }

@@ -1,7 +1,5 @@
 //! Column-major (CSC) sparse boolean matrix.
 
-use sfa_json::{FromJson, Json, JsonError, ToJson};
-
 use crate::column::intersection_size_auto;
 use crate::csr::RowMajorMatrix;
 use crate::error::{MatrixError, Result};
@@ -209,41 +207,6 @@ impl SparseMatrix {
     }
 }
 
-impl ToJson for SparseMatrix {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("n_rows", self.n_rows)
-            .field("n_cols", self.n_cols)
-            .field("col_ptr", &self.col_ptr[..])
-            .field("row_idx", &self.row_idx[..])
-    }
-}
-
-impl FromJson for SparseMatrix {
-    fn from_json(json: &Json) -> std::result::Result<Self, JsonError> {
-        let n_rows = u32::from_json(json.req("n_rows")?)?;
-        let n_cols = u32::from_json(json.req("n_cols")?)?;
-        let col_ptr = Vec::<usize>::from_json(json.req("col_ptr")?)?;
-        let row_idx = Vec::<u32>::from_json(json.req("row_idx")?)?;
-        if col_ptr.len() != n_cols as usize + 1
-            || col_ptr.first() != Some(&0)
-            || *col_ptr.last().unwrap() != row_idx.len()
-            || col_ptr.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(JsonError::new("inconsistent CSC structure"));
-        }
-        if row_idx.iter().any(|&r| r >= n_rows) {
-            return Err(JsonError::new("row index out of range"));
-        }
-        Ok(Self {
-            n_rows,
-            n_cols,
-            col_ptr,
-            row_idx,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,23 +293,5 @@ mod tests {
     fn column_counts_vector() {
         let m = example1();
         assert_eq!(m.column_counts(), vec![2, 3, 2]);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let m = example1();
-        let json = m.to_json().to_string_compact();
-        let back: SparseMatrix = sfa_json::from_str(&json).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn json_rejects_inconsistent_structure() {
-        let doc = Json::obj()
-            .field("n_rows", 2u32)
-            .field("n_cols", 1u32)
-            .field("col_ptr", vec![0usize, 3])
-            .field("row_idx", vec![0u32]);
-        assert!(SparseMatrix::from_json(&doc).is_err());
     }
 }

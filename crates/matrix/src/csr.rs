@@ -6,8 +6,6 @@
 //! [`RowStream`] trait so they cannot cheat with
 //! random access.
 
-use sfa_json::{FromJson, Json, JsonError, ToJson};
-
 use crate::csc::SparseMatrix;
 use crate::stream::RowStream;
 
@@ -231,41 +229,6 @@ fn check_row(i: usize, row: &[u32], n_cols: u32) -> crate::Result<()> {
     }
 }
 
-impl ToJson for RowMajorMatrix {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("n_rows", self.n_rows)
-            .field("n_cols", self.n_cols)
-            .field("row_ptr", &self.row_ptr[..])
-            .field("col_idx", &self.col_idx[..])
-    }
-}
-
-impl FromJson for RowMajorMatrix {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let n_rows = u32::from_json(json.req("n_rows")?)?;
-        let n_cols = u32::from_json(json.req("n_cols")?)?;
-        let row_ptr = Vec::<usize>::from_json(json.req("row_ptr")?)?;
-        let col_idx = Vec::<u32>::from_json(json.req("col_idx")?)?;
-        if row_ptr.len() != n_rows as usize + 1
-            || row_ptr.first() != Some(&0)
-            || *row_ptr.last().unwrap() != col_idx.len()
-            || row_ptr.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(JsonError::new("inconsistent CSR structure"));
-        }
-        if col_idx.iter().any(|&c| c >= n_cols) {
-            return Err(JsonError::new("column index out of range"));
-        }
-        Ok(Self {
-            n_rows,
-            n_cols,
-            row_ptr,
-            col_idx,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,13 +341,5 @@ mod tests {
             RowMajorMatrix::from_stream(&mut skipped, usize::MAX),
             Err(crate::MatrixError::Parse { at: 0, .. })
         ));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let m = example1_rows();
-        let json = m.to_json().to_string_compact();
-        let back: RowMajorMatrix = sfa_json::from_str(&json).unwrap();
-        assert_eq!(back, m);
     }
 }

@@ -23,8 +23,8 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use sfa::core::MetricsDocument;
-use sfa::json::{FromJson, Json};
+use sfa::core::ServingMetrics;
+use sfa::json::Json;
 use sfa::matrix::{io, RowMajorMatrix};
 use sfa_experiments::chaos::send_sigterm;
 use sfa_experiments::loadgen::{run_load, LoadConfig};
@@ -114,9 +114,34 @@ fn spawn_serve_env(
     ServeProc { child, addr }
 }
 
-fn read_metrics(path: &Path) -> MetricsDocument {
+/// The `metrics.serving` block of the document `sfa serve` wrote.
+fn read_serving(path: &Path) -> ServingMetrics {
     let text = std::fs::read_to_string(path).expect("metrics file written");
-    MetricsDocument::from_json(&Json::parse(&text).expect("valid json")).expect("schema v5 parses")
+    let doc = Json::parse(&text).expect("valid json");
+    let serving = doc
+        .get("metrics")
+        .and_then(|metrics| metrics.get("serving"))
+        .expect("serve writes a serving block");
+    let field = |key: &str| {
+        serving
+            .get(key)
+            .unwrap_or_else(|| panic!("serving block lacks `{key}`"))
+    };
+    let count = |key: &str| field(key).as_u64().expect("a count");
+    let number = |key: &str| field(key).as_f64().expect("a number");
+    ServingMetrics {
+        accepted: count("accepted"),
+        answered: count("answered"),
+        shed: count("shed"),
+        timed_out: count("timed_out"),
+        malformed: count("malformed"),
+        ingested_rows: count("ingested_rows"),
+        snapshot_swaps: count("snapshot_swaps"),
+        uptime_secs: number("uptime_secs"),
+        qps: number("qps"),
+        p50_micros: count("p50_micros"),
+        p99_micros: count("p99_micros"),
+    }
 }
 
 /// Resident set size of a live process in kilobytes (linux only; `None`
@@ -249,8 +274,7 @@ fn adversarial_load_is_survived_and_acked_ingests_outlive_restart() {
     assert_eq!(round2.violations, 0, "{round2:?}");
 
     // The serving metrics block must balance exactly.
-    let doc = read_metrics(&metrics_path);
-    let serving = doc.metrics.serving.expect("serve writes a serving block");
+    let serving = read_serving(&metrics_path);
     assert!(serving.balances(), "dispositions must balance: {serving:?}");
     assert!(serving.answered > 0);
     assert_eq!(
@@ -337,8 +361,7 @@ fn overload_sheds_explicitly_under_burst() {
 
     send_sigterm(&mut serve.child);
     assert_eq!(serve.child.wait().unwrap().code(), Some(3));
-    let doc = read_metrics(&metrics_path);
-    let serving = doc.metrics.serving.expect("serving block");
+    let serving = read_serving(&metrics_path);
     assert!(serving.balances(), "{serving:?}");
     assert!(
         serving.shed >= u64::from(shed_seen),
@@ -392,8 +415,7 @@ fn deadline_drains_without_a_signal_and_exits_3() {
     assert!(probe.roundtrip("HEALTH").starts_with("OK "));
     let status = serve.child.wait().unwrap();
     assert_eq!(status.code(), Some(3), "deadline drain exits 3");
-    let doc = read_metrics(&metrics_path);
-    let serving = doc.metrics.serving.expect("serving block");
+    let serving = read_serving(&metrics_path);
     assert!(serving.balances(), "{serving:?}");
     assert_eq!(serving.answered, 1, "{serving:?}");
     std::fs::remove_dir_all(&work).ok();
