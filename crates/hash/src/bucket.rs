@@ -18,6 +18,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// Collision attacks are irrelevant here (keys are our own hash values), so
 /// we trade SipHash's robustness for speed, as any database engine does for
 /// internal integer maps.
+///
+/// The multiply carries entropy upward only, so the low 32 bits of the
+/// state depend on the low 32 bits of the key alone: for a
+/// [`pack_pair`] key, on `j` alone. `std`'s hash tables pick a bucket
+/// from the low bits, so [`finish`](Hasher::finish) rotates the state's
+/// well-mixed middle bits down.
 #[derive(Debug, Default, Clone)]
 pub struct FxHasher {
     state: u64,
@@ -28,7 +34,7 @@ const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.state
+        self.state.rotate_left(26)
     }
 
     #[inline]
@@ -172,6 +178,19 @@ mod tests {
         assert_eq!(distinct.len(), 10_000);
         // and actually differ in high bits so map bucketing works:
         assert_ne!(hash(1) >> 56, hash(2) >> 56);
+    }
+
+    #[test]
+    fn fx_hasher_spreads_the_pairs_of_one_column_in_the_low_bits() {
+        // The pairs of one partner column must not share a bucket.
+        let low_bits: std::collections::HashSet<u64> = (0..256)
+            .map(|i| {
+                let mut h = FxHasher::default();
+                h.write_u64(pack_pair(i, 1000));
+                h.finish() & 0xffff
+            })
+            .collect();
+        assert_eq!(low_bits.len(), 256);
     }
 
     #[test]
