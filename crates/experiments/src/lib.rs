@@ -54,11 +54,28 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join(name);
     let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create csv"));
-    writeln!(f, "{}", header.join(",")).expect("write header");
+    writeln!(f, "{}", csv_record(header)).expect("write header");
     for row in rows {
-        writeln!(f, "{}", row.join(",")).expect("write row");
+        writeln!(f, "{}", csv_record(row)).expect("write row");
     }
     println!("  [wrote {}]", path.display());
+}
+
+/// One CSV record: the cells joined by commas, where a cell holding `,`,
+/// `"` or a line break is quoted and its `"` doubled (RFC 4180).
+fn csv_record(cells: &[impl AsRef<str>]) -> String {
+    cells
+        .iter()
+        .map(|cell| {
+            let cell = cell.as_ref();
+            if cell.contains([',', '"', '\n', '\r']) {
+                format!("\"{}\"", cell.replace('"', "\"\""))
+            } else {
+                cell.to_owned()
+            }
+        })
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 /// Prints an aligned text table.
@@ -304,10 +321,13 @@ mod tests {
         write_csv(
             "unit_test.csv",
             &["a", "b"],
-            &[vec!["1".into(), "2".into()]],
+            &[
+                vec!["1".into(), "2".into()],
+                vec!["r=3,l=20".into(), "say \"hi\"\nbye".into()],
+            ],
         );
         let contents = std::fs::read_to_string(results_dir().join("unit_test.csv")).unwrap();
-        assert_eq!(contents, "a,b\n1,2\n");
+        assert_eq!(contents, "a,b\n1,2\n\"r=3,l=20\",\"say \"\"hi\"\"\nbye\"\n");
         print_table("t", &["x"], &[vec!["y".into()]]);
         std::env::remove_var("SFA_RESULTS");
     }
