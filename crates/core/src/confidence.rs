@@ -298,8 +298,12 @@ mod tests {
     #[test]
     fn exactly_three_passes_are_used() {
         let m = matrix();
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+        let mut counter = sfa_matrix::ScanCounter::new(MemoryRowStream::new(&m));
         let _ = mine_confidence_rules(&mut counter, 100, 1, 0.9, 0.2).unwrap();
-        assert_eq!(counter.passes(), 3, "signatures + counts + verify");
+        assert_eq!(
+            counter.pass_scans().len(),
+            3,
+            "signatures + counts + verify"
+        );
     }
 }

@@ -900,7 +900,12 @@ const VERIFY_BYTES_PER_CANDIDATE: u64 = 64;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfa_matrix::MemoryRowStream;
+    use sfa_matrix::{MemoryRowStream, ScanCounter};
+
+    /// Rows a counted stream delivered over all its passes.
+    fn rows_read<S: RowStream>(counter: &ScanCounter<S>) -> u64 {
+        counter.pass_scans().iter().map(|pass| pass.rows).sum()
+    }
 
     /// 0–1 identical (S = 1), 2–3 at S = 0.5, others noise.
     fn matrix() -> RowMajorMatrix {
@@ -1010,10 +1015,14 @@ mod tests {
     #[test]
     fn pipeline_uses_exactly_two_passes() {
         let m = matrix();
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+        let mut counter = ScanCounter::new(MemoryRowStream::new(&m));
         let cfg = PipelineConfig::new(Scheme::Mh { k: 16, delta: 0.2 }, 0.8, 1);
         let _ = Pipeline::new(cfg).run(&mut counter).unwrap();
-        assert_eq!(counter.passes(), 2, "signature pass + verify pass");
+        assert_eq!(
+            counter.pass_scans().len(),
+            2,
+            "signature pass + verify pass"
+        );
     }
 
     #[test]
@@ -1138,11 +1147,11 @@ mod tests {
 
             // The rerun fast-forwards to row 32: it reads 70 − 32 = 38 rows
             // in the signature pass plus the full 70-row verify pass.
-            let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+            let mut counter = ScanCounter::new(MemoryRowStream::new(&m));
             let resumed = Pipeline::new(cfg)
                 .run_resumable(&mut counter, &spec)
                 .unwrap();
-            assert_eq!(counter.rows_read(), 38 + 70, "{}", scheme.name());
+            assert_eq!(rows_read(&counter), 38 + 70, "{}", scheme.name());
             assert_eq!(resumed.metrics.recovery.resumed_from_row, 32);
             assert_eq!(resumed.verified, plain.verified, "{}", scheme.name());
             assert_eq!(resumed.column_counts, plain.column_counts);
@@ -1190,11 +1199,11 @@ mod tests {
         // Final attempt on a clean stream: phase 1 resumes from its
         // completed checkpoint (0 signature rows re-read), phase 3 from
         // the row-32 frontier (70 − 32 = 38 rows re-read).
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+        let mut counter = ScanCounter::new(MemoryRowStream::new(&m));
         let resumed = Pipeline::new(cfg)
             .run_resumable(&mut counter, &spec)
             .unwrap();
-        assert_eq!(counter.rows_read(), 38, "only the verify suffix is read");
+        assert_eq!(rows_read(&counter), 38, "only the verify suffix is read");
         assert_eq!(resumed.metrics.recovery.resumed_from_row, 70);
         assert_eq!(resumed.verified, plain.verified);
         assert_eq!(resumed.column_counts, plain.column_counts);
@@ -1216,11 +1225,11 @@ mod tests {
 
         // A different seed must not resume from cfg_a's checkpoint.
         let cfg_b = PipelineConfig::new(Scheme::Mh { k: 32, delta: 0.2 }, 0.8, 12);
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+        let mut counter = ScanCounter::new(MemoryRowStream::new(&m));
         let result = Pipeline::new(cfg_b)
             .run_resumable(&mut counter, &spec)
             .unwrap();
-        assert_eq!(counter.rows_read(), 140, "both passes run in full");
+        assert_eq!(rows_read(&counter), 140, "both passes run in full");
         assert_eq!(result.metrics.recovery.resumed_from_row, 0);
         let plain = Pipeline::new(cfg_b)
             .run(&mut MemoryRowStream::new(&m))
@@ -1292,14 +1301,14 @@ mod tests {
         let cfg = PipelineConfig::new(Scheme::Mh { k: 64, delta: 0.2 }, 0.6, 11);
         let d = spill_dir("passes");
         let budget = MemoryBudget::new(MemoryBudget::MIN_BYTES, &d);
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+        let mut counter = ScanCounter::new(MemoryRowStream::new(&m));
         let result = Pipeline::new(cfg)
             .run_sharded(&mut counter, &budget, None)
             .unwrap();
         let s = result.metrics.sharding.expect("sharding metrics");
         assert!(s.verify_groups >= 3);
         assert_eq!(
-            u64::from(counter.passes()),
+            counter.pass_scans().len() as u64,
             1 + s.verify_groups,
             "phase 1 + one verify scan per group"
         );
@@ -1334,7 +1343,7 @@ mod tests {
 
         // The rerun recounts from the resident signatures and loads both
         // finished chunks: phase 1 plus the remaining chunks' scans.
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+        let mut counter = ScanCounter::new(MemoryRowStream::new(&m));
         let resumed = Pipeline::new(cfg)
             .run_sharded(&mut counter, &budget, None)
             .unwrap();
@@ -1342,7 +1351,7 @@ mod tests {
         assert_eq!(s.shards, chunks);
         assert_eq!(s.generation_passes, 1, "one walk, even on resume");
         assert_eq!(
-            counter.rows_read(),
+            rows_read(&counter),
             u64::from(m.n_rows()) * (1 + chunks - 2),
             "finished chunks are never rescanned"
         );
@@ -1551,11 +1560,11 @@ mod tests {
         // H-LSH keeps no phase-1 state: the rerun reads the whole table
         // for phase 1, then only the verify suffix past the row-32
         // frontier (70 − 32 = 38 rows).
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+        let mut counter = ScanCounter::new(MemoryRowStream::new(&m));
         let resumed = Pipeline::new(cfg)
             .run_resumable(&mut counter, &spec)
             .unwrap();
-        assert_eq!(counter.rows_read(), 70 + 38);
+        assert_eq!(rows_read(&counter), 70 + 38);
         assert_eq!(resumed.metrics.recovery.resumed_from_row, 32);
         assert_eq!(resumed.verified, plain.verified);
         assert_eq!(resumed.column_counts, plain.column_counts);

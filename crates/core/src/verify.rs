@@ -801,9 +801,9 @@ mod tests {
     #[test]
     fn single_pass_is_used() {
         let m = matrix();
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+        let mut counter = sfa_matrix::ScanCounter::new(MemoryRowStream::new(&m));
         let _ = verify_candidates(&mut counter, &[CandidatePair::new(0, 1, 1.0)]).unwrap();
-        assert_eq!(counter.passes(), 1);
+        assert_eq!(counter.pass_scans().len(), 1);
     }
 
     #[test]
@@ -914,7 +914,7 @@ mod tests {
 
         // Resume from the row-4 snapshot on a fresh stream: the counters
         // must match the uninterrupted pass while only rows 4..6 are read.
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+        let mut counter = sfa_matrix::ScanCounter::new(MemoryRowStream::new(&m));
         let resumed = verify_candidates_resumable(
             &mut counter,
             &candidates,
@@ -924,7 +924,11 @@ mod tests {
             &CancelToken::default(),
         )
         .unwrap();
-        assert_eq!(counter.rows_read(), 2, "only the suffix is re-read");
+        assert_eq!(
+            counter.pass_scans()[0].rows,
+            2,
+            "only the suffix is re-read"
+        );
         assert_eq!(resumed, full);
     }
 

@@ -6,7 +6,7 @@
 //! only. [`RowStream`] encodes that contract: consumers can only pull rows
 //! forward, one at a time, into a caller-provided buffer, and must
 //! [`reset`](RowStream::reset) to start another pass. Tests wrap streams in
-//! [`PassCounter`] to assert that an algorithm really used the number of
+//! [`ScanCounter`] to assert that an algorithm really used the number of
 //! passes it claims.
 
 use std::fs::File;
@@ -53,8 +53,8 @@ pub trait RowStream {
     /// instead of re-reading. The default implementation reads and
     /// discards; seekable implementations override it to avoid delivering
     /// (and, for [`FileRowStream`], parsing) the skipped rows, and the
-    /// counting wrappers ([`PassCounter`], [`ScanCounter`]) deliberately do
-    /// **not** count skipped rows as scan volume.
+    /// counting wrapper [`ScanCounter`] deliberately does **not** count
+    /// skipped rows as scan volume.
     ///
     /// # Errors
     ///
@@ -411,75 +411,6 @@ impl RowStream for FileRowStream {
     }
 }
 
-/// Wrapper counting rows read and passes started — used by tests to prove
-/// an algorithm's pass complexity.
-#[derive(Debug)]
-pub struct PassCounter<S> {
-    inner: S,
-    rows_read: u64,
-    passes: u32,
-}
-
-impl<S: RowStream> PassCounter<S> {
-    /// Wraps a stream; the first pass counts as pass 1 once a row is read.
-    #[must_use]
-    pub fn new(inner: S) -> Self {
-        Self {
-            inner,
-            rows_read: 0,
-            passes: 1,
-        }
-    }
-
-    /// Rows delivered across all passes.
-    #[must_use]
-    pub const fn rows_read(&self) -> u64 {
-        self.rows_read
-    }
-
-    /// Passes started (resets + 1).
-    #[must_use]
-    pub const fn passes(&self) -> u32 {
-        self.passes
-    }
-
-    /// Unwraps the inner stream.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: RowStream> RowStream for PassCounter<S> {
-    fn n_rows(&self) -> u32 {
-        self.inner.n_rows()
-    }
-
-    fn n_cols(&self) -> u32 {
-        self.inner.n_cols()
-    }
-
-    fn read_row(&mut self, buf: &mut Vec<u32>) -> Result<Option<u32>> {
-        let r = self.inner.read_row(buf)?;
-        if r.is_some() {
-            self.rows_read += 1;
-        }
-        Ok(r)
-    }
-
-    fn reset(&mut self) -> Result<()> {
-        self.inner.reset()?;
-        self.passes += 1;
-        Ok(())
-    }
-
-    fn skip_rows(&mut self, count: u64) -> Result<u64> {
-        // Skipped rows are not delivered to the consumer, so they do not
-        // count as rows read — this is what lets tests prove that a resumed
-        // run re-processed only the suffix.
-        self.inner.skip_rows(count)
-    }
-}
-
 /// Per-pass scan volume recorded by [`ScanCounter`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassScan {
@@ -491,7 +422,7 @@ pub struct PassScan {
 
 /// Wrapper recording, for every pass, how many rows and nonzeros the
 /// consumer actually pulled — the data-volume side of the pipeline's
-/// observability (the pass-count side is [`PassCounter`]).
+/// observability.
 #[derive(Debug)]
 pub struct ScanCounter<S> {
     inner: S,
@@ -678,13 +609,13 @@ mod tests {
         for seekable in [true, false] {
             let mut buf = Vec::new();
             if seekable {
-                let mut s = PassCounter::new(FileRowStream::open(&path).unwrap());
+                let mut s = ScanCounter::new(FileRowStream::open(&path).unwrap());
                 assert_eq!(s.skip_rows(2).unwrap(), 2);
                 assert_eq!(s.read_row(&mut buf).unwrap(), Some(2));
                 assert_eq!(buf, vec![1, 2]);
                 assert_eq!(s.skip_rows(5).unwrap(), 1, "only one row left");
                 assert_eq!(s.read_row(&mut buf).unwrap(), None);
-                assert_eq!(s.rows_read(), 1, "skipped rows must not count");
+                assert_eq!(s.pass_scans()[0].rows, 1, "skipped rows must not count");
             } else {
                 let mut s = ScanCounter::new(MemoryRowStream::new(&m));
                 assert_eq!(s.skip_rows(2).unwrap(), 2);
@@ -732,19 +663,5 @@ mod tests {
         assert_eq!(s.read_row(&mut buf).unwrap(), Some(0));
         assert_eq!(buf, vec![0, 1]);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn pass_counter_counts() {
-        let m = sample();
-        let mut s = PassCounter::new(MemoryRowStream::new(&m));
-        let mut buf = Vec::new();
-        while s.read_row(&mut buf).unwrap().is_some() {}
-        assert_eq!(s.rows_read(), 4);
-        assert_eq!(s.passes(), 1);
-        s.reset().unwrap();
-        while s.read_row(&mut buf).unwrap().is_some() {}
-        assert_eq!(s.rows_read(), 8);
-        assert_eq!(s.passes(), 2);
     }
 }

@@ -305,10 +305,10 @@ mod tests {
     #[test]
     fn single_pass_over_stream() {
         let m = matrix();
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+        let mut counter = sfa_matrix::ScanCounter::new(MemoryRowStream::new(&m));
         let _ = compute_bottom_k(&mut counter, 4, 1).unwrap();
-        assert_eq!(counter.passes(), 1);
-        assert_eq!(counter.rows_read(), 4);
+        assert_eq!(counter.pass_scans().len(), 1);
+        assert_eq!(counter.pass_scans()[0].rows, 4);
     }
 
     #[test]

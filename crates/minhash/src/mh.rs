@@ -338,20 +338,24 @@ mod tests {
         let pointer_bytes = (m.n_rows() as usize + 1) * 8;
         // No room for the row pointers, then room for them and 50 ones.
         for cap in [0, pointer_bytes + 50 * 4] {
-            let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+            let mut counter = sfa_matrix::ScanCounter::new(MemoryRowStream::new(&m));
             let sigs = signatures_buffered(&mut counter, 32, 5, cap).unwrap();
             assert_eq!(sigs, fold(&m, 32, 5), "cap {cap}");
-            assert_eq!(counter.passes(), 1, "cap {cap}");
-            assert_eq!(counter.rows_read(), u64::from(m.n_rows()), "cap {cap}");
+            assert_eq!(counter.pass_scans().len(), 1, "cap {cap}");
+            assert_eq!(
+                counter.pass_scans()[0].rows,
+                u64::from(m.n_rows()),
+                "cap {cap}"
+            );
         }
     }
 
     #[test]
     fn single_pass_over_stream() {
         let m = paper_like_matrix();
-        let mut counter = sfa_matrix::stream::PassCounter::new(MemoryRowStream::new(&m));
+        let mut counter = sfa_matrix::ScanCounter::new(MemoryRowStream::new(&m));
         let _ = compute_signatures(&mut counter, 4, 1).unwrap();
-        assert_eq!(counter.passes(), 1);
-        assert_eq!(counter.rows_read(), 4);
+        assert_eq!(counter.pass_scans().len(), 1);
+        assert_eq!(counter.pass_scans()[0].rows, 4);
     }
 }

@@ -16,10 +16,11 @@
 //!   blocks until every worker has finished the round, which is what
 //!   makes handing a non-`'static` closure to long-lived threads sound
 //!   (the one `unsafe` in this crate, see `run`).
-//! * **Dynamic**: [`ThreadPool::par_for`] and [`ThreadPool::par_fold`]
-//!   deal out fixed-size chunks of an index range from a shared atomic
-//!   cursor, so fast workers steal the tail of the range instead of
-//!   idling behind a skewed static partition.
+//! * **Dynamic**: [`ThreadPool::par_fold`] and the
+//!   [`ThreadPool::par_map_reduce`] built on it deal out fixed-size
+//!   chunks of an index range from a shared atomic cursor, so fast
+//!   workers steal the tail of the range instead of idling behind a
+//!   skewed static partition.
 //!
 //! No external dependencies; the registry is unreachable in this build
 //! environment (see `vendor/`).
@@ -216,32 +217,12 @@ impl ThreadPool {
         self.par_fold(n_items, chunk, init, fold)
     }
 
-    /// Dynamically-scheduled parallel loop over `0..n_items`: workers
+    /// Dynamically-scheduled parallel fold over `0..n_items`: workers
     /// repeatedly claim the next `chunk`-sized index range from a shared
-    /// atomic cursor and call `f(range)` until the range is exhausted.
-    pub fn par_for<F: Fn(Range<usize>) + Sync>(&self, n_items: usize, chunk: usize, f: F) {
-        assert!(chunk > 0, "chunk size must be positive");
-        if n_items == 0 {
-            return;
-        }
-        if self.threads == 1 || n_items <= chunk {
-            f(0..n_items);
-            return;
-        }
-        let cursor = AtomicUsize::new(0);
-        self.run(|_| loop {
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n_items {
-                break;
-            }
-            f(start..n_items.min(start + chunk));
-        });
-    }
-
-    /// Like [`par_for`](Self::par_for), but each worker folds its chunks
-    /// into a private accumulator created by `init(worker)`. Returns the
-    /// accumulators of every worker that claimed at least one chunk, in
-    /// unspecified order — callers must merge commutatively.
+    /// atomic cursor and fold it into a private accumulator created by
+    /// `init(worker)`. Returns the accumulators of every worker that
+    /// claimed at least one chunk, in unspecified order — callers must
+    /// merge commutatively.
     pub fn par_fold<T, I, F>(&self, n_items: usize, chunk: usize, init: I, fold: F) -> Vec<T>
     where
         T: Send,
@@ -401,16 +382,21 @@ mod tests {
     }
 
     #[test]
-    fn par_for_covers_each_index_exactly_once() {
+    fn par_fold_covers_each_index_exactly_once() {
         for threads in [1, 2, 4, 7] {
             for n in [0usize, 1, 5, 64, 1000] {
                 let pool = ThreadPool::new(threads);
                 let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-                pool.par_for(n, 7, |range| {
-                    for i in range {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                });
+                pool.par_fold(
+                    n,
+                    7,
+                    |_| (),
+                    |_, range| {
+                        for i in range {
+                            hits[i].fetch_add(1, Ordering::Relaxed);
+                        }
+                    },
+                );
                 assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
             }
         }

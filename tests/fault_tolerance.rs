@@ -7,8 +7,14 @@
 use sfa::core::{CheckpointSpec, MemoryBudget, MetricsDocument, Pipeline, PipelineConfig, Scheme};
 use sfa::datagen::WeblogConfig;
 use sfa::json::{Json, ToJson};
-use sfa::matrix::stream::PassCounter;
-use sfa::matrix::{io, FaultConfig, FaultyRowStream, FileRowStream, RetryingRowStream, RowStream};
+use sfa::matrix::{
+    io, FaultConfig, FaultyRowStream, FileRowStream, RetryingRowStream, RowStream, ScanCounter,
+};
+
+/// Rows a counted stream delivered over all its passes.
+fn rows_read<S: RowStream>(counter: &ScanCounter<S>) -> u64 {
+    counter.pass_scans().iter().map(|pass| pass.rows).sum()
+}
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("sfa_fault_tolerance_tests");
@@ -110,14 +116,14 @@ fn fatal_fault_then_resume_rereads_only_the_uncheckpointed_suffix() {
     assert!(!err.is_transient(), "the injected kill is fatal: {err}");
 
     // Attempt 2: a clean rerun resumes from row 1024, so it reads only the
-    // 976-row phase-1 suffix plus the full verification pass. PassCounter
+    // 976-row phase-1 suffix plus the full verification pass. ScanCounter
     // counts delivered reads and not skips, which is exactly the
     // "re-reads only the suffix" claim.
-    let mut counter = PassCounter::new(FileRowStream::open(&path).unwrap());
+    let mut counter = ScanCounter::new(FileRowStream::open(&path).unwrap());
     let resumed = Pipeline::new(config)
         .run_resumable(&mut counter, &spec)
         .unwrap();
-    assert_eq!(counter.rows_read(), (n_rows - 1024) + n_rows);
+    assert_eq!(rows_read(&counter), (n_rows - 1024) + n_rows);
     assert_eq!(resumed.metrics.recovery.resumed_from_row, 1024);
     assert_eq!(
         resumed.verified, clean.verified,
@@ -195,7 +201,7 @@ fn sharded_run_survives_kills_in_both_streaming_passes() {
     // recounts from the signatures, loads every finished chunk from its
     // spill file, and re-reads only the last chunk's verify suffix past
     // row 256.
-    let mut counter = PassCounter::new(FileRowStream::open(&path).unwrap());
+    let mut counter = ScanCounter::new(FileRowStream::open(&path).unwrap());
     let resumed = Pipeline::new(config)
         .run_sharded(&mut counter, &budget, Some(&spec))
         .unwrap();
@@ -213,7 +219,7 @@ fn sharded_run_survives_kills_in_both_streaming_passes() {
     );
     assert_eq!(resumed.metrics.recovery.resumed_from_row, n_rows);
     assert_eq!(
-        counter.rows_read(),
+        rows_read(&counter),
         n_rows - 256,
         "phase 1 is skipped whole; finished chunks are loaded; only the last verify suffix is re-read"
     );

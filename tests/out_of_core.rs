@@ -3,8 +3,7 @@
 
 use sfa::core::{Pipeline, PipelineConfig, Scheme};
 use sfa::datagen::WeblogConfig;
-use sfa::matrix::stream::PassCounter;
-use sfa::matrix::{io, FileRowStream, MemoryRowStream};
+use sfa::matrix::{io, FileRowStream, MemoryRowStream, PassScan, ScanCounter};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("sfa_out_of_core_tests");
@@ -59,11 +58,14 @@ fn pipeline_makes_exactly_two_sequential_passes_over_the_file() {
     let path = tmp("two_passes.sfab");
     io::write_binary(&rows, &path).unwrap();
 
-    let mut counter = PassCounter::new(FileRowStream::open(&path).unwrap());
+    let mut counter = ScanCounter::new(FileRowStream::open(&path).unwrap());
     let cfg = PipelineConfig::new(Scheme::Kmh { k: 16, delta: 0.2 }, 0.7, 3);
     let _ = Pipeline::new(cfg).run(&mut counter).unwrap();
-    assert_eq!(counter.passes(), 2);
-    assert_eq!(counter.rows_read(), 2 * u64::from(rows.n_rows()));
+    let pass = PassScan {
+        rows: u64::from(rows.n_rows()),
+        nonzeros: rows.nnz() as u64,
+    };
+    assert_eq!(counter.pass_scans(), &[pass, pass]);
     std::fs::remove_file(&path).ok();
 }
 
