@@ -224,12 +224,6 @@ impl ToJson for str {
     }
 }
 
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
 impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
@@ -239,15 +233,6 @@ impl<T: ToJson> ToJson for Vec<T> {
 impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> Json {
         Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(value) => value.to_json(),
-            None => Json::Null,
-        }
     }
 }
 
@@ -319,9 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn options_and_vecs() {
+    fn vecs_are_arrays() {
         assert_eq!(vec![1u32, 2, 3].to_json().to_string_compact(), "[1,2,3]");
-        assert_eq!(Some(4u32).to_json(), Json::U64(4));
-        assert_eq!(None::<u32>.to_json(), Json::Null);
     }
 }
