@@ -262,8 +262,8 @@ impl ServingMetrics {
 /// sequence and are diffed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Phase1Metrics {
-    /// The kernel arm selected when phase 1 ran, which MH's min-merge
-    /// dispatches through (`"scalar"` | `"avx2"` | `"neon"`).
+    /// The CPU's kernel arm, which MH's min-merge runs on (`"scalar"` |
+    /// `"avx2"`).
     pub dispatch_arm: String,
     /// Whether the sketch was loaded from the signature cache (phase 1's
     /// table pass was skipped entirely).

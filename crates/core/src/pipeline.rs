@@ -42,9 +42,8 @@ mod purpose {
     pub const LSH: u64 = 2;
 }
 
-/// Phase-1 provenance for `metrics.phase1`: the SIMD arm the signature
-/// kernels dispatch through (shared with the phase-3 kernels, so
-/// `--kernel`/`SFA_KERNEL` pins both) plus the cache disposition.
+/// Phase-1 provenance for `metrics.phase1`: the CPU's kernel arm, which
+/// MH's min-merge runs on, plus the cache disposition.
 fn phase1_provenance(cache_hit: bool, cache_stored: bool) -> Phase1Metrics {
     Phase1Metrics {
         dispatch_arm: sfa_matrix::kernel::arm_name().to_owned(),

@@ -24,17 +24,6 @@ pub struct VerifiedPair {
     pub estimate: f64,
 }
 
-impl VerifiedPair {
-    /// Exact confidence `Conf(c_i ⇒ c_j) = |C_i ∩ C_j| / |C_i|`, derivable
-    /// because `|C_i| = union − (|C_j| − intersection)`… callers that need
-    /// per-direction confidence should use
-    /// [`MiningResult::column_count`] to recover `|C_i|`.
-    #[must_use]
-    pub fn jaccard(&self) -> f64 {
-        self.similarity
-    }
-}
-
 /// Wall-clock time of each pipeline phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {

@@ -110,14 +110,6 @@ pub fn signal_received() -> bool {
     SIGNAL_FLAG.load(Ordering::SeqCst)
 }
 
-/// How many shutdown signals have been delivered since the handlers were
-/// (last) installed. In practice 0 or 1: the second escalates to `_exit`
-/// inside the handler, so user code never observes 2.
-#[must_use]
-pub fn signal_count() -> u32 {
-    SIGNAL_COUNT.load(Ordering::SeqCst)
-}
-
 /// A cooperative cancellation token polled by the streaming pipelines.
 ///
 /// A token cancels for any of three reasons: [`cancel`](Self::cancel) was
@@ -328,12 +320,12 @@ mod tests {
     fn install_clears_count_and_is_idempotent() {
         let _guard = signal_lock();
         install_signal_handlers();
-        assert_eq!(signal_count(), 0);
+        assert_eq!(SIGNAL_COUNT.load(Ordering::SeqCst), 0);
         SIGNAL_COUNT.store(1, Ordering::SeqCst);
         SIGNAL_FLAG.store(true, Ordering::SeqCst);
         // Calling again (idempotent) resets the latch and the count.
         install_signal_handlers();
-        assert_eq!(signal_count(), 0);
+        assert_eq!(SIGNAL_COUNT.load(Ordering::SeqCst), 0);
         assert!(!signal_received());
     }
 

@@ -19,8 +19,8 @@
 //! candidate's smaller column holds a 1. A stream also costs a step per
 //! row; a resident table does not, so its empty rows are free. The
 //! AND-popcounts run on the host's `popcnt` or AVX-512 VPOPCNTDQ
-//! instructions unless the kernel arm is scalar (see `FlushArm`). The
-//! reported probe count is Σ over 1-entries of the candidates the entry's
+//! instructions when the CPU has them (see `FlushArm`). The reported
+//! probe count is Σ over 1-entries of the candidates the entry's
 //! column belongs to — a fixed function of the table and the candidate
 //! list.
 
@@ -72,13 +72,8 @@ impl FlushArm {
         }
     }
 
-    /// The portable loop when the process-wide kernel arm is scalar
-    /// (`--kernel scalar`, `SFA_KERNEL=scalar`), otherwise the best arm
-    /// this CPU runs.
+    /// The best arm this CPU runs.
     fn select() -> Self {
-        if sfa_matrix::kernel::arm() == sfa_matrix::kernel::KernelArm::Scalar {
-            return Self::Portable;
-        }
         [Self::Avx512, Self::Popcnt]
             .into_iter()
             .find(|arm| arm.supported())
@@ -612,7 +607,7 @@ const IN_MEMORY_CONTAINER_CAP_BYTES: usize = 256 << 20;
 /// benchmark's phase-3 probe reads it; no pipeline path produces it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InMemoryKernelReport {
-    /// The process-wide kernel arm (`"scalar"` | `"avx2"` | `"neon"`).
+    /// The CPU's kernel arm (`"scalar"` | `"avx2"`).
     pub dispatch_arm: &'static str,
     /// Whether hybrid containers were materialized (false = the
     /// candidate columns busted the cap and the per-pair adaptive

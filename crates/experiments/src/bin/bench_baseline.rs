@@ -170,72 +170,36 @@ fn best_seconds<T>(reps: u32, f: impl Fn() -> T) -> (T, f64) {
     (out.expect("reps >= 1"), best)
 }
 
-/// Exact ground-truth kernel timings on one baseline dataset: the
-/// dispatched `exact_similar_pairs` on the auto-detected kernel arm, then
-/// pinned to the scalar and (when the CPU has one) the SIMD word-kernel
-/// arm. Every arm must return identical pairs; the seconds are
-/// machine-dependent and live under the `"timing"` subtree. The host arm
-/// name is recorded alongside (also under `"timing"` — it is
-/// machine-dependent too).
+/// Exact ground-truth timings on one baseline dataset: the dispatched
+/// `exact_similar_pairs` on the CPU's kernel arm, best of 3. The seconds
+/// are machine-dependent and live under the `"timing"` subtree.
 fn kernel_json(name: &str, columns: &SparseMatrix, table: &mut Vec<Vec<String>>) -> Json {
-    use sfa_matrix::{kernel, KernelChoice};
-
-    let exact = || stats::exact_similar_pairs(columns, S_STAR);
-    let (dispatch_pairs, dispatch_s) = best_seconds(3, exact);
-    kernel::force(KernelChoice::Scalar).expect("scalar arm always available");
-    let (scalar_pairs, scalar_s) = best_seconds(3, exact);
-    assert_eq!(scalar_pairs, dispatch_pairs, "scalar arm diverged");
-    let simd = kernel::force(KernelChoice::Simd).ok().map(|arm| {
-        let (simd_pairs, simd_s) = best_seconds(3, exact);
-        assert_eq!(simd_pairs, dispatch_pairs, "SIMD arm diverged");
-        (arm, simd_s)
-    });
-    kernel::force(KernelChoice::Auto).expect("auto restores detection");
-
-    let (simd_cell, simd_speedup_cell) = simd.as_ref().map_or_else(
-        || ("n/a".to_owned(), "-".to_owned()),
-        |(_, simd_s)| (format!("{simd_s:.4}"), format!("{:.2}x", scalar_s / simd_s)),
-    );
+    let (pairs, dispatch_s) = best_seconds(3, || stats::exact_similar_pairs(columns, S_STAR));
+    let kernel = if stats::ground_truth_uses_bitmap(columns) {
+        "bitmap"
+    } else {
+        "cooc"
+    };
     table.push(vec![
         name.to_owned(),
+        kernel.to_owned(),
         format!("{dispatch_s:.4}"),
-        format!("{scalar_s:.4}"),
-        simd_cell,
-        simd_speedup_cell,
     ]);
-    let mut json = Json::obj()
-        .field("pairs", dispatch_pairs.len())
+    Json::obj()
+        .field("pairs", pairs.len())
         .field("dispatch_s", dispatch_s)
-        .field(
-            "dispatch_kernel",
-            if stats::ground_truth_uses_bitmap(columns) {
-                "bitmap"
-            } else {
-                "cooc"
-            },
-        )
-        .field("bitmap_scalar_s", scalar_s);
-    if let Some((arm, simd_s)) = simd {
-        json = json
-            .field("simd_arm", arm.name())
-            .field("bitmap_simd_s", simd_s)
-            .field("simd_speedup", scalar_s / simd_s);
-    }
-    json
+        .field("dispatch_kernel", kernel)
 }
 
 /// Phase-1 signature-build timings on one baseline dataset: the MH build
-/// pinned to the scalar and (when the CPU has one) the SIMD min-merge
-/// arm, the K-MH build (one scalar compare per nonzero, no SIMD arm), and
-/// a signature-cache hit for each, all best-of-5. The sketches must be
-/// byte-identical across arms and across store/load, and — the
-/// `--kernel` contract extended to whole mines — every scheme must
-/// produce identical pairs under forced `scalar`, forced `simd`, a cache
-/// miss, and a cache hit. The seconds are machine-dependent and live
-/// under the `"timing"` subtree.
+/// (the k-wide min-merge on the CPU's kernel arm), the K-MH build (one
+/// compare per nonzero), and a signature-cache hit for each, all
+/// best-of-5. The sketches must be byte-identical across store/load, and
+/// every scheme must produce the plain mine's pairs on a cache miss and on
+/// a cache hit. The seconds are machine-dependent and live under the
+/// `"timing"` subtree.
 fn phase1_json(name: &str, rows: &RowMajorMatrix, table: &mut Vec<Vec<String>>) -> Json {
     use sfa_core::SignatureCache;
-    use sfa_matrix::{kernel, KernelChoice};
     use sfa_minhash::{compute_bottom_k, compute_signatures};
 
     let cache_dir = std::env::temp_dir().join(format!("sfa-bench-sigcache-{}", std::process::id()));
@@ -245,20 +209,10 @@ fn phase1_json(name: &str, rows: &RowMajorMatrix, table: &mut Vec<Vec<String>>) 
     let mut per_scheme = Vec::new();
 
     // MH (k = 100): the k-wide min-merge inner loop.
-    kernel::force(KernelChoice::Scalar).expect("scalar arm always available");
-    let (mh_ref, mh_scalar_s) = best_seconds(5, || {
+    let (mh_ref, mh_s) = best_seconds(5, || {
         compute_signatures(&mut MemoryRowStream::new(rows), 100, EXPERIMENT_SEED)
             .expect("in-memory stream cannot fail")
     });
-    let mh_simd = kernel::force(KernelChoice::Simd).ok().map(|_| {
-        let (sigs, s) = best_seconds(5, || {
-            compute_signatures(&mut MemoryRowStream::new(rows), 100, EXPERIMENT_SEED)
-                .expect("in-memory stream cannot fail")
-        });
-        assert_eq!(sigs, mh_ref, "SIMD MH signatures diverged from scalar");
-        s
-    });
-    kernel::force(KernelChoice::Auto).expect("auto restores detection");
     assert!(cache.store_signatures(100, EXPERIMENT_SEED, n_rows, n_cols, &mh_ref));
     let (mh_loaded, mh_hit_s) = best_seconds(5, || {
         cache
@@ -268,7 +222,7 @@ fn phase1_json(name: &str, rows: &RowMajorMatrix, table: &mut Vec<Vec<String>>) 
     assert_eq!(mh_loaded, mh_ref, "cache hit returned different signatures");
 
     // K-MH (k = 64): one admission compare per nonzero.
-    let (kmh_ref, kmh_scalar_s) = best_seconds(5, || {
+    let (kmh_ref, kmh_s) = best_seconds(5, || {
         compute_bottom_k(&mut MemoryRowStream::new(rows), 64, EXPERIMENT_SEED)
             .expect("in-memory stream cannot fail")
     });
@@ -280,47 +234,28 @@ fn phase1_json(name: &str, rows: &RowMajorMatrix, table: &mut Vec<Vec<String>>) 
     });
     assert_eq!(kmh_loaded, kmh_ref, "cache hit returned different sketches");
 
-    for (label, scalar_s, simd, hit_s) in [
-        ("MH k=100", mh_scalar_s, mh_simd, mh_hit_s),
-        ("K-MH k=64", kmh_scalar_s, None, kmh_hit_s),
+    for (label, build_s, hit_s) in [
+        ("MH k=100", mh_s, mh_hit_s),
+        ("K-MH k=64", kmh_s, kmh_hit_s),
     ] {
-        let (simd_cell, speedup_cell) = simd.map_or_else(
-            || ("n/a".to_owned(), "-".to_owned()),
-            |s| (format!("{s:.4}"), format!("{:.2}x", scalar_s / s)),
-        );
         table.push(vec![
             name.to_owned(),
             label.to_owned(),
-            format!("{scalar_s:.4}"),
-            simd_cell,
-            speedup_cell,
+            format!("{build_s:.4}"),
             format!("{hit_s:.6}"),
         ]);
-        let mut entry = Json::obj()
-            .field("sketch", label)
-            .field("scalar_s", scalar_s)
-            .field("cache_hit_s", hit_s);
-        if let Some(s) = simd {
-            entry = entry.field("simd_s", s).field("simd_speedup", scalar_s / s);
-        }
-        per_scheme.push(entry);
+        per_scheme.push(
+            Json::obj()
+                .field("sketch", label)
+                .field("build_s", build_s)
+                .field("cache_hit_s", hit_s),
+        );
     }
 
-    // Whole-mine parity: every scheme, forced scalar vs forced simd vs
-    // cache miss vs cache hit, must find the identical pair set.
+    // Whole-mine parity: every scheme must find the plain mine's pair set
+    // on a cache miss and on a cache hit.
     for scheme in schemes() {
-        kernel::force(KernelChoice::Scalar).expect("scalar arm always available");
         let reference = run_scheme(rows, scheme, S_STAR, EXPERIMENT_SEED).similar_pairs();
-        if kernel::force(KernelChoice::Simd).is_ok() {
-            let simd_pairs = run_scheme(rows, scheme, S_STAR, EXPERIMENT_SEED).similar_pairs();
-            assert_eq!(
-                simd_pairs,
-                reference,
-                "{} diverged under simd",
-                scheme.name()
-            );
-        }
-        kernel::force(KernelChoice::Auto).expect("auto restores detection");
         let cached = Pipeline::new(PipelineConfig::new(scheme, S_STAR, EXPERIMENT_SEED))
             .with_signature_cache(&cache_dir);
         let miss = cached
@@ -661,9 +596,8 @@ fn main() {
             kernel_json("weblog", &weblog.transpose(), &mut kernel_table),
         );
     print_table(
-        "exact ground-truth kernels (best of 3; judge SIMD wins by criterion \
-         bench_kernels on an idle host, not these wall-clocks)",
-        &["dataset", "auto(s)", "scalar(s)", "simd(s)", "simd speedup"],
+        "exact ground-truth kernels (best of 3)",
+        &["dataset", "kernel", "time(s)"],
         &kernel_table,
     );
 
@@ -675,16 +609,9 @@ fn main() {
         )
         .field("weblog", phase1_json("weblog", &weblog, &mut phase1_table));
     print_table(
-        "phase-1 signature kernels (best of 5; sketches byte-identical \
-         across arms and across cache store/load)",
-        &[
-            "dataset",
-            "sketch",
-            "scalar(s)",
-            "simd(s)",
-            "simd speedup",
-            "cache hit(s)",
-        ],
+        "phase-1 signature builds (best of 5; sketches byte-identical \
+         across cache store/load)",
+        &["dataset", "sketch", "build(s)", "cache hit(s)"],
         &phase1_table,
     );
 

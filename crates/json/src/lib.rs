@@ -97,16 +97,6 @@ impl Json {
         }
     }
 
-    /// The value as `i64`, if it is an integer in range.
-    #[must_use]
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::I64(n) => Some(*n),
-            Json::U64(n) => i64::try_from(*n).ok(),
-            _ => None,
-        }
-    }
-
     /// The value as `f64` (integers convert losslessly when possible).
     #[must_use]
     pub fn as_f64(&self) -> Option<f64> {
@@ -276,7 +266,7 @@ mod tests {
         }
         for n in [-1i64, i64::MIN] {
             let text = Json::I64(n).to_string_compact();
-            assert_eq!(Json::parse(&text).unwrap().as_i64(), Some(n));
+            assert_eq!(Json::parse(&text).unwrap(), Json::I64(n));
         }
     }
 

@@ -44,9 +44,9 @@ fn fill_words(words: &mut [u64], rows: &[u32]) {
     }
 }
 
-/// `|a ∩ b|` over two bitmaps: AND-popcount via the selected kernel arm
-/// ([`crate::kernel`] — AVX2/NEON Harley–Seal when available, the
-/// unrolled scalar loop otherwise). Every arm returns identical counts.
+/// `|a ∩ b|` over two bitmaps: AND-popcount on the CPU's kernel arm
+/// ([`crate::kernel`] — AVX2 Harley–Seal when available, the unrolled
+/// scalar loop otherwise). Every arm returns identical counts.
 #[must_use]
 pub fn intersection_size_words(a: &[u64], b: &[u64]) -> usize {
     crate::kernel::and_popcount(a, b)

@@ -2,73 +2,42 @@
 //!
 //! The bitmap counts of the exact-similarity and container code bottom
 //! out in one word kernel, AND-popcount (`|a ∩ b|` over bitmaps). This
-//! module owns the *arm selection* for it, and for the phase-1 min-merge
-//! in `sfa_minhash::kernel`: one of
+//! module names the *arm* that runs it and `sfa_minhash::kernel`'s
+//! phase-1 min-merge, one of
 //!
 //! * **scalar** — an unrolled 4-accumulator popcount loop, the
 //!   portable floor that every other arm must match bit-for-bit;
 //! * **avx2** — Harley–Seal carry-save popcount (16 × 256-bit vectors =
-//!   64 words per iteration) on x86-64 CPUs that report AVX2;
-//! * **neon** — `vcnt`-based popcount on aarch64.
+//!   64 words per iteration) on x86-64 CPUs that report AVX2.
 //!
-//! The arm is picked once per process — from the `SFA_KERNEL`
-//! environment variable (`auto` | `scalar` | `simd`), the `--kernel`
-//! CLI flag via [`force`], or CPU feature detection
-//! (`is_x86_feature_detected!`) — and cached in an atomic, so the hot
-//! loops pay a single relaxed load, not a detection test per call.
+//! The arm is a fact about the CPU: [`arm`] is AVX2 when
+//! `is_x86_feature_detected!` reports it, scalar otherwise. The macro
+//! caches its answer, so a call costs a relaxed load, not a `cpuid`.
+//! Other targets, aarch64 among them, run the scalar loops as their
+//! baseline target compiles them (NEON is in aarch64's baseline; the
+//! loops' speed there is unmeasured).
 //!
 //! Phase 3's block counter (`sfa_core::verify`) does not call
 //! [`and_popcount`]: its flush ANDs and popcounts one 8-word line per
 //! candidate per 512-row block, too short for the Harley–Seal loop and
 //! its per-call dispatch. It compiles its own loop three times — plain,
-//! for `popcnt`, and for AVX-512 VPOPCNTDQ — and reads [`arm`] once per
-//! pass: [`KernelArm::Scalar`] keeps the plain loop, any other arm takes
-//! the best of the two that `is_x86_feature_detected!` reports. So
-//! `--kernel scalar` and `SFA_KERNEL=scalar` pin phase 3 to portable
-//! code too. The flush arms are not [`KernelArm`] variants: metrics'
-//! `dispatch_arm` still names the word kernel's arm.
+//! for `popcnt`, and for AVX-512 VPOPCNTDQ — and runs the best one
+//! `is_x86_feature_detected!` reports. The flush arms are not
+//! [`KernelArm`] variants: metrics' `dispatch_arm` names the word
+//! kernel's arm.
 //!
 //! Every arm returns *exactly* the same counts: SIMD only reorders the
-//! adds of a popcount, it never approximates. The
-//! `tests/kernel_equivalence` proptests pin scalar-vs-SIMD agreement;
-//! CI runs the suites twice (once with `SFA_KERNEL=scalar`) so the
-//! portable fallback cannot rot.
+//! adds of a popcount, it never approximates. The per-arm entry points
+//! ([`and_popcount_scalar`], [`and_popcount_simd`]) let the
+//! `tests/kernel_equivalence` proptests compare both arms in one process.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// What the user asked for (CLI `--kernel`, `SFA_KERNEL` env).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelChoice {
-    /// Pick the best arm the CPU supports (the default).
-    Auto,
-    /// Force the portable scalar kernels.
-    Scalar,
-    /// Require a SIMD arm; an error if the CPU has none.
-    Simd,
-}
-
-impl std::str::FromStr for KernelChoice {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Self::Auto),
-            "scalar" => Ok(Self::Scalar),
-            "simd" => Ok(Self::Simd),
-            other => Err(format!("kernel must be auto|scalar|simd, got {other:?}")),
-        }
-    }
-}
-
-/// The kernel arm actually executing.
+/// The kernel arm this CPU runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelArm {
     /// Portable unrolled scalar loops.
     Scalar,
     /// AVX2 Harley–Seal popcount (x86-64).
     Avx2,
-    /// NEON `vcnt` popcount (aarch64).
-    Neon,
 }
 
 impl KernelArm {
@@ -78,37 +47,11 @@ impl KernelArm {
         match self {
             Self::Scalar => "scalar",
             Self::Avx2 => "avx2",
-            Self::Neon => "neon",
         }
     }
 }
 
-const ARM_UNSET: u8 = 0;
-const ARM_SCALAR: u8 = 1;
-const ARM_AVX2: u8 = 2;
-const ARM_NEON: u8 = 3;
-
-/// Cached arm for the whole process; `ARM_UNSET` until first use.
-static ARM: AtomicU8 = AtomicU8::new(ARM_UNSET);
-
-const fn encode(arm: KernelArm) -> u8 {
-    match arm {
-        KernelArm::Scalar => ARM_SCALAR,
-        KernelArm::Avx2 => ARM_AVX2,
-        KernelArm::Neon => ARM_NEON,
-    }
-}
-
-const fn decode(code: u8) -> KernelArm {
-    match code {
-        ARM_AVX2 => KernelArm::Avx2,
-        ARM_NEON => KernelArm::Neon,
-        _ => KernelArm::Scalar,
-    }
-}
-
-/// The SIMD arm this CPU supports, if any (independent of what is
-/// currently selected).
+/// The SIMD arm this CPU supports, if any.
 #[must_use]
 pub fn simd_arm() -> Option<KernelArm> {
     #[cfg(target_arch = "x86_64")]
@@ -117,60 +60,19 @@ pub fn simd_arm() -> Option<KernelArm> {
             return Some(KernelArm::Avx2);
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            return Some(KernelArm::Neon);
-        }
-    }
     None
 }
 
-/// First-use arm selection: `SFA_KERNEL` env override, then CPU
-/// detection. Unknown or unsatisfiable env values fall back to `auto`
-/// (the CLI flag validates strictly; the env var is best-effort).
-fn initial_arm() -> KernelArm {
-    match std::env::var("SFA_KERNEL").ok().as_deref() {
-        Some("scalar") => KernelArm::Scalar,
-        _ => simd_arm().unwrap_or(KernelArm::Scalar),
-    }
-}
-
-/// The currently selected arm (detecting and caching on first call).
+/// The arm the kernels run: the CPU's SIMD arm, else scalar.
 #[must_use]
 pub fn arm() -> KernelArm {
-    match ARM.load(Ordering::Relaxed) {
-        ARM_UNSET => {
-            // Benign race: concurrent first calls compute the same value.
-            let arm = initial_arm();
-            ARM.store(encode(arm), Ordering::Relaxed);
-            arm
-        }
-        code => decode(code),
-    }
+    simd_arm().unwrap_or(KernelArm::Scalar)
 }
 
-/// The selected arm's stable name (`"scalar"` | `"avx2"` | `"neon"`).
+/// The arm's stable name (`"scalar"` | `"avx2"`).
 #[must_use]
 pub fn arm_name() -> &'static str {
     arm().name()
-}
-
-/// Forces the process-wide arm (the CLI `--kernel` hook). `Auto`
-/// re-runs detection; `Simd` fails when the CPU offers no SIMD arm.
-///
-/// # Errors
-///
-/// Returns a message when `Simd` is requested on a CPU without AVX2/NEON.
-pub fn force(choice: KernelChoice) -> Result<KernelArm, String> {
-    let arm = match choice {
-        KernelChoice::Auto => simd_arm().unwrap_or(KernelArm::Scalar),
-        KernelChoice::Scalar => KernelArm::Scalar,
-        KernelChoice::Simd => simd_arm()
-            .ok_or_else(|| "no SIMD kernel arm on this CPU (need AVX2 or NEON)".to_string())?,
-    };
-    ARM.store(encode(arm), Ordering::Relaxed);
-    Ok(arm)
 }
 
 // ---------------------------------------------------------------------------
@@ -348,59 +250,17 @@ mod avx2 {
 }
 
 // ---------------------------------------------------------------------------
-// NEON arm (aarch64): vcnt popcount. NEON is baseline on aarch64, but the
-// function keeps the target_feature annotation so the safety contract
-// mirrors the AVX2 arm.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use std::arch::aarch64::{vaddvq_u8, vandq_u64, vcntq_u8, vld1q_u64, vreinterpretq_u8_u64};
-
-    /// # Safety
-    ///
-    /// Requires NEON (checked by the dispatcher) and
-    /// `a.len() == b.len()`.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn and_popcount(a: &[u64], b: &[u64]) -> usize {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let mut acc = 0u64;
-        let mut i = 0usize;
-        while i + 2 <= n {
-            // SAFETY: the guard leaves >= 2 readable words past `i`.
-            let va = vld1q_u64(a.as_ptr().add(i));
-            let vb = vld1q_u64(b.as_ptr().add(i));
-            let v = vandq_u64(va, vb);
-            // 16 byte-counts of <= 8 each sum to <= 128: fits u8.
-            acc += u64::from(vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(v))));
-            i += 2;
-        }
-        for w in i..n {
-            acc += (a[w] & b[w]).count_ones() as u64;
-        }
-        acc as usize
-    }
-}
-
-// ---------------------------------------------------------------------------
 // SIMD entry points (compiled per-arch; scalar elsewhere).
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 fn simd_and_eq(a: &[u64], b: &[u64]) -> usize {
-    // SAFETY: only reached when `simd_arm()` reported AVX2 (the cached
-    // arm is Avx2, or the caller checked availability).
+    // SAFETY: only called by `and_popcount_simd`, once `simd_arm()` has
+    // reported AVX2, with both slices cut to one length.
     unsafe { avx2::and_popcount(a, b) }
 }
 
-#[cfg(target_arch = "aarch64")]
-fn simd_and_eq(a: &[u64], b: &[u64]) -> usize {
-    // SAFETY: only reached when `simd_arm()` reported NEON.
-    unsafe { neon::and_popcount(a, b) }
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn simd_and_eq(a: &[u64], b: &[u64]) -> usize {
     and_popcount_scalar(a, b)
 }
@@ -409,21 +269,14 @@ fn simd_and_eq(a: &[u64], b: &[u64]) -> usize {
 // Dispatched kernel (the API the rest of the workspace calls).
 // ---------------------------------------------------------------------------
 
-/// `|a ∩ b|` over two bitmaps via the selected arm. Unequal lengths
+/// `|a ∩ b|` over two bitmaps on the CPU's [`arm`]. Unequal lengths
 /// truncate to the shorter slice (missing words AND to zero).
 #[must_use]
 pub fn and_popcount(a: &[u64], b: &[u64]) -> usize {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    match arm() {
-        KernelArm::Scalar => and_popcount_scalar(a, b),
-        KernelArm::Avx2 | KernelArm::Neon => simd_and_eq(a, b),
-    }
+    and_popcount_simd(a, b).unwrap_or_else(|| and_popcount_scalar(a, b))
 }
 
-/// Forced-SIMD AND-popcount, or `None` when the CPU has no SIMD arm.
-/// Race-free for tests/benches: bypasses (and never mutates) the cached
-/// process-wide arm.
+/// The SIMD arm's AND-popcount, or `None` when the CPU has no SIMD arm.
 #[must_use]
 pub fn and_popcount_simd(a: &[u64], b: &[u64]) -> Option<usize> {
     let n = a.len().min(b.len());
@@ -448,19 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn choice_parses() {
-        assert_eq!("auto".parse::<KernelChoice>(), Ok(KernelChoice::Auto));
-        assert_eq!("scalar".parse::<KernelChoice>(), Ok(KernelChoice::Scalar));
-        assert_eq!("simd".parse::<KernelChoice>(), Ok(KernelChoice::Simd));
-        assert!("avx512".parse::<KernelChoice>().is_err());
-    }
-
-    #[test]
     fn arm_names_are_stable() {
         assert_eq!(KernelArm::Scalar.name(), "scalar");
         assert_eq!(KernelArm::Avx2.name(), "avx2");
-        assert_eq!(KernelArm::Neon.name(), "neon");
-        // Whatever is selected, the name round-trips through the cache.
+        assert_eq!(arm(), simd_arm().unwrap_or(KernelArm::Scalar));
         assert_eq!(arm().name(), arm_name());
     }
 
@@ -502,28 +346,5 @@ mod tests {
         if let Some(got) = and_popcount_simd(&ones, &ones) {
             assert_eq!(got, 130 * 64);
         }
-    }
-
-    #[test]
-    fn force_controls_the_cached_arm() {
-        // Serialized through one test to avoid racing the global cache
-        // against other tests (they use the per-arm entry points).
-        let detected = force(KernelChoice::Auto).unwrap();
-        assert_eq!(detected, simd_arm().unwrap_or(KernelArm::Scalar));
-        assert_eq!(force(KernelChoice::Scalar).unwrap(), KernelArm::Scalar);
-        assert_eq!(arm(), KernelArm::Scalar);
-        let a = words(3, 100);
-        let b = words(4, 100);
-        assert_eq!(and_popcount(&a, &b), and_popcount_scalar(&a, &b));
-        match simd_arm() {
-            Some(simd) => {
-                assert_eq!(force(KernelChoice::Simd).unwrap(), simd);
-                assert_eq!(arm(), simd);
-                assert_eq!(and_popcount(&a, &b), and_popcount_scalar(&a, &b));
-            }
-            None => assert!(force(KernelChoice::Simd).is_err()),
-        }
-        // Leave the cache on auto for the rest of the process.
-        force(KernelChoice::Auto).unwrap();
     }
 }

@@ -69,5 +69,5 @@ pub use csc::SparseMatrix;
 pub use csr::RowMajorMatrix;
 pub use error::{MatrixError, Result};
 pub use fault::{FaultConfig, FaultyRowStream, RetryStats, RetryingRowStream};
-pub use kernel::{KernelArm, KernelChoice};
+pub use kernel::KernelArm;
 pub use stream::{FileRowStream, MemoryRowStream, PassScan, RowStream, ScanCounter};

@@ -20,8 +20,8 @@
 //! them, so the dispatch never changes results — only speed. The two arms
 //! are private: callers go through the dispatched entry points, and
 //! [`ground_truth_uses_bitmap`] reports which arm a matrix gets. The
-//! bitmap arm's AND-popcount follows the process-wide kernel arm
-//! ([`crate::kernel`]), so `--kernel` runs it scalar or SIMD.
+//! bitmap arm's AND-popcount runs on the CPU's kernel arm
+//! ([`crate::kernel`]): AVX2 when the CPU has it, scalar otherwise.
 
 use sfa_hash::{BucketIndex, PairWalker};
 use sfa_par::ThreadPool;

@@ -245,10 +245,8 @@ fn every_container_type_pairing_matches_merge() {
     }
 }
 
-/// The dispatched AND-popcount agrees with the forced-scalar arm on a
-/// deterministic workload, whatever arm the host CPU selects. The
-/// per-arm functions make this race-free: nothing here mutates the
-/// process-wide dispatch cache.
+/// The dispatched AND-popcount agrees with the scalar arm on a
+/// deterministic workload, whatever arm the host CPU has.
 #[test]
 fn dispatched_kernels_agree_with_forced_scalar_arm() {
     let a: Vec<u64> = (0..777u64)

@@ -1,34 +1,24 @@
 //! Property-based equivalence of the phase-1 signature kernels.
 //!
-//! The scalar min-merge loop is the semantic floor; the SIMD arm
-//! (sign-flip AVX2 min) must produce exactly the same bytes on every
-//! input — including values straddling `2^63`, the `u64::MAX`
-//! empty-signature sentinel, and vector-width remainder tails. On top of
-//! that kernel check, whole signature builds (MH, 32-bit MH, K-MH) over
-//! randomly shaped matrices, many of them mostly empty, are pinned
-//! byte-identical across the forced `scalar` and `simd` dispatch arms —
-//! the end-to-end guarantee `--kernel` documents. The builders skip rows
-//! without a 1, so the last tests pin that a skipped row still counts as
-//! seen and that a checkpoint resume across a run of empty rows changes
-//! nothing.
-//!
-//! CI re-runs this suite under `SFA_KERNEL=scalar`, which cannot change
-//! any outcome here (the per-arm entry points bypass the dispatch cache,
-//! and the whole-build test forces both arms itself) but pins the
-//! portable floor on hosts whose auto arm is SIMD.
+//! The scalar min-merge loop is the semantic floor; the AVX2 build of the
+//! same loop must produce exactly the same bytes on every input —
+//! including values straddling `2^63`, the `u64::MAX` empty-signature
+//! sentinel, and vector-width remainder tails. On top of that kernel
+//! check, whole MH and 32-bit MH builds over randomly shaped matrices,
+//! many of them mostly empty, must equal a reference fold written here
+//! from `HashFamily`: the per-column minimum of every row hash. The
+//! builders skip rows without a 1, so the last tests pin that a skipped
+//! row still counts as seen and that a checkpoint resume across a run of
+//! empty rows changes nothing.
 
 use proptest::prelude::*;
 
-use sfa_matrix::kernel::{force, simd_arm, KernelChoice};
+use sfa_hash::HashFamily;
 use sfa_matrix::{MemoryRowStream, RowMajorMatrix};
 use sfa_minhash::builder::{KmhBuilder, MhBuilder};
 use sfa_minhash::kernel::{min_merge_u64_scalar, min_merge_u64_simd};
 use sfa_minhash::mh::compute_signatures_32;
-use sfa_minhash::{compute_bottom_k, compute_signatures};
-
-/// Serializes the tests that mutate the process-wide dispatch arm so a
-/// forced `scalar` in one test cannot leak into another's `simd` build.
-static FORCE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+use sfa_minhash::{compute_bottom_k, compute_signatures, SignatureMatrix, EMPTY_SIGNATURE};
 
 /// Paired words so `dst` and `src` always have equal lengths, spanning
 /// the widths where the vector loop, its tail, and the empty case live.
@@ -69,31 +59,51 @@ proptest! {
     }
 
     #[test]
-    fn signature_builds_byte_identical_across_arms(
+    fn signature_builds_match_a_reference_fold(
         rows in shaped_matrix(24, 40),
         k in 1usize..=12,
         seed in 0u64..1_000,
     ) {
-        if simd_arm().is_none() {
-            return; // scalar-only host: nothing to diff against
-        }
-        let matrix = RowMajorMatrix::from_rows(24, rows).expect("sorted in-range rows");
-        let _guard = FORCE_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        force(KernelChoice::Scalar).expect("scalar always available");
-        let mh_scalar = compute_signatures(&mut MemoryRowStream::new(&matrix), k, seed).unwrap();
-        let mh32_scalar =
-            compute_signatures_32(&mut MemoryRowStream::new(&matrix), k, seed).unwrap();
-        let kmh_scalar = compute_bottom_k(&mut MemoryRowStream::new(&matrix), k, seed).unwrap();
-        force(KernelChoice::Simd).expect("simd_arm() reported one");
-        let mh_simd = compute_signatures(&mut MemoryRowStream::new(&matrix), k, seed).unwrap();
-        let mh32_simd =
-            compute_signatures_32(&mut MemoryRowStream::new(&matrix), k, seed).unwrap();
-        let kmh_simd = compute_bottom_k(&mut MemoryRowStream::new(&matrix), k, seed).unwrap();
-        force(KernelChoice::Auto).expect("auto always available");
-        prop_assert_eq!(mh_simd, mh_scalar, "MH signatures diverged across arms");
-        prop_assert_eq!(mh32_simd, mh32_scalar, "32-bit MH signatures diverged across arms");
-        prop_assert_eq!(kmh_simd, kmh_scalar, "K-MH sketches diverged across arms");
+        let matrix = RowMajorMatrix::from_rows(24, rows.clone()).expect("sorted in-range rows");
+        let mh = compute_signatures(&mut MemoryRowStream::new(&matrix), k, seed).unwrap();
+        let mh32 = compute_signatures_32(&mut MemoryRowStream::new(&matrix), k, seed).unwrap();
+        let family = HashFamily::new(k, seed);
+        let full = reference_fold(&rows, 24, k, |l, row| family.hash(l, row));
+        let folded = reference_fold(&rows, 24, k, |l, row| {
+            u64::from(sfa_hash::mix::fold32(family.hash(l, row)))
+        });
+        prop_assert!(same_signatures(&mh, &full), "MH signatures diverged from the fold");
+        prop_assert!(same_signatures(&mh32, &folded), "32-bit MH signatures diverged from the fold");
     }
+}
+
+/// The per-column minimum of `hash(l, row)` over the rows holding the
+/// column, row-major by hash function: §3's signature, written without
+/// the builders or the kernel.
+fn reference_fold(
+    rows: &[Vec<u32>],
+    n_cols: usize,
+    k: usize,
+    hash: impl Fn(usize, u64) -> u64,
+) -> Vec<Vec<u64>> {
+    let mut sig = vec![vec![EMPTY_SIGNATURE; n_cols]; k];
+    for (row_id, cols) in rows.iter().enumerate() {
+        for (l, line) in sig.iter_mut().enumerate() {
+            let h = hash(l, row_id as u64);
+            for &col in cols {
+                line[col as usize] = line[col as usize].min(h);
+            }
+        }
+    }
+    sig
+}
+
+fn same_signatures(sigs: &SignatureMatrix, reference: &[Vec<u64>]) -> bool {
+    reference.iter().enumerate().all(|(l, line)| {
+        line.iter()
+            .enumerate()
+            .all(|(j, &want)| sigs.get(l, j as u32) == want)
+    })
 }
 
 /// A table whose rows 3..=9 hold no 1, and the split points a checkpoint

@@ -1,21 +1,18 @@
-//! Persistent scoped worker pool with chunked dynamic scheduling.
+//! Scoped worker rounds with chunked dynamic scheduling.
 //!
 //! Phase 2 of the pipeline — candidate generation over in-memory
 //! summaries — is embarrassingly parallel but *skewed*: bucket sizes and
 //! per-column sketch lengths vary by orders of magnitude, so a static
 //! even partition of the index space serializes on the unlucky worker.
-//! Prior to this crate every parallel call site spawned fresh
-//! `std::thread::scope` workers with exactly that static split.
 //!
-//! [`ThreadPool`] fixes both costs:
+//! [`ThreadPool`] is a thread count:
 //!
-//! * **Persistent**: worker threads are spawned once (default count from
-//!   [`std::thread::available_parallelism`]) and reused across rounds, so
-//!   a pipeline run pays thread start-up once, not once per phase.
-//! * **Scoped**: [`ThreadPool::run`] accepts a *borrowing* closure — it
-//!   blocks until every worker has finished the round, which is what
-//!   makes handing a non-`'static` closure to long-lived threads sound
-//!   (the one `unsafe` in this crate, see `run`).
+//! * **Scoped**: [`ThreadPool::run`] starts `threads() − 1` threads with
+//!   [`std::thread::scope`] for one round, runs worker 0 on the caller,
+//!   and joins them all before it returns, so the round's closure may
+//!   borrow from the caller's stack. A `sfa mine` runs at most two
+//!   rounds and `sfa serve` one, so a round's thread start-up (tens of
+//!   microseconds) is not worth keeping workers alive between rounds.
 //! * **Dynamic**: [`ThreadPool::par_fold`] and the
 //!   [`ThreadPool::par_map_reduce`] built on it deal out fixed-size
 //!   chunks of an index range from a shared atomic cursor, so fast
@@ -30,9 +27,9 @@ use std::ops::Range;
 /// Minimum estimated elementary operations per round before the pool
 /// beats the caller thread.
 ///
-/// One epoch hand-off (lock, condvar broadcast, workers wake, drain,
-/// final notify) costs on the order of tens of microseconds; at roughly
-/// a few ops per nanosecond the round needs ~10⁵–10⁶ elementary
+/// One round's spawn plus join (start `threads() − 1` scoped threads,
+/// wait for them all) costs on the order of tens of microseconds; at
+/// roughly a few ops per nanosecond the round needs ~10⁵–10⁶ elementary
 /// operations before the workers repay that. `2¹⁸ ≈ 262k` sits at the
 /// conservative end: small pipeline workloads (the bench baseline's
 /// 2000×1000 synthetic) stay serial, while anything that takes
@@ -40,47 +37,12 @@ use std::ops::Range;
 /// in `BENCH_pipeline.json`, which recorded 0.60–0.74× "speedups" on
 /// exactly these small inputs before the cutoff existed.
 pub const SERIAL_CUTOFF: u64 = 1 << 18;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
-/// Type-erased borrowed task; only dereferenced while the submitting
-/// `run` call is blocked, which keeps the borrow alive.
-#[derive(Clone, Copy)]
-struct Task(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the pointee is `Sync` (shared calls from any thread are fine)
-// and `run` guarantees it outlives every dereference by blocking until
-// all workers finish the round.
-unsafe impl Send for Task {}
-
-struct State {
-    /// Round counter; workers run one task per epoch bump.
-    epoch: u64,
-    task: Option<Task>,
-    /// Workers still executing the current round.
-    active: usize,
-    /// A worker's task panicked this round.
-    panicked: bool,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    /// Workers wait here for a new epoch.
-    work: Condvar,
-    /// The submitter waits here for `active == 0`.
-    done: Condvar,
-}
-
-/// A persistent pool of `threads() - 1` worker threads; the calling
-/// thread participates in every round as worker 0.
+/// `threads()` workers per round: `threads() - 1` scoped threads started
+/// by each [`run`](Self::run), plus the calling thread as worker 0.
 pub struct ThreadPool {
-    shared: std::sync::Arc<Shared>,
-    /// Serializes concurrent `run` calls (the pool runs one round at a time).
-    submit: Mutex<()>,
-    handles: Vec<JoinHandle<()>>,
     threads: usize,
 }
 
@@ -93,82 +55,29 @@ impl ThreadPool {
         } else {
             n_threads
         };
-        let shared = std::sync::Arc::new(Shared {
-            state: Mutex::new(State {
-                epoch: 0,
-                task: None,
-                active: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (1..threads)
-            .map(|idx| {
-                let shared = std::sync::Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("sfa-par-{idx}"))
-                    .spawn(move || worker_loop(&shared, idx))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        Self {
-            shared,
-            submit: Mutex::new(()),
-            handles,
-            threads,
-        }
+        Self { threads }
     }
 
-    /// Total parallelism: background workers plus the calling thread.
+    /// Total parallelism: the round's scoped threads plus the calling
+    /// thread.
     #[inline]
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Runs `f(w)` once for every worker index `w in 0..threads()`,
-    /// blocking until all calls return. The closure may borrow from the
-    /// caller's stack. Panics (after the round drains) if any call
-    /// panicked.
+    /// Runs `f(w)` once for every worker index `w in 0..threads()`:
+    /// `f(1..threads())` on scoped threads started for this round, `f(0)`
+    /// on the caller. Returns once every call has returned, so the
+    /// closure may borrow from the caller's stack. A panic in any call
+    /// reaches the caller once the round's threads are joined.
     pub fn run<F: Fn(usize) + Sync>(&self, f: F) {
-        if self.threads == 1 {
-            f(0);
-            return;
-        }
-        let _round = lock(&self.submit);
-        let erased: &(dyn Fn(usize) + Sync) = &f;
-        // SAFETY: only the lifetime is widened. The pointer is
-        // dereferenced exclusively between the epoch bump below and the
-        // `active == 0` wait, and this function does not return (or drop
-        // `f`) until that wait completes — so the borrow is live for
-        // every dereference.
-        let task = Task(unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(erased)
-        });
-        {
-            let mut st = lock(&self.shared.state);
-            st.task = Some(task);
-            st.active = self.threads - 1;
-            st.panicked = false;
-            st.epoch += 1;
-            self.shared.work.notify_all();
-        }
-        // The caller is worker 0; run its share before blocking.
-        let caller = catch_unwind(AssertUnwindSafe(|| f(0)));
-        let worker_panicked = {
-            let mut st = lock(&self.shared.state);
-            while st.active > 0 {
-                st = wait(&self.shared.done, st);
+        let f = &f;
+        std::thread::scope(|s| {
+            for worker in 1..self.threads {
+                s.spawn(move || f(worker));
             }
-            st.task = None;
-            st.panicked
-        };
-        match caller {
-            Err(payload) => resume_unwind(payload),
-            Ok(()) if worker_panicked => panic!("sfa-par worker panicked"),
-            Ok(()) => {}
-        }
+            f(0);
+        });
     }
 
     /// A load-balancing chunk size for `n_items` of roughly uniform
@@ -182,8 +91,8 @@ impl ThreadPool {
     /// dispatching to the pool at all (see [`SERIAL_CUTOFF`]). Callers
     /// that can estimate their work use this (or
     /// [`par_fold_bounded`](Self::par_fold_bounded)) to fall back to the
-    /// caller thread on small inputs, where epoch/condvar hand-off costs
-    /// more than the work itself.
+    /// caller thread on small inputs, where starting and joining a round's
+    /// threads costs more than the work itself.
     #[inline]
     pub fn worth_parallel(&self, estimated_ops: u64) -> bool {
         self.threads > 1 && estimated_ops >= SERIAL_CUTOFF
@@ -280,67 +189,10 @@ impl ThreadPool {
     }
 }
 
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            st.shutdown = true;
-            self.shared.work.notify_all();
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Locks ignoring poisoning: every critical section in this module
-/// leaves `State` consistent (panics are caught and recorded as a flag),
-/// so a poisoned mutex carries no torn state.
-fn lock<'a, T>(mutex: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn wait<'a, T>(cv: &Condvar, guard: std::sync::MutexGuard<'a, T>) -> std::sync::MutexGuard<'a, T> {
-    cv.wait(guard)
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn worker_loop(shared: &Shared, worker: usize) {
-    let mut seen_epoch = 0u64;
-    loop {
-        let task = {
-            let mut st = lock(&shared.state);
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch > seen_epoch {
-                    seen_epoch = st.epoch;
-                    break st.task.expect("task set for new epoch");
-                }
-                st = wait(&shared.work, st);
-            }
-        };
-        // SAFETY: the submitter blocks in `run` until this worker
-        // decrements `active` below, so the borrow behind the pointer is
-        // still live here.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*task.0)(worker) }));
-        let mut st = lock(&shared.state);
-        if result.is_err() {
-            st.panicked = true;
-        }
-        st.active -= 1;
-        if st.active == 0 {
-            shared.done.notify_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicU64;
 
     #[test]

@@ -178,10 +178,6 @@ USAGE:
              [--metrics-json FILE] [--deadline-secs S]
   sfa help
 
-Every subcommand also accepts --kernel auto|scalar|simd (default auto;
-env SFA_KERNEL=scalar): pins the word-count kernel dispatch arm. auto
-picks AVX2/NEON when the CPU has it; simd errors when it does not.
-Output is byte-identical across arms — the option only affects speed.
 Parallelism: --threads N reads the input into memory once and runs phases
 1 and 2 on N workers (0 = size from the machine).
 Memory: --memory-budget BYTES caps pair-space state, verifying candidates
@@ -228,37 +224,101 @@ pub fn run(raw: &[String]) -> i32 {
 /// Returns a classified [`CliError`] on bad arguments or IO failures.
 pub fn dispatch(raw: &[String]) -> Result<String, CliError> {
     let args = Args::parse(raw).map_err(CliError::Usage)?;
-    apply_kernel_choice(&args)?;
-    match args.command.as_str() {
-        "gen" => cmd_gen(&args),
-        "info" => cmd_info(&args),
-        "stats" => cmd_stats(&args),
-        "sketch" => cmd_sketch(&args),
-        "mine" => cmd_mine(&args),
-        "optimize" => cmd_optimize(&args),
-        "rules" => cmd_rules(&args),
-        "compare" => cmd_compare(&args),
-        "serve" => cmd_serve(&args),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError::Usage(format!("unknown subcommand {other:?}"))),
+    let (command, known) = subcommand(&args.command)
+        .ok_or_else(|| CliError::Usage(format!("unknown subcommand {:?}", args.command)))?;
+    // A misspelled option would otherwise be ignored and the run would go
+    // ahead on its default.
+    if let Some((key, _)) = args
+        .options
+        .iter()
+        .find(|(key, _)| !known.contains(&key.as_str()))
+    {
+        return Err(CliError::Usage(format!(
+            "unknown option --{key} for `sfa {}`",
+            args.command
+        )));
     }
+    command(&args)
+}
+
+/// A subcommand's handler and the options it takes.
+type Subcommand = (
+    fn(&Args) -> Result<String, CliError>,
+    &'static [&'static str],
+);
+
+/// The subcommand called `name`, with exactly the options its [`USAGE`]
+/// line names.
+fn subcommand(name: &str) -> Option<Subcommand> {
+    Some(match name {
+        "gen" => (cmd_gen, &["kind", "out", "seed", "scale"]),
+        "info" => (cmd_info, &["input"]),
+        "stats" => (cmd_stats, &["input", "bins"]),
+        "sketch" => (
+            cmd_sketch,
+            &[
+                "input",
+                "out",
+                "scheme",
+                "k",
+                "seed",
+                "metrics-json",
+                "threads",
+            ],
+        ),
+        "mine" => (
+            cmd_mine,
+            &[
+                "input",
+                "scheme",
+                "threshold",
+                "k",
+                "r",
+                "l",
+                "delta",
+                "seed",
+                "csv",
+                "metrics-json",
+                "max-retries",
+                "checkpoint-dir",
+                "checkpoint-every",
+                "threads",
+                "memory-budget",
+                "deadline-secs",
+                "signature-cache",
+            ],
+        ),
+        "optimize" => (
+            cmd_optimize,
+            &["input", "threshold", "max-fn", "max-fp", "sample", "seed"],
+        ),
+        "rules" => (cmd_rules, &["input", "confidence", "k", "delta", "seed"]),
+        "compare" => (cmd_compare, &["input", "threshold", "k", "seed"]),
+        "serve" => (
+            cmd_serve,
+            &[
+                "input",
+                "addr",
+                "threads",
+                "queue-depth",
+                "request-timeout-ms",
+                "drain-secs",
+                "threshold",
+                "k",
+                "delta",
+                "seed",
+                "state-dir",
+                "metrics-json",
+                "deadline-secs",
+            ],
+        ),
+        "help" | "--help" | "-h" => (|_| Ok(USAGE.to_string()), &[]),
+        _ => return None,
+    })
 }
 
 fn io_err(e: impl std::fmt::Display) -> CliError {
     CliError::Data(e.to_string())
-}
-
-/// Applies the global `--kernel auto|scalar|simd` option (also settable
-/// via the `SFA_KERNEL` env var): pins the process-wide word-kernel
-/// dispatch arm before any counting runs. `simd` is an error on CPUs
-/// with no SIMD arm; every arm produces byte-identical output, so the
-/// option only affects speed.
-fn apply_kernel_choice(args: &Args) -> Result<(), CliError> {
-    if let Some(word) = args.get("kernel") {
-        let choice: crate::matrix::KernelChoice = word.parse().map_err(CliError::Usage)?;
-        crate::matrix::kernel::force(choice).map_err(CliError::Usage)?;
-    }
-    Ok(())
 }
 
 fn cmd_gen(args: &Args) -> Result<String, CliError> {
@@ -1374,62 +1434,97 @@ mod tests {
 
     #[test]
     fn kernel_flag_rejects_bad_values_before_io() {
-        // Bad --kernel is a usage error (exit 2) detected before the
+        // The kernel arm is the CPU's, so --kernel is an unknown option
+        // whatever its value: a usage error (exit 2) detected before the
         // (nonexistent) input is opened.
-        let err = dispatch(&strs(&[
-            "mine",
-            "--input",
-            "no-such-file.sfab",
-            "--scheme",
-            "mh",
-            "--kernel",
-            "avx512",
-        ]))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2, "{err:?}");
+        for kernel in ["scalar", "simd", "auto", "avx512"] {
+            let err = dispatch(&strs(&[
+                "mine",
+                "--input",
+                "no-such-file.sfab",
+                "--scheme",
+                "mh",
+                "--kernel",
+                kernel,
+            ]))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "--kernel {kernel}: {err:?}");
+            assert!(err.message().contains("--kernel"), "{err:?}");
+        }
     }
 
     #[test]
-    fn kernel_scalar_matches_default_mine_output() {
-        let table = tmp("kernel_mine.sfab");
-        dispatch(&strs(&[
-            "gen",
-            "--kind",
-            "weblog",
-            "--out",
-            table.to_str().unwrap(),
-            "--scale",
-            "tiny",
-        ]))
-        .unwrap();
-        let base = &[
-            "mine",
-            "--input",
-            table.to_str().unwrap(),
-            "--scheme",
-            "kmh",
-            "--threshold",
-            "0.8",
-            "--k",
-            "40",
-            "--threads",
-            "1",
-        ];
-        let default_out = dispatch(&strs(base)).unwrap();
-        // The first line is a wall-clock timing summary; the pair lines
-        // below it are the byte-stable output.
-        let default_pairs: Vec<&str> = default_out.lines().skip(1).collect();
-        assert!(!default_pairs.is_empty(), "no pairs mined");
-        // Forcing the scalar arm must give identical pairs; `auto`
-        // restores the detected arm for the rest of the process.
-        for kernel in ["scalar", "auto"] {
-            let mut argv = base.to_vec();
-            argv.extend(["--kernel", kernel]);
-            let forced = dispatch(&strs(&argv)).unwrap();
-            let forced_pairs: Vec<&str> = forced.lines().skip(1).collect();
-            assert_eq!(forced_pairs, default_pairs, "--kernel {kernel} diverged");
+    fn misspelled_options_are_usage_errors_before_io() {
+        // Every subcommand, each with one option its USAGE line does not
+        // name; the input does not exist and `gen` must not write its
+        // output, so an exit 2 here came before any filesystem access.
+        let out = tmp("misspelled_gen.sfab");
+        std::fs::remove_file(&out).ok();
+        let out = out.to_str().unwrap();
+        let input = "no-such-file.sfab";
+        for argv in [
+            vec!["gen", "--kind", "weblog", "--out", out, "--sede", "3"],
+            vec!["info", "--input", input, "--bins", "4"],
+            vec!["stats", "--input", input, "--bin", "4"],
+            vec![
+                "sketch", "--input", input, "--out", out, "--scheme", "mh", "--thread", "2",
+            ],
+            vec![
+                "mine",
+                "--input",
+                input,
+                "--scheme",
+                "mh",
+                "--thresold",
+                "0.99",
+                "--memory-budjet",
+                "4096",
+            ],
+            vec!["optimize", "--input", input, "--max-fns", "5"],
+            vec!["rules", "--input", input, "--confidense", "0.9"],
+            vec!["compare", "--input", input, "--r", "5"],
+            vec!["serve", "--input", input, "--adress", "127.0.0.1:0"],
+            vec!["help", "--verbose", "1"],
+        ] {
+            let err = dispatch(&strs(&argv)).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{argv:?} → {err:?}");
+            assert!(
+                err.message().contains("unknown option --"),
+                "{argv:?} → {err:?}"
+            );
         }
-        std::fs::remove_file(&table).ok();
+        assert!(!Path::new(out).exists(), "gen wrote its output");
+    }
+
+    #[test]
+    fn every_usage_option_is_accepted_and_no_other() {
+        // USAGE lists each subcommand as `  sfa NAME --opt …` plus indented
+        // continuation lines, up to the first blank line.
+        let mut entries: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in USAGE
+            .lines()
+            .skip_while(|l| *l != "USAGE:")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+        {
+            let mut words = line.split_whitespace().peekable();
+            if words.peek() == Some(&"sfa") {
+                words.next();
+                entries.push((words.next().unwrap(), Vec::new()));
+            }
+            let (_, options) = entries.last_mut().expect("a subcommand line first");
+            options.extend(words.filter_map(|w| {
+                let name = w.split_once("--")?.1;
+                Some(name.trim_end_matches(|c: char| !c.is_ascii_lowercase()))
+            }));
+        }
+        assert_eq!(entries.len(), 10, "{entries:?}");
+        for (command, mut named) in entries {
+            let mut known = subcommand(command).expect("a subcommand").1.to_vec();
+            named.sort_unstable();
+            known.sort_unstable();
+            assert_eq!(known, named, "sfa {command}");
+        }
     }
 
     #[test]
